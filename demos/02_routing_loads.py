@@ -11,6 +11,7 @@ from circan import (
     CirculantSpec,
     build_rotation_routing,
     complement_spec,
+    distance_vector,
     edge_forwarding_bounds,
     load_profile,
     parse_graph_fixture,
@@ -109,13 +110,16 @@ for name, text in (("minimal", MINIMAL_ROUTING), ("detour", DETOUR_ROUTING)):
 
 # --- circulant complements admit a perfectly balanced routing ----------------
 comp = complement_spec(CirculantSpec.of(8, [1, 2, 4]))
-rotation = build_rotation_routing(comp)
-loads = rotation.vertex_loads()
+dv = distance_vector(comp)
+rotation = build_rotation_routing(comp, dv)
 print(f"\nrotation routing on {comp}:")
-print("  loads:", loads.tolist(), "(uniform by rotation symmetry)")
-print("  exact vertex-forwarding index:", vertex_forwarding_index(comp))
+print("  BFS tree parents:", rotation.parent.tolist(),
+      "shortest-path tree:", rotation.minimal)
+print("  loads:", rotation.vertex_loads().tolist(),
+      "(uniform by rotation symmetry: sum of depth - 1 over the tree)")
+print("  exact vertex-forwarding index:", vertex_forwarding_index(comp, dv))
 
-lower, upper = edge_forwarding_bounds(comp)
+lower, upper = edge_forwarding_bounds(comp, dv)
 print(f"  edge-forwarding index bounds: {lower} <= pi <= {upper}")
 profile = load_profile(rotation)
 print("  this routing's max edge load:", profile.max_edge_load)

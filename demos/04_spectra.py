@@ -29,11 +29,12 @@ for spec in showcase:
           f"trace {spectrum.trace:+.2e}")
     print("  eigenvalues:", np.round(spectrum.eigenvalues, 6).tolist())
 
-# --- the two evaluation methods agree ----------------------------------------
+# --- the FFT evaluates the cosine sums ---------------------------------------
 dv = distance_vector(CirculantSpec.of(1200, [1, 7, 30]))
-direct = circulant_spectrum(dv, method="direct").eigenvalues
-fft = circulant_spectrum(dv, method="fft").eigenvalues
-print(f"\nn=1200: max |direct - fft| = {np.abs(direct - fft).max():.3e}")
+k = np.arange(dv.n)
+cosine_sums = np.sort(np.cos(2 * np.pi * np.outer(k, k) / dv.n) @ dv.d)[::-1]
+fft = circulant_spectrum(dv).eigenvalues
+print(f"\nn=1200: max |cosine sum - fft| = {np.abs(cosine_sums - fft).max():.3e}")
 
 # --- radius tracks the transmission across a family ---------------------------
 print("\ncomplements of C_n(1, n/2): exact radius is n + 2")

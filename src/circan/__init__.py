@@ -25,6 +25,7 @@ from .errors import (
     EmptyJumpSetError,
     FamilyDomainError,
     FixtureParseError,
+    InconsistentPredictionError,
     InvalidEdgeError,
     KnownExceptionError,
     MissingPairError,

@@ -2,9 +2,11 @@
 
 Four subcommands: ``analyze`` (single-graph report), ``verify`` (family
 sweep), ``spectrum`` (eigenvalue listing), ``routing`` (fixture load
-analysis). Exit codes are part of the interface: 0 success, 2 disconnected
-or edgeless graph, 3 parse error, 4 verification failure. Exact rationals
-are serialized as "p/q" strings, floats as shortest round-trip decimals.
+analysis). Exit codes are part of the interface: 0 success, 1 any other
+library error (e.g. ``DegenerateTransmissionError`` for ``analyze --n 2
+--jumps 1``), 2 disconnected or edgeless graph and argparse usage errors,
+3 parse error, 4 verification failure. Exact rationals are serialized as
+"p/q" strings, floats as shortest round-trip decimals.
 """
 
 from __future__ import annotations
@@ -67,10 +69,12 @@ def _parse_jumps(text: str) -> tuple[int, ...]:
 
 def _parse_range(text: str) -> tuple[int, int]:
     try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
+        lo, hi = (int(tok) for tok in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad range {text!r}; expected lo:hi")
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}; lo exceeds hi")
+    return lo, hi
 
 
 def _default_jobs() -> int:

@@ -113,19 +113,15 @@ def complement_spec(spec: CirculantSpec) -> CirculantSpec:
 class GenericGraph:
     """Simple undirected graph over vertices 0..n-1.
 
-    Stores a read-only boolean adjacency matrix. ``jumps`` records the
-    canonical jump set when the graph was built as a circulant, which lets
-    distance routines take the single-source shortcut; it carries no extra
-    information (the adjacency is always fully materialized).
+    Stores a read-only boolean adjacency matrix.
     """
 
-    __slots__ = ("adj", "n", "jumps", "index_base")
+    __slots__ = ("adj", "n", "index_base")
 
     def __init__(
         self,
         adj: np.ndarray,
         *,
-        jumps: tuple[int, ...] | None = None,
         index_base: int = 0,
         validate: bool = True,
     ) -> None:
@@ -142,7 +138,6 @@ class GenericGraph:
             adj.setflags(write=False)
         self.adj = adj
         self.n = adj.shape[0]
-        self.jumps = jumps
         self.index_base = index_base
 
     @classmethod
@@ -182,8 +177,7 @@ class GenericGraph:
         return self.n == other.n and np.array_equal(self.adj, other.adj)
 
     def __repr__(self) -> str:
-        tag = f" jumps={self.jumps}" if self.jumps else ""
-        return f"<GenericGraph n={self.n} m={self.edge_count}{tag}>"
+        return f"<GenericGraph n={self.n} m={self.edge_count}>"
 
 
 def _circulant_matrix(first_row: np.ndarray) -> np.ndarray:
@@ -199,7 +193,7 @@ def build_circulant(spec: CirculantSpec) -> GenericGraph:
     """Materialize the adjacency of a circulant graph."""
     row = np.zeros(spec.n, dtype=bool)
     row[list(spec.offsets())] = True
-    return GenericGraph(_circulant_matrix(row), jumps=spec.jumps, validate=False)
+    return GenericGraph(_circulant_matrix(row), validate=False)
 
 
 def complement_graph(g: GenericGraph) -> GenericGraph:

@@ -58,6 +58,11 @@ class DegenerateReciprocalTransmissionError(CirculantError):
     """An edge has endpoint reciprocal transmissions with sum <= 2."""
 
 
+class InconsistentPredictionError(CirculantError):
+    """A family's scalar closed forms disagree with its predicted distance
+    vector (a transcription error in the closed forms)."""
+
+
 class FamilyDomainError(CirculantError):
     """A closed-form prediction was requested outside its effective domain."""
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import CirculantSpec
-from .errors import KnownExceptionError, OutOfDomainError
+from .errors import InconsistentPredictionError, KnownExceptionError, OutOfDomainError
 from .indices import IndexReport
 from .metrics import DistanceVector
 
@@ -413,12 +413,18 @@ def predict(point: FamilyPoint) -> Prediction:
         rho, degree, rs, pi_lo, pi_hi, report = _predict_mc_gen(n, point.h)
     xi = rho - (n - 1)
     # Internal consistency: the scalar forms must agree with the vector form.
-    assert rho == vec.transmission, point
-    assert degree == vec.degree, point
-    assert rs == vec.reciprocal_transmission, point
-    assert report.wiener == Fraction(n * rho, 2), point
-    assert report.harary == Fraction(n, 2) * rs, point
-    assert report.exact["t_ga"] == Fraction(n * degree, 2), point
+    for name, scalar, vector in (
+        ("rho", rho, vec.transmission),
+        ("degree", degree, vec.degree),
+        ("rs", rs, vec.reciprocal_transmission),
+        ("wiener", report.wiener, Fraction(n * rho, 2)),
+        ("harary", report.harary, Fraction(n, 2) * rs),
+        ("t_ga", report.exact["t_ga"], Fraction(n * degree, 2)),
+    ):
+        if scalar != vector:
+            raise InconsistentPredictionError(
+                f"{point}: closed-form {name} {scalar} disagrees with {vector}"
+            )
     return Prediction(
         point=point,
         distance_vector=vec,

@@ -223,9 +223,6 @@ def is_connected(g: GenericGraph) -> bool:
 
 def diameter(g: GenericGraph) -> int:
     """Maximum distance over all vertex pairs."""
-    if g.jumps is not None:
-        # Vertex-transitive: the eccentricity of vertex 0 is the diameter.
-        return distance_vector(CirculantSpec(g.n, g.jumps)).diameter
     dist = all_pairs_distances(g)
     if (dist < 0).any():
         raise DisconnectedGraphError("graph is disconnected")
@@ -255,17 +252,6 @@ def metrics_summary(g: GenericGraph) -> MetricsSummary:
     """Compute the distance summary, raising on disconnected input."""
     degrees = g.degrees()
     degree = int(degrees[0]) if g.n and (degrees == degrees[0]).all() else None
-    if g.jumps is not None:
-        dv = distance_vector(CirculantSpec(g.n, g.jumps))
-        return MetricsSummary(
-            n=g.n,
-            edge_count=g.edge_count,
-            degree=degree,
-            transmission=dv.transmission,
-            reciprocal_transmission=dv.reciprocal_transmission,
-            diameter=dv.diameter,
-            transmission_regular=True,
-        )
     dist = all_pairs_distances(g)
     if (dist < 0).any():
         raise DisconnectedGraphError("graph is disconnected")

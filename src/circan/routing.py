@@ -11,6 +11,7 @@ produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -27,8 +28,7 @@ from .errors import (
 from .metrics import DistanceVector, all_pairs_distances, distance_vector
 
 # Explicit path dictionaries get large quadratically; above this order
-# rotation routings stay in compact base-path form and loads are computed
-# by streaming over shifts.
+# rotation routings stay in parent-array form.
 EXPLICIT_PATH_LIMIT = 512
 
 
@@ -124,38 +124,53 @@ def parse_routing_fixture(text: str, g: GenericGraph) -> Routing:
 class RotationRouting:
     """Shortest-path routing of a circulant, closed under rotation.
 
-    One BFS tree from vertex 0 (parent = smallest-numbered neighbor one
-    level closer) fixes the paths 0 -> v; the path for (x, x + v) is that
-    base path shifted by x. All n(n-1) paths are shortest by construction
-    of the tree, which validation re-checks.
+    A BFS tree from vertex 0, stored as a parent array (parent = smallest
+    neighbor one level closer), fixes the paths 0 -> v; the path for
+    (x, x + v) is that base path shifted by x. Rotation makes every vertex
+    carry the same load, sum over v of (depth(v) - 1), and every edge of one
+    offset orbit the same load, so neither is accumulated path by path.
     """
 
-    __slots__ = ("spec", "n", "base_paths", "minimal", "symmetric")
-
-    def __init__(self, spec: CirculantSpec, base_paths: tuple[tuple[int, ...], ...]):
+    def __init__(self, spec: CirculantSpec, parent: np.ndarray, dv: DistanceVector):
         self.spec = spec
         self.n = spec.n
-        self.base_paths = base_paths  # base_paths[v - 1] is the path 0 -> v
-        self.minimal = True
-        self.symmetric = self._check_symmetric()
+        self.parent = parent  # parent[v] is the vertex before v on the path 0 -> v
+        self.dv = dv
+        self.depth = _tree_depths(parent)
 
-    def _check_symmetric(self) -> bool:
+    @cached_property
+    def minimal(self) -> bool:
+        """Every tree step is an edge and every base path 0 -> v has length d(v)."""
         n = self.n
-        for v in range(1, n):
-            shifted = tuple((u + v) % n for u in self.base_paths[n - v - 1])
-            if shifted != tuple(reversed(self.base_paths[v - 1])):
-                return False
-        return True
+        row = np.zeros(n, dtype=bool)
+        row[list(self.spec.offsets())] = True
+        steps = (np.arange(1, n) - self.parent[1:]) % n
+        return bool(row[steps].all()) and np.array_equal(self.depth, self.dv.d)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """Each pair is routed by reversed paths in the two directions."""
+        return all(
+            self.path(v, 0) == self.path(0, v)[::-1] for v in range(1, self.n)
+        )
+
+    def _base_path(self, v: int) -> list[int]:
+        path = [v]
+        while path[-1] != 0:
+            path.append(int(self.parent[path[-1]]))
+        path.reverse()
+        return path
 
     def path(self, x: int, y: int) -> tuple[int, ...]:
         v = (y - x) % self.n
         if v == 0:
             raise KeyError("routing paths join distinct vertices")
-        return tuple((u + x) % self.n for u in self.base_paths[v - 1])
+        return tuple((u + x) % self.n for u in self._base_path(v))
 
     def paths(self) -> Iterator[tuple[int, ...]]:
+        bases = [self._base_path(v) for v in range(1, self.n)]
         for x in range(self.n):
-            for base in self.base_paths:
+            for base in bases:
                 yield tuple((u + x) % self.n for u in base)
 
     def to_explicit(self, g: GenericGraph | None = None) -> Routing:
@@ -169,57 +184,72 @@ class RotationRouting:
         return Routing.from_paths(g, self.paths())
 
     def vertex_loads(self) -> np.ndarray:
-        """Inner-vertex counts accumulated over all n(n-1) shifted paths."""
-        n = self.n
-        inner = [p[1:-1] for p in self.base_paths if len(p) > 2]
-        if not inner:
-            return np.zeros(n, dtype=np.int64)
-        flat = np.concatenate([np.asarray(p, dtype=np.int64) for p in inner])
-        shifted = (flat[:, None] + np.arange(n, dtype=np.int64)[None, :]) % n
-        return np.bincount(shifted.ravel(), minlength=n)
+        """Inner-vertex counts: every vertex carries sum(depth - 1)."""
+        return np.full(self.n, int((self.depth[1:] - 1).sum()), dtype=np.int64)
 
     def edge_loads(self) -> dict[tuple[int, int], int]:
-        """Undirected traversal counts accumulated over all shifted paths."""
+        """Undirected traversal counts, one value per offset orbit.
+
+        The tree edge into u is a step of every base path through u, i.e.
+        size(u) of them. Shifting gives each edge of orbit o the number of
+        base-path steps with difference +-o; the n/2 orbit has only n/2
+        edges, so each of them carries twice that.
+        """
         n = self.n
-        heads = np.concatenate(
-            [np.asarray(p[:-1], dtype=np.int64) for p in self.base_paths]
-        )
-        tails = np.concatenate(
-            [np.asarray(p[1:], dtype=np.int64) for p in self.base_paths]
-        )
-        counts = np.zeros(n * n, dtype=np.int64)
-        chunk = max(1, 4_000_000 // max(1, heads.size))
-        for start in range(0, n, chunk):
-            shifts = np.arange(start, min(start + chunk, n), dtype=np.int64)
-            u = (heads[None, :] + shifts[:, None]) % n
-            v = (tails[None, :] + shifts[:, None]) % n
-            lo = np.minimum(u, v)
-            hi = np.maximum(u, v)
-            counts += np.bincount((lo * n + hi).ravel(), minlength=n * n)
-        nz = np.flatnonzero(counts)
-        return {(int(key // n), int(key % n)): int(counts[key]) for key in nz}
+        step = (np.arange(1, n) - self.parent[1:]) % n
+        orbit_load = np.zeros(n // 2 + 1, dtype=np.int64)
+        np.add.at(orbit_load, np.minimum(step, n - step), self._subtree_sizes()[1:])
+        if n % 2 == 0:
+            orbit_load[n // 2] *= 2
+        loads = {}
+        for o in np.flatnonzero(orbit_load):
+            for x in range(n // 2 if 2 * o == n else n):
+                y = (x + int(o)) % n
+                loads[(min(x, y), max(x, y))] = int(orbit_load[o])
+        return loads
+
+    def _subtree_sizes(self) -> np.ndarray:
+        size = np.ones(self.n, dtype=np.int64)
+        for level in range(int(self.depth.max()), 0, -1):
+            vs = np.flatnonzero(self.depth == level)
+            np.add.at(size, self.parent[vs], size[vs])
+        return size
 
 
-def build_rotation_routing(spec: CirculantSpec) -> RotationRouting:
+def _tree_depths(parent: np.ndarray) -> np.ndarray:
+    """Steps from each vertex to 0 along ``parent`` (pointer doubling);
+    -1 where the walk never reaches 0."""
+    n = parent.shape[0]
+    depth = (np.arange(n) != 0).astype(np.int64)
+    anc = parent.copy()
+    anc[0] = 0
+    for _ in range(max(1, (n - 1).bit_length())):
+        depth, anc = depth + depth[anc], anc[anc]
+    depth[anc != 0] = -1
+    return depth
+
+
+def build_rotation_routing(
+    spec: CirculantSpec, dv: DistanceVector | None = None
+) -> RotationRouting:
     """Construct the rotation-invariant shortest-path routing of ``spec``."""
-    dv = distance_vector(spec)
+    if dv is None:
+        dv = distance_vector(spec)
     n = spec.n
+    if dv.n != n:
+        raise ValueError(f"distance vector has order {dv.n}, spec has {n}")
     dist = dv.d
     offs = np.asarray(spec.offsets(), dtype=np.int64)
+    # Distance-1 vertices hang off 0; only farther ones search their neighbors.
     parent = np.zeros(n, dtype=np.int64)
-    for start in range(1, n, 4096):
-        vs = np.arange(start, min(start + 4096, n), dtype=np.int64)
+    far = np.flatnonzero(dist >= 2)
+    chunk = max(1, 4_000_000 // offs.size)
+    for start in range(0, far.size, chunk):
+        vs = far[start : start + chunk]
         nbrs = (vs[:, None] + offs[None, :]) % n
         closer = dist[nbrs] == dist[vs][:, None] - 1
         parent[vs] = np.where(closer, nbrs, n).min(axis=1)
-    base_paths = []
-    for v in range(1, n):
-        path = [v]
-        while path[-1] != 0:
-            path.append(int(parent[path[-1]]))
-        path.reverse()
-        base_paths.append(tuple(path))
-    return RotationRouting(spec, tuple(base_paths))
+    return RotationRouting(spec, parent, dv)
 
 
 def load_profile(routing: Routing | RotationRouting) -> LoadProfile:

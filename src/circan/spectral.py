@@ -1,11 +1,11 @@
 """Eigenvalues of circulant distance matrices.
 
 A circulant matrix with first row d has eigenvalues
-sum_k d[k] * exp(2*pi*i*j*k / n); palindrome symmetry of distance vectors
-makes them real, so the cosine part suffices. The exact spectral radius of a
-connected circulant's distance matrix is its (constant) row sum, i.e. the
-transmission of any vertex -- that integer is authoritative, the numeric
-spectrum is a cross-check oracle.
+sum_k d[k] * exp(2*pi*i*j*k / n), the DFT of d; palindrome symmetry of
+distance vectors makes them real, so the real part of the FFT suffices. The
+exact spectral radius of a connected circulant's distance matrix is its
+(constant) row sum, i.e. the transmission of any vertex -- that integer is
+authoritative, the numeric spectrum is a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -16,10 +16,6 @@ import numpy as np
 
 from .core import CirculantSpec
 from .metrics import DistanceVector, distance_vector
-
-# Above this order the direct O(n^2) cosine sum is replaced by an FFT of the
-# same sum; both paths are cross-checked in the tests.
-_DIRECT_DFT_MAX_ORDER = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,33 +44,10 @@ class Spectrum:
         return float(self.eigenvalues.sum())
 
 
-def _dft_direct(d: np.ndarray) -> np.ndarray:
-    n = d.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    k = np.arange(n, dtype=np.float64)
-    step = max(1, 4_000_000 // n)
-    for start in range(0, n, step):
-        j = np.arange(start, min(start + step, n), dtype=np.float64)
-        out[start : start + len(j)] = np.cos(np.outer(j, k) * (2.0 * np.pi / n)) @ d
-    return out
-
-
-def circulant_spectrum(dv: DistanceVector, method: str = "auto") -> Spectrum:
-    """Numeric eigenvalues of the distance matrix with first row ``dv``.
-
-    ``method`` selects the direct cosine summation or the FFT evaluation of
-    the same sums ("auto" picks by order).
-    """
-    if method == "auto":
-        method = "direct" if dv.n <= _DIRECT_DFT_MAX_ORDER else "fft"
+def circulant_spectrum(dv: DistanceVector) -> Spectrum:
+    """Numeric eigenvalues of the distance matrix with first row ``dv``."""
     d = dv.d.astype(np.float64)
-    if method == "direct":
-        eig = _dft_direct(d)
-    elif method == "fft":
-        eig = np.fft.fft(d).real
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return Spectrum(np.sort(eig)[::-1])
+    return Spectrum(np.sort(np.fft.fft(d).real)[::-1])
 
 
 def spectral_radius_exact(obj: DistanceVector | CirculantSpec) -> int:

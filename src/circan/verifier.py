@@ -3,13 +3,18 @@
 For every parameter point the verifier rebuilds the complement, runs BFS,
 recomputes every predicted quantity from scratch (spectral radius both as
 the exact transmission and as the numeric DFT maximum, forwarding values,
-all seventeen indices), and records per-field agreement. Integer and
+all seventeen indices), and records per-field agreement. The ``xi_witness``
+field builds the rotation routing at every order and certifies its BFS tree:
+each tree step is a graph edge and each base path 0 -> v has length d(v).
+Uniform vertex load then follows from rotation alone, so the witness
+compares that one load with the predicted forwarding index. Integer and
 rational fields must match exactly; square-root-valued indices are compared
 at 1e-9 relative and the numeric spectrum at 1e-6 relative.
 
 Out-of-domain parameters are still swept: they produce flagged records (the
 observed obstruction goes into the note) rather than assertions, so a sweep
 documents where the closed forms stop holding instead of silently skipping.
+An in-domain point that cannot be checked fails.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from .spectral import circulant_spectrum, spectral_radius_exact
 
 DEFAULT_FLOAT_TOL = 1e-9
 DEFAULT_SPECTRAL_TOL = 1e-6
-DEFAULT_WITNESS_LIMIT = 512
 
 FIELD_ORDER = (
     "distance_vector",
@@ -78,10 +82,11 @@ class VerificationRecord:
 
     @property
     def passed(self) -> bool:
-        """True unless an in-domain field comparison failed."""
+        """True unless an in-domain point failed a field comparison or was
+        not checked at all."""
         if self.domain_status is not DomainStatus.IN_DOMAIN:
             return True
-        return all(check.match for check in self.fields.values())
+        return bool(self.fields) and all(check.match for check in self.fields.values())
 
     def mismatches(self) -> dict[str, FieldCheck]:
         return {k: v for k, v in self.fields.items() if not v.match}
@@ -109,7 +114,6 @@ def verify_point(
     *,
     float_tol: float = DEFAULT_FLOAT_TOL,
     spectral_tol: float = DEFAULT_SPECTRAL_TOL,
-    witness_limit: int = DEFAULT_WITNESS_LIMIT,
 ) -> VerificationRecord:
     """Compare every closed form for one parameter point against brute force."""
     status, reason = domain_status(point)
@@ -154,12 +158,15 @@ def verify_point(
     xi = rho - (point.n - 1)
     fields["xi"] = FieldCheck(xi == pred.xi, str(pred.xi), str(xi))
 
-    if point.n <= witness_limit:
-        loads = build_rotation_routing(comp).vertex_loads()
-        lo, hi = int(loads.min()), int(loads.max())
-        fields["xi_witness"] = FieldCheck(
-            lo == hi == pred.xi, str(pred.xi), f"min={lo},max={hi}"
-        )
+    routing = build_rotation_routing(comp, dv)
+    loads = routing.vertex_loads()
+    lo, hi = int(loads.min()), int(loads.max())
+    witness = f"min={lo},max={hi}"
+    if not routing.minimal:
+        witness += ";not a shortest-path tree"
+    fields["xi_witness"] = FieldCheck(
+        routing.minimal and lo == hi == pred.xi, str(pred.xi), witness
+    )
 
     pi_lower, pi_upper = edge_forwarding_bounds(comp, dv)
     fields["pi_lower"] = FieldCheck(
@@ -200,8 +207,7 @@ def verify_point(
 def _domain_note(status: DomainStatus, reason: str, observed: str) -> str:
     if status is DomainStatus.IN_DOMAIN:
         # Should not happen: an in-domain point failed to produce a connected
-        # complement. Surface it loudly in the note; passed stays True only
-        # for flagged statuses, so force visibility through the reason text.
+        # complement. The record has no fields, so it does not pass.
         return f"UNEXPECTED: {observed}"
     return f"{reason}; observed: {observed}" if reason else f"observed: {observed}"
 
@@ -244,15 +250,9 @@ def verify_sweep(
     jobs: int = 1,
     float_tol: float = DEFAULT_FLOAT_TOL,
     spectral_tol: float = DEFAULT_SPECTRAL_TOL,
-    witness_limit: int = DEFAULT_WITNESS_LIMIT,
 ) -> list[VerificationRecord]:
     """Verify every point, in order; ``jobs`` > 1 shards across processes."""
-    worker = partial(
-        verify_point,
-        float_tol=float_tol,
-        spectral_tol=spectral_tol,
-        witness_limit=witness_limit,
-    )
+    worker = partial(verify_point, float_tol=float_tol, spectral_tol=spectral_tol)
     if jobs <= 1 or len(points) < 4:
         return [worker(p) for p in points]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -269,7 +269,6 @@ def verify_family(
     jobs: int = 1,
     float_tol: float = DEFAULT_FLOAT_TOL,
     spectral_tol: float = DEFAULT_SPECTRAL_TOL,
-    witness_limit: int = DEFAULT_WITNESS_LIMIT,
 ) -> list[VerificationRecord]:
     """Sweep one family (or the whole multiplicative class via ``"mc"``)."""
     name = family.value if isinstance(family, Family) else family
@@ -286,11 +285,7 @@ def verify_family(
     else:
         raise ValueError(f"unknown family {family!r}")
     return verify_sweep(
-        points,
-        jobs=jobs,
-        float_tol=float_tol,
-        spectral_tol=spectral_tol,
-        witness_limit=witness_limit,
+        points, jobs=jobs, float_tol=float_tol, spectral_tol=spectral_tol
     )
 
 

@@ -55,6 +55,12 @@ class TestAnalyze:
         code, _ = run(capsys, "analyze", "--n", "8", "--jumps", "1,x")
         assert code == 3
 
+    def test_other_library_error_exits_1(self, capsys):
+        code = main(["analyze", "--n", "2", "--jumps", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "edge transmissions 1 + 1 do not exceed 2" in err
+
     def test_multiplicative_source(self, capsys):
         code, out = run(capsys, "analyze", "--m", "2", "--h", "3",
                         "--complement", "--format", "json")
@@ -175,6 +181,26 @@ class TestVerify:
         code, out = run(capsys, "verify", "--family", "c7", "--format", "text")
         assert code == 4
         assert "FAILED" in out
+
+    def test_unchecked_in_domain_point_exits_4(self, capsys, monkeypatch):
+        import circan.verifier as verifier_module
+        from circan import DomainStatus
+
+        monkeypatch.setattr(
+            verifier_module, "domain_status", lambda point: (DomainStatus.IN_DOMAIN, "")
+        )
+        code, out = run(capsys, "verify", "--family", "double-loop-gen", "--n", "8:8",
+                        "--format", "json")
+        assert code == 4
+        by_a = {rec["a"]: rec for rec in json.loads(out)}
+        assert by_a[3]["note"] == "UNEXPECTED: complement is disconnected"
+        assert by_a[3]["passed"] is False
+
+    def test_inverted_range_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "double-loop-gen", "--n", "40:8"])
+        assert exc.value.code == 2
+        assert "lo exceeds hi" in capsys.readouterr().err
 
     def test_bad_tol_rejected(self, capsys):
         with pytest.raises(SystemExit):

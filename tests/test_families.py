@@ -19,7 +19,7 @@ from circan import (
     predict,
     predicted_distance_vector,
 )
-from circan.errors import KnownExceptionError, OutOfDomainError
+from circan.errors import InconsistentPredictionError, KnownExceptionError, OutOfDomainError
 
 
 class TestPointConstruction:
@@ -129,6 +129,19 @@ class TestPredictions:
         for point in points:
             pred = predict(point)  # raises if the scalar and vector forms disagree
             assert pred.xi == pred.rho - (point.n - 1)
+
+    def test_inconsistent_closed_form_raises(self, monkeypatch):
+        import circan.families as families_module
+
+        real = families_module._predict_c7
+
+        def corrupted():
+            rho, degree, rs, pi_lo, pi_hi, report = real()
+            return rho + 1, degree, rs, pi_lo, pi_hi, report
+
+        monkeypatch.setattr(families_module, "_predict_c7", corrupted)
+        with pytest.raises(InconsistentPredictionError, match="rho"):
+            predict(c7_point(2))
 
 
 class TestAlternateForms:

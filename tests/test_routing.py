@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from circan import (
     CirculantSpec,
+    RotationRouting,
     Routing,
     build_circulant,
     build_rotation_routing,
@@ -119,6 +120,7 @@ class TestRotationRouting:
             complement_spec(CirculantSpec.of(12, [1, 6])),
             CirculantSpec.of(9, [1, 3]),
             CirculantSpec.of(16, [1]),
+            CirculantSpec.of(16, [1, 8]),  # the n/2 orbit has only n/2 edges
         ]:
             rotation = build_rotation_routing(spec)
             explicit = rotation.to_explicit()
@@ -127,6 +129,16 @@ class TestRotationRouting:
             assert profile.vertex_loads.tolist() == rotation.vertex_loads().tolist()
             rotation_profile = load_profile(rotation)
             assert profile.edge_loads == rotation_profile.edge_loads
+
+    def test_minimal_certifies_the_tree(self):
+        spec = complement_spec(CirculantSpec.of(12, [1, 6]))  # C12(2,3,4,5)
+        good = build_rotation_routing(spec)
+        assert good.minimal and good.parent[1] == 3
+        # 2 -> 1 is no edge; 6 -> 1 is an edge one level too far; 1 -> 1 never reaches 0
+        for bad_parent in (2, 6, 1):
+            parent = good.parent.copy()
+            parent[1] = bad_parent
+            assert not RotationRouting(spec, parent, good.dv).minimal, bad_parent
 
     def test_symmetric_flag_is_computed(self):
         # identity-path routing on a complete graph is symmetric

@@ -3,8 +3,12 @@ import io
 import json
 from fractions import Fraction
 
+import numpy as np
+
 from circan import (
     DomainStatus,
+    RotationRouting,
+    double_loop_gen_point,
     multiplicative_point,
     verify_family,
     verify_point,
@@ -37,10 +41,42 @@ class TestVerifyPoint:
         check = rec.fields["rs"]
         assert check.predicted == "23/2" and check.computed == "23/2"
 
-    def test_witness_skipped_above_limit(self):
-        rec = verify_point(multiplicative_point(2, 10), witness_limit=512)
-        assert "xi_witness" not in rec.fields
+    def test_witness_at_large_order(self):
+        rec = verify_point(multiplicative_point(2, 10))
+        assert rec.point.n == 1024
+        assert rec.fields["xi_witness"].match
+        assert rec.fields["xi_witness"].computed == "min=19,max=19"
         assert rec.passed
+
+    def test_witness_fails_on_a_broken_tree(self, monkeypatch):
+        import circan.verifier as verifier_module
+
+        real = verifier_module.build_rotation_routing
+
+        def broken(spec, dv):
+            routing = real(spec, dv)
+            parent = routing.parent.copy()
+            parent[int(np.flatnonzero(dv.d == 2)[0])] = 1  # vertex 1 is not one level closer
+            return RotationRouting(spec, parent, dv)
+
+        monkeypatch.setattr(verifier_module, "build_rotation_routing", broken)
+        rec = verify_point(multiplicative_point(2, 4))
+        assert not rec.fields["xi_witness"].match
+        assert rec.fields["xi_witness"].computed.endswith(";not a shortest-path tree")
+        assert not rec.passed
+
+    def test_unchecked_in_domain_point_fails(self, monkeypatch):
+        import circan.verifier as verifier_module
+
+        # (8, 3) has a disconnected complement; call it in-domain anyway
+        monkeypatch.setattr(
+            verifier_module, "domain_status", lambda point: (DomainStatus.IN_DOMAIN, "")
+        )
+        rec = verify_point(double_loop_gen_point(8, 3))
+        assert rec.note == "UNEXPECTED: complement is disconnected"
+        assert not rec.fields
+        assert not rec.passed
+        assert has_failures([rec])
 
 
 class TestSweeps:
