@@ -31,6 +31,7 @@ from .errors import (
     MissingPairError,
     NonElementaryPathError,
     OutOfDomainError,
+    OversizedRationalError,
     PropertyStarViolatedError,
     VertexRangeError,
 )

@@ -4,9 +4,11 @@ Four subcommands: ``analyze`` (single-graph report), ``verify`` (family
 sweep), ``spectrum`` (eigenvalue listing), ``routing`` (fixture load
 analysis). Exit codes are part of the interface: 0 success, 1 any other
 library error (e.g. ``DegenerateTransmissionError`` for ``analyze --n 2
---jumps 1``), 2 disconnected or edgeless graph and argparse usage errors,
-3 parse error, 4 verification failure. Exact rationals are serialized as
-"p/q" strings, floats as shortest round-trip decimals.
+--jumps 1``, ``OversizedRationalError`` when an exact rational has more
+digits than Python converts to text), 2 disconnected or edgeless graph,
+argparse usage errors and a sweep that selects no points, 3 parse error,
+4 verification failure. Exact rationals are serialized as "p/q" strings,
+floats as shortest round-trip decimals.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from .errors import (
     InvalidEdgeError,
     MissingPairError,
     NonElementaryPathError,
+    OversizedRationalError,
 )
 from .indices import INDEX_FIELDS, full_report, report_from_distance_vector
-from .metrics import distance_vector, metrics_summary
+from .metrics import all_pairs_distances, distance_vector, metrics_summary
 from .routing import load_profile, parse_routing_fixture, edge_forwarding_bounds, vertex_forwarding_index
 from .spectral import circulant_spectrum, spectral_radius_exact
 from .verifier import (
@@ -85,8 +88,14 @@ def _default_jobs() -> int:
         return 1
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(value)
+def _fraction_str(name: str, value: Fraction) -> str:
+    try:
+        return str(value)
+    except ValueError as exc:  # int-to-str digit limit
+        raise OversizedRationalError(
+            f"exact {name} has a numerator or denominator of more than "
+            f"{sys.get_int_max_str_digits()} digits, too large to print"
+        ) from exc
 
 
 def _flatten(doc, prefix: str = "") -> list[tuple[str, str]]:
@@ -170,13 +179,13 @@ def _indices_doc(report) -> dict:
     indices = {}
     for name in INDEX_FIELDS:
         value = getattr(report, name)
-        indices[name] = _fraction_str(value) if isinstance(value, Fraction) else value
+        indices[name] = _fraction_str(name, value) if isinstance(value, Fraction) else value
     return indices
 
 
-def _routing_doc(g: GenericGraph, routing_path: str) -> dict:
+def _routing_doc(g: GenericGraph, routing_path: str, dist=None) -> dict:
     text = Path(routing_path).read_text(encoding="ascii")
-    routing = parse_routing_fixture(text, g)
+    routing = parse_routing_fixture(text, g, _dist=dist)
     profile = load_profile(routing)
     return {
         "paths": len(routing.paths),
@@ -195,7 +204,8 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         g = parse_graph_fixture(Path(args.fixture).read_text(encoding="ascii"))
         if args.complement:
             g = complement_graph(g)
-        summary = metrics_summary(g)
+        dist = all_pairs_distances(g)
+        summary = metrics_summary(g, _dist=dist)
         doc = {
             "graph": {"source": args.fixture, "n": g.n, "edge_count": g.edge_count,
                       "complement": args.complement},
@@ -204,14 +214,14 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
                 "transmission": summary.transmission,
                 "reciprocal_transmission": None
                 if summary.reciprocal_transmission is None
-                else _fraction_str(summary.reciprocal_transmission),
+                else _fraction_str("reciprocal_transmission", summary.reciprocal_transmission),
                 "diameter": summary.diameter,
                 "transmission_regular": summary.transmission_regular,
             },
-            "indices": _indices_doc(full_report(g)),
+            "indices": _indices_doc(full_report(g, _dist=dist)),
         }
         if args.routing:
-            doc["routing"] = _routing_doc(g, args.routing)
+            doc["routing"] = _routing_doc(g, args.routing, dist)
         _emit(args, doc)
         return EXIT_OK
     if args.routing:
@@ -226,7 +236,8 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
                   "edge_count": spec.n * dv.degree // 2},
         "metrics": {
             "transmission": dv.transmission,
-            "reciprocal_transmission": _fraction_str(dv.reciprocal_transmission),
+            "reciprocal_transmission": _fraction_str("reciprocal_transmission",
+                                                     dv.reciprocal_transmission),
             "diameter": dv.diameter,
             # first row of the circulant distance matrix; row i is this
             # vector rotated by i
@@ -238,11 +249,11 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         },
         "forwarding": {
             "xi": vertex_forwarding_index(spec, dv),
-            "pi_lower": _fraction_str(pi_lower),
+            "pi_lower": _fraction_str("pi_lower", pi_lower),
             "pi_upper": pi_upper,
         },
         "indices": _indices_doc(report),
-        "indices_exact": {k: _fraction_str(v) for k, v in sorted(report.exact.items())},
+        "indices_exact": {k: _fraction_str(k, v) for k, v in sorted(report.exact.items())},
     }
     _emit(args, doc)
     return EXIT_OK
@@ -287,6 +298,8 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         jobs=args.jobs,
         float_tol=args.tol,
     )
+    if not records:
+        parser.error(f"verify --family {args.family} with these bounds selects no points")
     if args.format == "csv":
         _emit_raw(args, records_to_csv(records))
     elif args.format == "json":
@@ -304,7 +317,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             if rec.note:
                 line += f" ({rec.note})"
             if not rec.passed:
-                line += " FAILED: " + ",".join(sorted(rec.mismatches()))
+                line += " FAILED: " + (",".join(sorted(rec.mismatches())) or "not checked")
             lines.append(line)
         checked = sum(1 for r in records if r.fields)
         lines.append(

@@ -58,6 +58,10 @@ class DegenerateReciprocalTransmissionError(CirculantError):
     """An edge has endpoint reciprocal transmissions with sum <= 2."""
 
 
+class OversizedRationalError(CirculantError):
+    """An exact rational has more digits than Python converts to text."""
+
+
 class InconsistentPredictionError(CirculantError):
     """A family's scalar closed forms disagree with its predicted distance
     vector (a transcription error in the closed forms)."""

@@ -6,11 +6,22 @@ pairs (Wiener, hyper-Wiener, Harary), degree-and-distance pair sums
 transmissions respectively reciprocal transmissions (GA, AG, SC, ABC, AZ
 kernels).
 
-Pair-sum indices and both augmented-Zagreb variants are exact rationals.
-The square-root kernels are accumulated in binary64 after grouping edges by
-endpoint statistics, with ``math.fsum`` over the group contributions; the
-GA/AG pairs collapse to the exact edge count on transmission-regular
-graphs, and the report keeps those exact values alongside the floats.
+Everything derives from one integer matrix: the number of vertices at each
+distance d from each vertex i (one row for a circulant). Pair sums read its column totals and their
+degree-weighted versions. The per-edge kernels see integer vertex
+statistics over a common denominator L: the transmission itself (L = 1),
+or the reciprocal transmission times L = lcm(1..diameter). Edges are
+grouped by the unordered pair of endpoint statistics (A, B), and one kernel
+serves both families.
+
+Pair-sum indices and both augmented-Zagreb variants are exact rationals;
+the AZ sums are accumulated over one denominator and reduced once. The
+square-root kernels are evaluated in binary64 from correctly rounded integer
+quotients (A/L, S/L, E*L/P and count*P**3/(L*E)**3, with S = A + B,
+P = A*B and E = S - 2L), and ``math.fsum`` adds the group terms
+independently of their order. The GA/AG pairs collapse to the exact edge
+count on transmission-regular graphs, and the report keeps those exact
+values alongside the floats.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from .errors import (
     DegenerateTransmissionError,
     DisconnectedGraphError,
 )
-from .metrics import DistanceVector, all_pairs_distances, reciprocal_sum
+from .metrics import DistanceVector, all_pairs_distances
 
 PAIR_FIELDS = (
     "wiener",
@@ -105,9 +116,20 @@ class IndexReport:
     exact: Mapping[str, Fraction]
 
 
-def _require_connected(dist: np.ndarray) -> None:
-    if (dist < 0).any():
-        raise DisconnectedGraphError("indices are defined for connected graphs only")
+def _distance_counts(
+    dist: np.ndarray, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Row i, column d: the number of vertices at distance d from vertex i,
+    or the sum of their ``weights``."""
+    n = dist.shape[0]
+    width = int(dist.max()) + 1
+    cells = (dist + width * np.arange(n)[:, None]).ravel()
+    if weights is None:
+        return np.bincount(cells, minlength=n * width).reshape(n, width)
+    # float64 sums of integers stay exact below 2**53
+    flat = np.broadcast_to(weights, dist.shape).ravel()
+    summed = np.bincount(cells, weights=flat, minlength=n * width)
+    return summed.astype(np.int64).reshape(n, width)
 
 
 def _pair_indices_from_stats(
@@ -142,156 +164,148 @@ def _pair_indices_from_stats(
     )
 
 
-def _pair_stats_from_matrix(
-    dist: np.ndarray, deg: np.ndarray
-) -> tuple[list[int], list[int], list[int]]:
-    n = dist.shape[0]
-    maxd = int(dist.max()) if n > 1 else 0
-    cnt = np.zeros(maxd + 1, dtype=np.int64)
-    dsum = np.zeros(maxd + 1, dtype=np.int64)
-    dprod = np.zeros(maxd + 1, dtype=np.int64)
-    for i in range(n - 1):
-        row = dist[i, i + 1 :]
-        cnt += np.bincount(row, minlength=maxd + 1)
-        np.add.at(dsum, row, deg[i] + deg[i + 1 :])
-        np.add.at(dprod, row, deg[i] * deg[i + 1 :])
-    return cnt.tolist(), dsum.tolist(), dprod.tolist()
+def _pair_indices(
+    counts: np.ndarray, dist: np.ndarray, deg: np.ndarray
+) -> PairIndices:
+    # Over ordered pairs at distance d: the count, the sum of deg_i, and
+    # the sum of deg_i * deg_j; unordered pairs halve the first and last.
+    cnt = counts.sum(axis=0) // 2
+    dsum = deg @ counts
+    dprod = deg @ _distance_counts(dist, deg) // 2
+    return _pair_indices_from_stats(cnt.tolist(), dsum.tolist(), dprod.tolist())
 
 
-def _edge_sigma_groups(
-    dist: np.ndarray, edges: np.ndarray
+def _edge_groups(
+    values: list[int], edges: np.ndarray
 ) -> dict[tuple[int, int], int]:
-    sig = dist.sum(axis=1)
-    a = sig[edges[:, 0]]
-    b = sig[edges[:, 1]]
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    width = int(sig.max()) + 1
-    keys, counts = np.unique(lo * width + hi, return_counts=True)
-    return {
-        (int(k // width), int(k % width)): int(c) for k, c in zip(keys, counts)
-    }
-
-
-def _edge_rs_groups(
-    dist: np.ndarray, edges: np.ndarray
-) -> dict[tuple[Fraction, Fraction], int]:
-    n = dist.shape[0]
-    rs_by_vertex = [reciprocal_sum(np.bincount(dist[i])) for i in range(n)]
-    ids: dict[Fraction, int] = {}
-    vid = np.empty(n, dtype=np.int64)
-    for i, value in enumerate(rs_by_vertex):
-        vid[i] = ids.setdefault(value, len(ids))
-    values = list(ids)
+    """Edge count per unordered pair of endpoint values."""
+    ids: dict[int, int] = {}
+    vid = np.array([ids.setdefault(v, len(ids)) for v in values], dtype=np.int64)
+    distinct = list(ids)
     a = vid[edges[:, 0]]
     b = vid[edges[:, 1]]
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    width = len(values)
-    keys, counts = np.unique(lo * width + hi, return_counts=True)
+    width = len(distinct)
+    keys, counts = np.unique(
+        np.minimum(a, b) * width + np.maximum(a, b), return_counts=True
+    )
     return {
-        (values[int(k // width)], values[int(k % width)]): int(c)
-        for k, c in zip(keys, counts)
+        (distinct[k // width], distinct[k % width]): c
+        for k, c in zip(keys.tolist(), counts.tolist())
     }
 
 
-def _transmission_from_groups(
-    groups: dict[tuple[int, int], int]
-) -> TransmissionIndices:
-    ga_terms, ag_terms, sc_terms, abc_terms, az_terms = [], [], [], [], []
-    az = Fraction(0)
-    for (a, b), count in sorted(groups.items()):
+def _sum_fractions(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of num/den over (num, den) terms as one unreduced fraction.
+
+    Terms are combined pairwise, so operands stay of balanced size; the
+    caller reduces once.
+    """
+    while len(terms) > 1:
+        paired = [
+            (n1 * d2 + n2 * d1, d1 * d2)
+            for (n1, d1), (n2, d2) in zip(terms[::2], terms[1::2])
+        ]
+        terms = paired + terms[len(paired) * 2 :]
+    return terms[0] if terms else (0, 1)
+
+
+_EDGE_KINDS = {
+    TransmissionIndices: ("t", DegenerateTransmissionError, "transmissions"),
+    ReciprocalTransmissionIndices: (
+        "rt", DegenerateReciprocalTransmissionError, "reciprocal transmissions"
+    ),
+}
+
+
+def _edge_indices(
+    kind: type, groups: dict[tuple[int, int], int], denom: int
+) -> TransmissionIndices | ReciprocalTransmissionIndices:
+    """GA/AG/SC/ABC/AZ edge sums of ``kind`` for endpoint statistics
+    A/denom and B/denom given as {(A, B): edge count}."""
+    prefix, error, what = _EDGE_KINDS[kind]
+    ga, ag, sc, abc, az = [], [], [], [], []
+    az_by_gap: dict[int, int] = {}
+    for (a, b), count in groups.items():
         s = a + b
-        if s <= 2:
-            raise DegenerateTransmissionError(
-                f"edge transmissions {a} + {b} do not exceed 2"
+        gap = s - 2 * denom
+        if gap <= 0:
+            raise error(
+                f"edge {what} {Fraction(a, denom)} + {Fraction(b, denom)} "
+                "do not exceed 2"
             )
         p = a * b
-        root = math.sqrt(a) * math.sqrt(b)
-        ga_terms.append(count * 2.0 * root / s)
-        ag_terms.append(count * s / (2.0 * root))
-        sc_terms.append(count / math.sqrt(s))
-        abc_terms.append(count * math.sqrt((s - 2) / p))
-        az_group = count * Fraction(p, s - 2) ** 3
-        az += az_group
-        az_terms.append(float(az_group))
-    exact: dict[str, Fraction] = {"t_az": az}
-    edge_total = sum(groups.values())
+        root = math.sqrt(a / denom) * math.sqrt(b / denom)
+        fs = s / denom
+        ga.append(count * 2.0 * root / fs)
+        ag.append(count * fs / (2.0 * root))
+        sc.append(count / math.sqrt(fs))
+        abc.append(count * math.sqrt(gap * denom / p))
+        cube = count * p**3
+        az.append(cube / (denom * gap) ** 3)
+        az_by_gap[gap] = az_by_gap.get(gap, 0) + cube
+    numerator, gaps = _sum_fractions([(c, gap**3) for gap, c in az_by_gap.items()])
+    exact = {f"{prefix}_az": Fraction(numerator, gaps * denom**3)}
     if len(groups) == 1 and next(iter(groups))[0] == next(iter(groups))[1]:
         # transmission-regular: every GA/AG term is exactly 1
-        exact["t_ga"] = Fraction(edge_total)
-        exact["t_ag"] = Fraction(edge_total)
-    return TransmissionIndices(
-        t_ga=math.fsum(ga_terms),
-        t_ag=math.fsum(ag_terms),
-        t_sc=math.fsum(sc_terms),
-        t_abc=math.fsum(abc_terms),
-        t_az=math.fsum(az_terms),
-        exact=exact,
-    )
+        edge_total = Fraction(sum(groups.values()))
+        exact[f"{prefix}_ga"] = exact[f"{prefix}_ag"] = edge_total
+    fields = {
+        f"{prefix}_{name}": math.fsum(terms)
+        for name, terms in zip(("ga", "ag", "sc", "abc", "az"), (ga, ag, sc, abc, az))
+    }
+    return kind(**fields, exact=exact)
 
 
-def _reciprocal_from_groups(
-    groups: dict[tuple[Fraction, Fraction], int]
+def _transmission_indices(
+    counts: np.ndarray, edges: np.ndarray
+) -> TransmissionIndices:
+    sigma = counts @ np.arange(counts.shape[1])
+    return _edge_indices(TransmissionIndices, _edge_groups(sigma.tolist(), edges), 1)
+
+
+def _reciprocal_numerators(counts: np.ndarray) -> tuple[int, list[int]]:
+    """The common denominator L = lcm(1..diameter) and, per row of distance
+    counts, the reciprocal transmission times L."""
+    diameter = counts.shape[1] - 1
+    denom = math.lcm(*range(1, diameter + 1))
+    weights = [0] + [denom // d for d in range(1, diameter + 1)]
+    return denom, (counts.astype(object) @ np.array(weights, dtype=object)).tolist()
+
+
+def _reciprocal_indices(
+    counts: np.ndarray, edges: np.ndarray
 ) -> ReciprocalTransmissionIndices:
-    ga_terms, ag_terms, sc_terms, abc_terms, az_terms = [], [], [], [], []
-    az = Fraction(0)
-    for (a, b), count in sorted(groups.items()):
-        s = a + b
-        if s <= 2:
-            raise DegenerateReciprocalTransmissionError(
-                f"edge reciprocal transmissions {a} + {b} do not exceed 2"
-            )
-        p = a * b
-        root = math.sqrt(a) * math.sqrt(b)
-        fs = float(s)
-        ga_terms.append(count * 2.0 * root / fs)
-        ag_terms.append(count * fs / (2.0 * root))
-        sc_terms.append(count / math.sqrt(fs))
-        abc_terms.append(count * math.sqrt(float((s - 2) / p)))
-        az_group = count * (p / (s - 2)) ** 3
-        az += az_group
-        az_terms.append(float(az_group))
-    exact: dict[str, Fraction] = {"rt_az": az}
-    edge_total = sum(groups.values())
-    if len(groups) == 1 and next(iter(groups))[0] == next(iter(groups))[1]:
-        exact["rt_ga"] = Fraction(edge_total)
-        exact["rt_ag"] = Fraction(edge_total)
-    return ReciprocalTransmissionIndices(
-        rt_ga=math.fsum(ga_terms),
-        rt_ag=math.fsum(ag_terms),
-        rt_sc=math.fsum(sc_terms),
-        rt_abc=math.fsum(abc_terms),
-        rt_az=math.fsum(az_terms),
-        exact=exact,
-    )
+    denom, numerators = _reciprocal_numerators(counts)
+    groups = _edge_groups(numerators, edges)
+    return _edge_indices(ReciprocalTransmissionIndices, groups, denom)
 
 
-def pair_indices(g: GenericGraph, *, _dist: np.ndarray | None = None) -> PairIndices:
+def _connected_counts(
+    g: GenericGraph, dist: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """All-pairs distances (computed unless given) and their per-vertex
+    distance counts, raising on a disconnected graph."""
+    dist = all_pairs_distances(g) if dist is None else dist
+    if (dist < 0).any():
+        raise DisconnectedGraphError("indices are defined for connected graphs only")
+    return dist, _distance_counts(dist)
+
+
+def pair_indices(g: GenericGraph) -> PairIndices:
     """Wiener, hyper-Wiener, Harary, Schultz, Gutman, and both weighted
     Harary indices from all-pairs BFS distances."""
-    dist = all_pairs_distances(g) if _dist is None else _dist
-    _require_connected(dist)
-    cnt, dsum, dprod = _pair_stats_from_matrix(dist, g.degrees())
-    return _pair_indices_from_stats(cnt, dsum, dprod)
+    dist, counts = _connected_counts(g)
+    return _pair_indices(counts, dist, g.degrees())
 
 
-def transmission_indices(
-    g: GenericGraph, *, _dist: np.ndarray | None = None
-) -> TransmissionIndices:
+def transmission_indices(g: GenericGraph) -> TransmissionIndices:
     """GA/AG/SC/ABC/AZ edge sums over endpoint transmissions."""
-    dist = all_pairs_distances(g) if _dist is None else _dist
-    _require_connected(dist)
-    return _transmission_from_groups(_edge_sigma_groups(dist, g.edges()))
+    return _transmission_indices(_connected_counts(g)[1], g.edges())
 
 
-def reciprocal_transmission_indices(
-    g: GenericGraph, *, _dist: np.ndarray | None = None
-) -> ReciprocalTransmissionIndices:
+def reciprocal_transmission_indices(g: GenericGraph) -> ReciprocalTransmissionIndices:
     """GA/AG/SC/ABC/AZ edge sums over endpoint reciprocal transmissions."""
-    dist = all_pairs_distances(g) if _dist is None else _dist
-    _require_connected(dist)
-    return _reciprocal_from_groups(_edge_rs_groups(dist, g.edges()))
+    return _reciprocal_indices(_connected_counts(g)[1], g.edges())
 
 
 def _assemble(
@@ -299,39 +313,20 @@ def _assemble(
     trans: TransmissionIndices,
     recip: ReciprocalTransmissionIndices,
 ) -> IndexReport:
-    exact = dict(trans.exact)
-    exact.update(recip.exact)
-    return IndexReport(
-        wiener=pair.wiener,
-        hyper_wiener=pair.hyper_wiener,
-        harary=pair.harary,
-        schultz=pair.schultz,
-        gutman=pair.gutman,
-        harary_additive=pair.harary_additive,
-        harary_multiplicative=pair.harary_multiplicative,
-        t_ga=trans.t_ga,
-        t_ag=trans.t_ag,
-        t_sc=trans.t_sc,
-        t_abc=trans.t_abc,
-        t_az=trans.t_az,
-        rt_ga=recip.rt_ga,
-        rt_ag=recip.rt_ag,
-        rt_sc=recip.rt_sc,
-        rt_abc=recip.rt_abc,
-        rt_az=recip.rt_az,
-        exact=exact,
-    )
+    fields = {**vars(pair), **vars(trans), **vars(recip)}
+    fields["exact"] = {**trans.exact, **recip.exact}
+    return IndexReport(**fields)
 
 
-def full_report(g: GenericGraph) -> IndexReport:
-    """All seventeen indices of a connected graph, sharing one all-pairs
-    BFS pass."""
-    dist = all_pairs_distances(g)
-    _require_connected(dist)
+def full_report(g: GenericGraph, *, _dist: np.ndarray | None = None) -> IndexReport:
+    """All seventeen indices of a connected graph from one all-pairs BFS
+    pass and one matrix of per-vertex distance counts."""
+    dist, counts = _connected_counts(g, _dist)
+    edges = g.edges()
     return _assemble(
-        pair_indices(g, _dist=dist),
-        transmission_indices(g, _dist=dist),
-        reciprocal_transmission_indices(g, _dist=dist),
+        _pair_indices(counts, dist, g.degrees()),
+        _transmission_indices(counts, edges),
+        _reciprocal_indices(counts, edges),
     )
 
 
@@ -341,24 +336,18 @@ def report_from_distance_vector(dv: DistanceVector) -> IndexReport:
 
     The distance matrix of a circulant is the rotation expansion of its
     first row, so every row shares the distance multiset of ``dv``; the
-    unordered-pair count at distance d is n * count[d] / 2 and the graph is
-    transmission-regular.
+    unordered-pair count at distance d is n * count[d] / 2, and the edges
+    form one group of the transmission-regular kernel.
     """
-    n = dv.n
-    counts = dv.distance_counts().tolist()
+    counts = dv.distance_counts()
     r = dv.degree
-    edge_total = n * r // 2
-    cnt = [0] * len(counts)
-    dsum = [0] * len(counts)
-    dprod = [0] * len(counts)
-    for d in range(1, len(counts)):
-        pairs = n * counts[d] // 2
-        cnt[d] = pairs
-        dsum[d] = 2 * r * pairs
-        dprod[d] = r * r * pairs
-    pair = _pair_indices_from_stats(cnt, dsum, dprod)
+    edge_total = dv.n * r // 2
+    pairs = [dv.n * c // 2 for c in counts.tolist()]
+    pair = _pair_indices_from_stats(
+        pairs, [2 * r * c for c in pairs], [r * r * c for c in pairs]
+    )
     sigma = dv.transmission
-    trans = _transmission_from_groups({(sigma, sigma): edge_total})
-    rs = dv.reciprocal_transmission
-    recip = _reciprocal_from_groups({(rs, rs): edge_total})
+    trans = _edge_indices(TransmissionIndices, {(sigma, sigma): edge_total}, 1)
+    denom, (rs,) = _reciprocal_numerators(counts[None, :])
+    recip = _edge_indices(ReciprocalTransmissionIndices, {(rs, rs): edge_total}, denom)
     return _assemble(pair, trans, recip)

@@ -248,11 +248,13 @@ class MetricsSummary:
     connected: bool = True
 
 
-def metrics_summary(g: GenericGraph) -> MetricsSummary:
+def metrics_summary(
+    g: GenericGraph, *, _dist: np.ndarray | None = None
+) -> MetricsSummary:
     """Compute the distance summary, raising on disconnected input."""
     degrees = g.degrees()
     degree = int(degrees[0]) if g.n and (degrees == degrees[0]).all() else None
-    dist = all_pairs_distances(g)
+    dist = all_pairs_distances(g) if _dist is None else _dist
     if (dist < 0).any():
         raise DisconnectedGraphError("graph is disconnected")
     sigmas = dist.sum(axis=1)

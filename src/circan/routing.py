@@ -66,7 +66,11 @@ class Routing:
 
     @classmethod
     def from_paths(
-        cls, g: GenericGraph, paths: Iterable[tuple[int, ...]]
+        cls,
+        g: GenericGraph,
+        paths: Iterable[tuple[int, ...]],
+        *,
+        _dist: np.ndarray | None = None,
     ) -> "Routing":
         """Validate a collection of paths as a routing of ``g``."""
         n = g.n
@@ -87,7 +91,7 @@ class Routing:
         if len(table) != n * (n - 1):
             missing = n * (n - 1) - len(table)
             raise MissingPairError(f"{missing} ordered pairs have no path")
-        dist = all_pairs_distances(g)
+        dist = all_pairs_distances(g) if _dist is None else _dist
         minimal = all(len(p) - 1 == dist[x, y] for (x, y), p in table.items())
         symmetric = all(
             table[(y, x)] == tuple(reversed(p)) for (x, y), p in table.items()
@@ -98,7 +102,9 @@ class Routing:
         return len(self.paths)
 
 
-def parse_routing_fixture(text: str, g: GenericGraph) -> Routing:
+def parse_routing_fixture(
+    text: str, g: GenericGraph, *, _dist: np.ndarray | None = None
+) -> Routing:
     """Parse a routing fixture: one whitespace-separated path per line,
     using the companion graph fixture's vertex indexing."""
     base = g.index_base
@@ -118,7 +124,7 @@ def parse_routing_fixture(text: str, g: GenericGraph) -> Routing:
                     f"line {lineno}: vertex {v + base} outside 0..{g.n - 1 + base}"
                 )
         paths.append(path)
-    return Routing.from_paths(g, paths)
+    return Routing.from_paths(g, paths, _dist=_dist)
 
 
 class RotationRouting:

@@ -61,6 +61,13 @@ class TestAnalyze:
         assert code == 1
         assert "edge transmissions 1 + 1 do not exceed 2" in err
 
+    def test_oversized_rational_exits_1(self, capsys):
+        # the exact rt_az of C_4000(1) has more digits than str() converts
+        code = main(["analyze", "--n", "4000", "--jumps", "1", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "exact rt_az" in captured.err and "too large to print" in captured.err
+
     def test_multiplicative_source(self, capsys):
         code, out = run(capsys, "analyze", "--m", "2", "--h", "3",
                         "--complement", "--format", "json")
@@ -195,6 +202,29 @@ class TestVerify:
         by_a = {rec["a"]: rec for rec in json.loads(out)}
         assert by_a[3]["note"] == "UNEXPECTED: complement is disconnected"
         assert by_a[3]["passed"] is False
+
+    def test_unchecked_in_domain_point_text_names_reason(self, capsys, monkeypatch):
+        import circan.verifier as verifier_module
+        from circan import DomainStatus
+
+        monkeypatch.setattr(
+            verifier_module, "domain_status", lambda point: (DomainStatus.IN_DOMAIN, "")
+        )
+        code, out = run(capsys, "verify", "--family", "double-loop-gen", "--n", "8:8",
+                        "--format", "text")
+        assert code == 4
+        assert ("double-loop-gen n=8 a=3 in_domain "
+                "(UNEXPECTED: complement is disconnected) FAILED: not checked") in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "mc", "--max-order", "1"],
+        ["--family", "double-loop-gen", "--n", "2:4"],
+    ])
+    def test_empty_sweep_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert "selects no points" in capsys.readouterr().err
 
     def test_inverted_range_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,11 +1,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from circan import (
     CirculantSpec,
+    GenericGraph,
+    all_pairs_distances,
     build_circulant,
+    complement_graph,
     complement_spec,
     distance_vector,
     full_report,
@@ -19,7 +23,8 @@ from circan.errors import (
     DegenerateTransmissionError,
     DisconnectedGraphError,
 )
-from circan.indices import INDEX_FIELDS, PAIR_FIELDS
+from circan.indices import INDEX_FIELDS, PAIR_FIELDS, _pair_indices_from_stats
+from circan.metrics import reciprocal_sum
 
 from conftest import random_connected_specs
 
@@ -187,3 +192,188 @@ class TestDegenerateInputs:
     def test_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
             full_report(build_circulant(CirculantSpec.of(8, [2])))
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: per-edge-group Fraction arithmetic over endpoint
+# statistics, and per-row pair statistics. The library computes the same
+# values over integer statistics with one common denominator.
+
+
+def _oracle_pair_stats(dist, deg):
+    n = dist.shape[0]
+    maxd = int(dist.max()) if n > 1 else 0
+    cnt = np.zeros(maxd + 1, dtype=np.int64)
+    dsum = np.zeros(maxd + 1, dtype=np.int64)
+    dprod = np.zeros(maxd + 1, dtype=np.int64)
+    for i in range(n - 1):
+        row = dist[i, i + 1 :]
+        cnt += np.bincount(row, minlength=maxd + 1)
+        np.add.at(dsum, row, deg[i] + deg[i + 1 :])
+        np.add.at(dprod, row, deg[i] * deg[i + 1 :])
+    return cnt.tolist(), dsum.tolist(), dprod.tolist()
+
+
+def _oracle_groups(values, edges):
+    groups = {}
+    for u, v in edges.tolist():
+        key = tuple(sorted((values[u], values[v])))
+        groups[key] = groups.get(key, 0) + 1
+    return groups
+
+
+def _oracle_regular_exact(groups, prefix, az):
+    exact = {f"{prefix}_az": az}
+    if len(groups) == 1 and next(iter(groups))[0] == next(iter(groups))[1]:
+        exact[f"{prefix}_ga"] = exact[f"{prefix}_ag"] = Fraction(sum(groups.values()))
+    return exact
+
+
+def _oracle_transmission(groups):
+    """{(a, b): count} over integer endpoint transmissions."""
+    ga_terms, ag_terms, sc_terms, abc_terms, az_terms = [], [], [], [], []
+    az = Fraction(0)
+    for (a, b), count in sorted(groups.items()):
+        s = a + b
+        p = a * b
+        root = math.sqrt(a) * math.sqrt(b)
+        ga_terms.append(count * 2.0 * root / s)
+        ag_terms.append(count * s / (2.0 * root))
+        sc_terms.append(count / math.sqrt(s))
+        abc_terms.append(count * math.sqrt((s - 2) / p))
+        az_group = count * Fraction(p, s - 2) ** 3
+        az += az_group
+        az_terms.append(float(az_group))
+    floats = {
+        "t_ga": math.fsum(ga_terms),
+        "t_ag": math.fsum(ag_terms),
+        "t_sc": math.fsum(sc_terms),
+        "t_abc": math.fsum(abc_terms),
+        "t_az": math.fsum(az_terms),
+    }
+    return floats, _oracle_regular_exact(groups, "t", az)
+
+
+def _oracle_reciprocal(groups):
+    """{(a, b): count} over Fraction endpoint reciprocal transmissions."""
+    ga_terms, ag_terms, sc_terms, abc_terms, az_terms = [], [], [], [], []
+    az = Fraction(0)
+    for (a, b), count in sorted(groups.items()):
+        s = a + b
+        p = a * b
+        root = math.sqrt(a) * math.sqrt(b)
+        fs = float(s)
+        ga_terms.append(count * 2.0 * root / fs)
+        ag_terms.append(count * fs / (2.0 * root))
+        sc_terms.append(count / math.sqrt(fs))
+        abc_terms.append(count * math.sqrt(float((s - 2) / p)))
+        az_group = count * (p / (s - 2)) ** 3
+        az += az_group
+        az_terms.append(float(az_group))
+    floats = {
+        "rt_ga": math.fsum(ga_terms),
+        "rt_ag": math.fsum(ag_terms),
+        "rt_sc": math.fsum(sc_terms),
+        "rt_abc": math.fsum(abc_terms),
+        "rt_az": math.fsum(az_terms),
+    }
+    return floats, _oracle_regular_exact(groups, "rt", az)
+
+
+def _oracle_report(g):
+    dist = all_pairs_distances(g)
+    assert (dist >= 0).all()
+    pair = _pair_indices_from_stats(*_oracle_pair_stats(dist, g.degrees()))
+    edges = g.edges()
+    sigma = [int(x) for x in dist.sum(axis=1)]
+    rs = [reciprocal_sum(np.bincount(row)) for row in dist]
+    t_floats, t_exact = _oracle_transmission(_oracle_groups(sigma, edges))
+    rt_floats, rt_exact = _oracle_reciprocal(_oracle_groups(rs, edges))
+    values = {name: getattr(pair, name) for name in PAIR_FIELDS}
+    values.update(t_floats)
+    values.update(rt_floats)
+    return values, {**t_exact, **rt_exact}
+
+
+def _random_connected_graph(rng, n, mean_degree):
+    """Random spanning tree plus random chords."""
+    order = rng.permutation(n)
+    edges = {
+        tuple(sorted((int(order[i]), int(order[rng.integers(0, i)]))))
+        for i in range(1, n)
+    }
+    target = max(n - 1, int(mean_degree * n / 2))
+    while len(edges) < min(target, n * (n - 1) // 2):
+        u, v = (int(x) for x in rng.integers(0, n, size=2))
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return GenericGraph.from_edges(n, edges)
+
+
+def _path_like_graph(n, chords):
+    edges = [(i, i + 1) for i in range(n - 1)] + list(chords)
+    return GenericGraph.from_edges(n, edges)
+
+
+def _oracle_corpus():
+    rng = np.random.default_rng(20240611)
+    graphs = []
+    for i in range(50):
+        n = int(round(8 * 16 ** ((i + 0.5) / 50)))  # log-spaced over 8..128
+        g = _random_connected_graph(rng, n, float(rng.uniform(2.0, min(12.0, n - 1))))
+        graphs.append(g)
+        comp = complement_graph(g)
+        if (all_pairs_distances(comp) >= 0).all():
+            graphs.append(comp)
+    # diameter 54: the reciprocal common denominator lcm(1..54) exceeds 64 bits
+    graphs.append(_path_like_graph(64, [(3, 5), (10, 14), (40, 41 + 5)]))
+    return graphs
+
+
+class TestKernelAgainstOracle:
+    GRAPHS = _oracle_corpus()
+
+    def test_corpus_shape(self):
+        # 50 random graphs, most of their complements, one path-like graph
+        assert len(self.GRAPHS) >= 90
+        assert all(8 <= g.n <= 128 for g in self.GRAPHS)
+        assert all((g.degrees() != g.degrees()[0]).any() for g in self.GRAPHS)
+        path_like = self.GRAPHS[-1]
+        diameter = int(all_pairs_distances(path_like).max())
+        assert diameter >= 47
+        assert math.lcm(*range(1, diameter + 1)).bit_length() > 64
+
+    @pytest.mark.parametrize("index", range(len(GRAPHS)))
+    def test_full_report_matches_oracle(self, index):
+        g = self.GRAPHS[index]
+        report = full_report(g)
+        values, exact = _oracle_report(g)
+        for name in INDEX_FIELDS:
+            assert getattr(report, name) == values[name], name
+        assert report.exact == exact
+
+    def test_public_parts_match_full_report(self):
+        g = self.GRAPHS[-1]
+        report = full_report(g)
+        p, t, r = pair_indices(g), transmission_indices(g), reciprocal_transmission_indices(g)
+        for name in INDEX_FIELDS:
+            part = p if name in PAIR_FIELDS else t if name.startswith("t_") else r
+            assert getattr(part, name) == getattr(report, name), name
+        assert {**t.exact, **r.exact} == report.exact
+
+    @pytest.mark.parametrize(
+        "spec",
+        [CirculantSpec.of(200, [1]), CirculantSpec.of(97, [1, 5]),
+         complement_spec(CirculantSpec.of(30, [1, 4]))]
+        + random_connected_specs(8, 120, seed=77),
+    )
+    def test_distance_vector_report_matches_oracle(self, spec):
+        dv = distance_vector(spec)
+        report = report_from_distance_vector(dv)
+        m = spec.n * dv.degree // 2
+        sigma, rs = dv.transmission, dv.reciprocal_transmission
+        t_floats, t_exact = _oracle_transmission({(sigma, sigma): m})
+        rt_floats, rt_exact = _oracle_reciprocal({(rs, rs): m})
+        for name, want in {**t_floats, **rt_floats}.items():
+            assert getattr(report, name) == want, name
+        assert report.exact == {**t_exact, **rt_exact}
