@@ -6,7 +6,8 @@ analysis). Exit codes are part of the interface: 0 success, 1 any other
 library error (e.g. ``DegenerateTransmissionError`` for ``analyze --n 2
 --jumps 1``, ``OversizedRationalError`` when an exact rational has more
 digits than Python converts to text), 2 disconnected or edgeless graph,
-argparse usage errors and a sweep that selects no points, 3 parse error,
+argparse usage errors (including ``verify --jobs`` below 1) and a sweep
+that selects no points, 3 parse error,
 4 verification failure. Exact rationals are serialized as "p/q" strings,
 floats as shortest round-trip decimals.
 """
@@ -14,7 +15,7 @@ floats as shortest round-trip decimals.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -42,6 +43,7 @@ from .metrics import all_pairs_distances, distance_vector, metrics_summary
 from .routing import load_profile, parse_routing_fixture, edge_forwarding_bounds, vertex_forwarding_index
 from .spectral import circulant_spectrum, spectral_radius_exact
 from .verifier import (
+    _dumps_indent2,
     has_failures,
     records_to_csv,
     records_to_json,
@@ -114,11 +116,12 @@ def _flatten(doc, prefix: str = "") -> list[tuple[str, str]]:
 def _emit(args: argparse.Namespace, doc) -> None:
     fmt = args.format
     if fmt == "json":
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _dumps_indent2(doc) + "\n"
     elif fmt == "csv":
         lines = ["key,value"]
         for key, value in _flatten(doc):
-            quoted = '"' + value.replace('"', '""') + '"' if ("," in value or '"' in value) else value
+            special = any(c in value for c in ',"\r\n')
+            quoted = '"' + value.replace('"', '""') + '"' if special else value
             lines.append(f"{key},{quoted}")
         text = "\n".join(lines) + "\n"
     else:
@@ -268,7 +271,7 @@ def cmd_spectrum(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     doc = {
         "n": spec.n,
         "jumps": list(spec.jumps),
-        "eigenvalues": [float(x) for x in spectrum.eigenvalues],
+        "eigenvalues": spectrum.eigenvalues.tolist(),
         "radius_exact": exact,
         "radius_float": spectrum.radius,
         "radius_abs_error": abs(spectrum.radius - exact),
@@ -290,12 +293,14 @@ def cmd_routing(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if not 0 < args.tol <= 1e-3:
         parser.error("--tol must lie in (0, 1e-3]")
+    if args.jobs is not None and args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     records = verify_family(
         args.family,
         k_range=args.k,
         n_range=args.n,
         max_order=args.max_order,
-        jobs=args.jobs,
+        jobs=_default_jobs() if args.jobs is None else args.jobs,
         float_tol=args.tol,
     )
     if not records:
@@ -328,6 +333,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     return EXIT_VERIFY_FAILED if has_failures(records) else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circan",
@@ -362,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=_parse_range, default=(8, 40), help="n range lo:hi")
     verify.add_argument("--max-order", type=int, default=1024)
     verify.add_argument("--tol", type=float, default=1e-9)
-    verify.add_argument("--jobs", type=int, default=_default_jobs())
+    verify.add_argument("--jobs", type=int, help="worker processes (default: $CIRCAN_JOBS or 1)")
     _add_output_arguments(verify)
     verify.set_defaults(func=cmd_verify)
     return parser

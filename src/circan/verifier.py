@@ -25,6 +25,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -318,8 +319,60 @@ def record_to_dict(rec: VerificationRecord) -> dict:
     }
 
 
+_INF = float("inf")
+_NOT_SCALAR = (str, dict, list, tuple)
+
+
+def _dumps_indent2(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for dicts with str keys,
+    lists, tuples, str, int, float, bool and None.
+
+    Any ``indent`` turns the stdlib's C encoder off, so this builds the layout
+    by joins instead: strings go through the C string escaper, and a list of
+    plain scalars through one C-encoder call. ``pad`` is the newline plus the
+    indentation of the enclosing level.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [_encode_str(k) + ": " + _dumps_indent2(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if not isinstance(value[0], _NOT_SCALAR):
+            flat = json.dumps(value)
+            # the text of a non-str scalar holds no '"', '[' or '{', so these
+            # mark a list that is not all plain scalars after all
+            if '"' not in flat and "{" not in flat and flat.find("[", 1) < 0:
+                return "[" + inner + flat[1:-1].replace(", ", "," + inner) + pad + "]"
+        items = [_dumps_indent2(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def records_to_json(records: Sequence[VerificationRecord]) -> str:
-    return json.dumps([record_to_dict(r) for r in records], indent=2)
+    return _dumps_indent2([record_to_dict(r) for r in records])
 
 
 def records_to_csv(records: Sequence[VerificationRecord]) -> str:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -89,6 +91,16 @@ class TestAnalyze:
         )
         # floats round-trip bit-exactly through the JSON encoding
         assert doc["indices"]["t_sc"] == json.loads(json.dumps(doc))["indices"]["t_sc"]
+
+    def test_csv_quotes_line_breaks_in_values(self, tmp_path, capsys):
+        for name in ("two\nlines.graph", "carriage\rreturn.graph"):
+            path = tmp_path / name
+            path.write_text((FIXTURES / "fig1.graph").read_text())
+            code, out = run(capsys, "analyze", "--fixture", str(path), "--format", "csv")
+            assert code == 0
+            rows = list(csv.reader(io.StringIO(out, newline="")))
+            assert all(len(row) == 2 for row in rows)
+            assert dict(rows)["graph.source"] == str(path)
 
     def test_out_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -236,6 +248,31 @@ class TestVerify:
         with pytest.raises(SystemExit):
             main(["verify", "--family", "c7", "--tol", "0.5"])
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "c7", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
+    def test_jobs_env_read_per_call(self, capsys, monkeypatch):
+        import circan.cli as cli_module
+
+        seen = []
+        real_verify_family = cli_module.verify_family
+
+        def spy(*args, jobs, **kwargs):
+            seen.append(jobs)
+            return real_verify_family(*args, jobs=1, **kwargs)
+
+        monkeypatch.setattr(cli_module, "verify_family", spy)
+        monkeypatch.setenv("CIRCAN_JOBS", "1")
+        assert main(["verify", "--family", "c7"]) == 0
+        monkeypatch.setenv("CIRCAN_JOBS", "3")
+        assert main(["verify", "--family", "c7"]) == 0
+        assert main(["verify", "--family", "c7", "--jobs", "2"]) == 0
+        assert seen == [1, 3, 2]
+
     def test_jobs_env_default(self, monkeypatch):
         from circan.cli import _default_jobs
 
@@ -243,3 +280,27 @@ class TestVerify:
         assert _default_jobs() == 3
         monkeypatch.setenv("CIRCAN_JOBS", "zzz")
         assert _default_jobs() == 1
+
+
+class TestJsonFormat:
+    """Every JSON document the CLI prints is ``json.dumps(doc, indent=2)``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--n", "40", "--jumps", "1,3,9"],
+        ["analyze", "--n", "16", "--jumps", "1,3", "--complement"],
+        ["analyze", "--m", "3", "--h", "3"],
+        ["analyze", "--fixture", str(FIXTURES / "fig1.graph")],
+        ["analyze", "--fixture", str(FIXTURES / "fig1.graph"),
+         "--routing", str(FIXTURES / "fig1_r1.routes")],
+        ["spectrum", "--n", "12", "--jumps", "1,5"],
+        ["verify", "--family", "double-loop-half", "--k", "2:6"],
+    ], ids=["circulant", "complement", "multiplicative", "fixture", "routing",
+            "spectrum", "verify"])
+    def test_indent2_layout_and_out_file(self, tmp_path, capsys, argv):
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        out_path = tmp_path / "out.json"
+        code, empty = run(capsys, *argv, "--format", "json", "--out", str(out_path))
+        assert code == 0 and empty == ""
+        assert out_path.read_bytes() == out.encode()

@@ -1,9 +1,12 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circan import (
     DomainStatus,
@@ -15,6 +18,7 @@ from circan import (
 )
 from circan.verifier import (
     FIELD_ORDER,
+    _dumps_indent2,
     double_loop_gen_points,
     double_loop_half_points,
     has_failures,
@@ -158,3 +162,47 @@ class TestSerialization:
         assert k4_row[0] == "double-loop-half"
         match_col = 8 + 3 * FIELD_ORDER.index("rho")
         assert k4_row[match_col] == "True"
+
+
+_SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16)
+_SPECIAL_STRINGS = ('"', "\\", "\x00\x1f\n\x7f", "\U0001f600", "\u00e9", ", ", "a, b")
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(max_value=-1),
+    st.floats(),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.text(),
+    st.sampled_from(_SPECIAL_STRINGS),
+)
+# lists of plain scalars take the emitter's one-call C-encoder path
+_number_lists = st.lists(st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(), st.sampled_from(_SPECIAL_FLOATS),
+))
+_keys = st.one_of(st.text(), st.sampled_from(_SPECIAL_STRINGS))
+_documents = st.recursive(
+    st.one_of(_scalars, _number_lists),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_keys, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class TestIndent2Json:
+    @settings(max_examples=300, deadline=None)
+    @given(_documents)
+    @example([1, "a, b"])
+    @example([1.5, [2, 3]])
+    @example((True, {"k": ()}, None))
+    @example({"": [], "x": {}, "y": [[], ()]})
+    def test_matches_stdlib(self, value):
+        assert _dumps_indent2(value) == json.dumps(value, indent=2)
+
+    def test_multiplicative_records_match_stdlib(self):
+        recs = verify_family("mc-2h", max_order=1024)
+        assert records_to_json(recs) == json.dumps([record_to_dict(r) for r in recs], indent=2)
