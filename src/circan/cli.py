@@ -9,7 +9,8 @@ digits than Python converts to text), 2 disconnected or edgeless graph,
 argparse usage errors (including ``verify --jobs`` below 1) and a sweep
 that selects no points, 3 parse error,
 4 verification failure. Exact rationals are serialized as "p/q" strings,
-floats as shortest round-trip decimals.
+floats as shortest round-trip decimals. ``--out`` files hold the stdout
+bytes as UTF-8; text and CSV values holding a line break are CSV-quoted.
 """
 
 from __future__ import annotations
@@ -113,6 +114,10 @@ def _flatten(doc, prefix: str = "") -> list[tuple[str, str]]:
     return rows
 
 
+def _quoted(value: str) -> str:
+    return '"' + value.replace('"', '""') + '"'
+
+
 def _emit(args: argparse.Namespace, doc) -> None:
     fmt = args.format
     if fmt == "json":
@@ -121,20 +126,20 @@ def _emit(args: argparse.Namespace, doc) -> None:
         lines = ["key,value"]
         for key, value in _flatten(doc):
             special = any(c in value for c in ',"\r\n')
-            quoted = '"' + value.replace('"', '""') + '"' if special else value
-            lines.append(f"{key},{quoted}")
+            lines.append(f"{key},{_quoted(value) if special else value}")
         text = "\n".join(lines) + "\n"
     else:
-        text = "\n".join(f"{key}: {value}" for key, value in _flatten(doc)) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
-    else:
-        sys.stdout.write(text)
+        lines = []
+        for key, value in _flatten(doc):
+            broken = "\r" in value or "\n" in value
+            lines.append(f"{key}: {_quoted(value) if broken else value}")
+        text = "\n".join(lines) + "\n"
+    _emit_raw(args, text)
 
 
 def _emit_raw(args: argparse.Namespace, text: str) -> None:
     if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 

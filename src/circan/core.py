@@ -3,7 +3,9 @@
 A circulant graph on n vertices is identified by its jump set: vertex v is
 adjacent to (v + j) mod n and (v - j) mod n for every jump j. Jump sets are
 kept in a canonical form (folded into 1..n//2, deduplicated, sorted), so two
-specs describe the same graph exactly when they compare equal.
+specs describe the same graph exactly when they compare equal. Each spec
+computes its connection row (row 0 of the adjacency) and its offsets at
+most once; the complement spec is that row flipped.
 
 Generic graphs are backed by a read-only boolean adjacency matrix; the class
 exposes sorted neighbor arrays and edge lists on top of it.
@@ -11,7 +13,9 @@ exposes sorted neighbor arrays and edge lists on top of it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -77,18 +81,26 @@ class CirculantSpec:
         """Number of jumps."""
         return len(self.jumps)
 
+    @cached_property
+    def connection_row(self) -> np.ndarray:
+        """Read-only row 0 of the adjacency: True at the offsets {j, n - j}."""
+        row = bytearray(self.n)
+        for j in self.jumps:
+            row[j] = row[self.n - j] = 1
+        return np.frombuffer(bytes(row), dtype=bool)  # read-only view of bytes
+
+    @cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.connection_row).tolist())
+
     @property
     def degree(self) -> int:
         """Common vertex degree: the number of distinct nonzero offsets."""
-        return len(self.offsets())
+        return int(np.count_nonzero(self.connection_row))
 
     def offsets(self) -> tuple[int, ...]:
         """Sorted distinct offsets {j, n - j} as residues in 1..n-1."""
-        offs = set()
-        for j in self.jumps:
-            offs.add(j)
-            offs.add(self.n - j)
-        return tuple(sorted(offs))
+        return self._offsets
 
     def complement(self) -> "CirculantSpec":
         """Spec of the complement graph (set complement of the jump set)."""
@@ -97,17 +109,27 @@ class CirculantSpec:
     def __str__(self) -> str:
         return f"C{self.n}({','.join(str(j) for j in self.jumps)})"
 
+    def __getstate__(self) -> dict:
+        # Pickle the identity only; the cached rows are rebuilt on demand.
+        return {"n": self.n, "jumps": self.jumps}
+
 
 def complement_spec(spec: CirculantSpec) -> CirculantSpec:
-    """Complement jump set {1..n//2} minus spec.jumps.
+    """Complement jump set {1..n//2} minus spec.jumps: the flipped connection row.
 
     Raises :class:`EmptyComplementError` when the input is the complete graph.
     """
-    full = set(range(1, spec.n // 2 + 1))
-    rest = full - set(spec.jumps)
-    if not rest:
+    n = spec.n
+    row = ~spec.connection_row
+    row[0] = False
+    offsets = tuple(np.flatnonzero(row).tolist())
+    if not offsets:
         raise EmptyComplementError(f"complement of {spec} has no edges")
-    return CirculantSpec(spec.n, tuple(sorted(rest)))
+    comp = CirculantSpec(n, offsets[: bisect_right(offsets, n // 2)])
+    row.setflags(write=False)
+    # The flip is the complement's row, and its set bits are its offsets.
+    comp.__dict__.update(connection_row=row, _offsets=offsets)
+    return comp
 
 
 class GenericGraph:
@@ -191,9 +213,7 @@ def _circulant_matrix(first_row: np.ndarray) -> np.ndarray:
 
 def build_circulant(spec: CirculantSpec) -> GenericGraph:
     """Materialize the adjacency of a circulant graph."""
-    row = np.zeros(spec.n, dtype=bool)
-    row[list(spec.offsets())] = True
-    return GenericGraph(_circulant_matrix(row), validate=False)
+    return GenericGraph(_circulant_matrix(spec.connection_row), validate=False)
 
 
 def complement_graph(g: GenericGraph) -> GenericGraph:

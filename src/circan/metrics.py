@@ -5,6 +5,20 @@ against. Circulant graphs get a single-source shortcut: their distance
 matrix is circulant, so one BFS from vertex 0 determines all pairs (the
 rotation expansion is itself verified against all-pairs BFS in the test
 suite).
+
+That BFS is one kernel with two sides, switched at most once per call by
+the width of the frontier F (Beamer, Asanovic and Patterson's
+direction-optimizing BFS, on the circulant's connection row):
+
+* While |F| <= n / 700 + 8 it is a plain queue over the offsets, with one
+  comparison when a level starts. Cycles and other narrow bands never
+  leave it.
+* Past that it finishes level by level on n-bit Python ints. A level
+  either pushes F through every offset by rotation or, once fewer than
+  degree vertices are unreached, pulls each of them: v is reached when the
+  row rotated by v meets F. When the degree itself passes the bound, level
+  1 is the connection row and the queue is skipped; the dense complements
+  this package studies take a handful of big-int operations.
 """
 
 from __future__ import annotations
@@ -18,9 +32,14 @@ import numpy as np
 from .core import CirculantSpec, GenericGraph, _circulant_matrix
 from .errors import DisconnectedGraphError, PropertyStarViolatedError
 
-# Circulant BFS switches from the plain queue implementation to vectorized
-# level expansion once the neighborhood is wide enough to amortize it.
-_DENSE_BFS_MIN_DEGREE = 33
+# Circulant BFS: a queue level checks |frontier| * degree edges, a bitset
+# level shifts n-bit ints degree times, and one shift costs about as much as
+# n / _SHIFT_EDGE_CHECKS edge checks. The degree cancels, so the queue keeps
+# a level while |frontier| <= n // _SHIFT_EDGE_CHECKS + _THIN_FRONTIER; the
+# additive part keeps narrow bands (a cycle's frontier never exceeds 2) and
+# orders too small to repay the bit packing on the queue.
+_SHIFT_EDGE_CHECKS = 700
+_THIN_FRONTIER = 8
 
 
 def reciprocal_sum(counts: np.ndarray | list[int]) -> Fraction:
@@ -147,46 +166,81 @@ def all_pairs_distances(g: GenericGraph) -> np.ndarray:
     return dist
 
 
-def _circulant_bfs_queue(n: int, offsets: tuple[int, ...]) -> list[int]:
-    dist = [-1] * n
-    dist[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for off in offsets:
-            w = u + off
-            if w >= n:
-                w -= n
-            if dist[w] < 0:
-                dist[w] = du
-                queue.append(w)
-    return dist
+def _bitset(mask: np.ndarray) -> int:
+    """Python int with bit v set exactly where ``mask[v]`` is True."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def _circulant_bfs_levels(n: int, offsets: tuple[int, ...]) -> np.ndarray:
-    """Level-set BFS from 0 using only the first adjacency row (dense case)."""
-    row0 = np.zeros(n, dtype=bool)
-    row0[list(offsets)] = True
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[0] = 0
-    dist[row0] = 1
-    frontier = row0
-    undiscovered = ~row0
-    undiscovered[0] = False
-    d = 1
-    while undiscovered.any():
-        d += 1
-        und_idx = np.flatnonzero(undiscovered)
-        rows = np.stack([np.roll(row0, int(v)) for v in und_idx])
-        hits = (rows & frontier).any(axis=1)
-        new_idx = und_idx[hits]
-        if new_idx.size == 0:
-            break
-        dist[new_idx] = d
-        undiscovered[new_idx] = False
-        frontier = np.zeros(n, dtype=bool)
-        frontier[new_idx] = True
+def _mask(bits: int, n: int) -> np.ndarray:
+    """Inverse of :func:`_bitset`: the length-n boolean mask of ``bits``."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
+def _circulant_bfs(spec: CirculantSpec) -> np.ndarray:
+    """Hop counts from vertex 0 of ``spec``; -1 marks unreachable vertices."""
+    n = spec.n
+    offsets = spec.offsets()
+    degree = len(offsets)
+    limit = n // _SHIFT_EDGE_CHECKS + _THIN_FRONTIER
+    if degree > limit:
+        # Level 1, the connection row, is already wide.
+        dist = np.full(n, -1, dtype=np.int64)
+        dist[0] = 0
+        dist[spec.connection_row] = level = 1
+        row = frontier = _bitset(spec.connection_row)
+        unreached = ((1 << n) - 2) ^ row
+    else:
+        dist_list = [-1] * n
+        dist_list[0] = 0
+        queue = deque([0])
+        # With degree <= 2 no frontier holds more than 2 vertices, so the
+        # check could never fire: start it past the last level.
+        d = 0 if degree > 2 else n
+        while queue:
+            u = queue.popleft()
+            du = dist_list[u] + 1
+            if du > d:  # u opens a level, the rest of it is queued: |F| = len + 1
+                if len(queue) >= limit:
+                    break
+                d = du
+            for off in offsets:
+                w = u + off
+                if w >= n:
+                    w -= n
+                if dist_list[w] < 0:
+                    dist_list[w] = du
+                    queue.append(w)
+        else:
+            return np.array(dist_list, dtype=np.int64)
+        dist = np.array(dist_list, dtype=np.int64)
+        level = du - 1
+        row = _bitset(spec.connection_row)
+        frontier = _bitset(dist == level)
+        unreached = _bitset(dist < 0)
+    while frontier and unreached:
+        level += 1
+        if unreached.bit_count() < degree:
+            # Pull: v joins when its neighbours, the row rotated by v, meet
+            # the frontier; the frontier is doubled so the rotation can wrap.
+            wrapped = frontier | (frontier << n)
+            new = 0
+            rest = unreached
+            while rest:
+                low = rest & -rest
+                if (row << (low.bit_length() - 1)) & wrapped:
+                    new |= low
+                rest ^= low
+        else:
+            # Push the frontier through every offset; bits shifted past n
+            # fold back to the bottom.
+            reach = 0
+            for off in offsets:
+                reach |= frontier << off
+            new = (reach | (reach >> n)) & unreached
+        dist[_mask(new, n)] = level
+        unreached ^= new
+        frontier = new
     return dist
 
 
@@ -196,16 +250,11 @@ def distance_vector(spec: CirculantSpec) -> DistanceVector:
     Raises :class:`DisconnectedGraphError` when gcd-type obstructions leave
     part of the vertex set unreachable.
     """
-    offsets = spec.offsets()
-    if len(offsets) >= _DENSE_BFS_MIN_DEGREE and spec.n > 64:
-        dist = _circulant_bfs_levels(spec.n, offsets)
-        if (dist < 0).any():
-            raise DisconnectedGraphError(f"{spec} is disconnected")
-        return DistanceVector(spec.n, dist)
-    dist_list = _circulant_bfs_queue(spec.n, offsets)
-    if min(dist_list) < 0:
+    dist = _circulant_bfs(spec)
+    if dist.min() < 0:
         raise DisconnectedGraphError(f"{spec} is disconnected")
-    return DistanceVector(spec.n, np.array(dist_list, dtype=np.int64))
+    dist.setflags(write=False)  # a fresh array: DistanceVector keeps it, uncopied
+    return DistanceVector(spec.n, dist)
 
 
 def distance_matrix(dv: DistanceVector) -> np.ndarray:

@@ -148,10 +148,10 @@ class RotationRouting:
     def minimal(self) -> bool:
         """Every tree step is an edge and every base path 0 -> v has length d(v)."""
         n = self.n
-        row = np.zeros(n, dtype=bool)
-        row[list(self.spec.offsets())] = True
         steps = (np.arange(1, n) - self.parent[1:]) % n
-        return bool(row[steps].all()) and np.array_equal(self.depth, self.dv.d)
+        return bool(self.spec.connection_row[steps].all()) and np.array_equal(
+            self.depth, self.dv.d
+        )
 
     @cached_property
     def symmetric(self) -> bool:
@@ -245,7 +245,7 @@ def build_rotation_routing(
     if dv.n != n:
         raise ValueError(f"distance vector has order {dv.n}, spec has {n}")
     dist = dv.d
-    offs = np.asarray(spec.offsets(), dtype=np.int64)
+    offs = np.flatnonzero(spec.connection_row)
     # Distance-1 vertices hang off 0; only farther ones search their neighbors.
     parent = np.zeros(n, dtype=np.int64)
     far = np.flatnonzero(dist >= 2)

@@ -102,6 +102,38 @@ class TestAnalyze:
             assert all(len(row) == 2 for row in rows)
             assert dict(rows)["graph.source"] == str(path)
 
+    def test_text_quotes_line_breaks_in_values(self, tmp_path, capsys):
+        fig1 = (FIXTURES / "fig1.graph").read_text()
+        reports = {}
+        for name in ("plain.graph", 'with "quotes", commas.graph',
+                     "two\nlines.graph", 'carriage\r"return".graph'):
+            path = tmp_path / name
+            path.write_text(fig1)
+            code, out = run(capsys, "analyze", "--fixture", str(path))
+            assert code == 0
+            reports[name] = (str(path), out)
+        for name, (source, out) in reports.items():
+            broken = "\r" in source or "\n" in source
+            shown = '"' + source.replace('"', '""') + '"' if broken else source
+            line = f"graph.source: {shown}\n"
+            assert line in out
+            rest = out.replace(line, "")
+            assert rest == reports["plain.graph"][1].replace(
+                f"graph.source: {reports['plain.graph'][0]}\n", "")
+
+    def test_out_file_is_utf8_copy_of_stdout(self, tmp_path, capsys):
+        path = tmp_path / "caf\u00e9.graph"
+        path.write_text((FIXTURES / "fig1.graph").read_text())
+        for fmt in ("csv", "text", "json"):
+            argv = ["analyze", "--fixture", str(path), "--format", fmt]
+            code, out = run(capsys, *argv)
+            assert code == 0 and "caf" in out
+            out_path = tmp_path / f"report.{fmt}"
+            code, printed = run(capsys, *argv, "--out", str(out_path))
+            assert code == 0 and printed == ""
+            assert out_path.read_bytes() == out.encode("utf-8")
+            assert out.isascii() == (fmt == "json")
+
     def test_out_file(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         code, out = run(capsys, "analyze", "--n", "4", "--jumps", "1,2",

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,79 @@ class TestComplement:
         via_graph = complement_graph(build_circulant(spec))
         via_spec = build_circulant(complement_spec(spec))
         assert np.array_equal(via_graph.adj, via_spec.adj)
+
+
+def _complement_by_set_difference(spec):
+    """The definition: {1..n//2} minus the jump set."""
+    rest = set(range(1, spec.n // 2 + 1)) - set(spec.jumps)
+    if not rest:
+        raise EmptyComplementError(str(spec))
+    return CirculantSpec(spec.n, tuple(sorted(rest)))
+
+
+class TestSpecCache:
+    @staticmethod
+    def _jump_masks(half, rng):
+        """Every jump set for half <= 12, else a seeded sample plus the
+        singletons and the full set, as bit masks over 1..half."""
+        full = (1 << half) - 1
+        if half <= 12:
+            return range(1, full + 1)
+        return sorted({full, *(1 << i for i in range(half)),
+                       *(int(m) for m in rng.integers(1, full, size=300))})
+
+    def test_row_flip_complement_matches_set_difference(self):
+        rng = np.random.default_rng(40)
+        for n in range(2, 41):
+            half = n // 2
+            for mask in self._jump_masks(half, rng):
+                spec = CirculantSpec(n, tuple(j for j in range(1, half + 1) if mask >> (j - 1) & 1))
+                try:
+                    want = _complement_by_set_difference(spec)
+                except EmptyComplementError:
+                    with pytest.raises(EmptyComplementError):
+                        complement_spec(spec)
+                    continue
+                got = complement_spec(spec)
+                assert got == want, spec
+                # The complement's cached row is the flip, equal to a fresh build.
+                assert np.array_equal(got.connection_row,
+                                      CirculantSpec(n, want.jumps).connection_row)
+                assert not got.connection_row.flags.writeable
+
+    @given(
+        n=st.integers(2, 300),
+        jumps=st.lists(st.integers(1, 400), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_offsets_computed_once(self, n, jumps):
+        try:
+            spec = CirculantSpec.of(n, jumps)
+        except EmptyJumpSetError:
+            return
+        offsets = spec.offsets()
+        assert spec.offsets() is offsets
+        assert spec.degree == len(offsets)
+        assert offsets == tuple(sorted({j for j in spec.jumps} | {n - j for j in spec.jumps}))
+        assert np.flatnonzero(spec.connection_row).tolist() == list(offsets)
+
+    def test_filled_cache_keeps_identity(self):
+        filled = CirculantSpec.of(1000, [1, 7, 500])
+        filled.offsets(), filled.connection_row, filled.degree
+        comp = complement_spec(filled)
+        fresh = CirculantSpec.of(1000, [1, 7, 500])
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert str(filled) == str(fresh) == "C1000(1,7,500)"
+        assert repr(filled) == repr(fresh)
+        assert {fresh: "x"}[filled] == "x"
+        for spec in (filled, comp):
+            blob = pickle.dumps(spec)
+            # Only the identity is pickled, not the cached rows.
+            assert blob == pickle.dumps(CirculantSpec(spec.n, spec.jumps))
+            back = pickle.loads(blob)
+            assert back == spec and hash(back) == hash(spec) and str(back) == str(spec)
+            assert back.offsets() == spec.offsets()
+            assert not back.connection_row.flags.writeable
 
 
 class TestGraphFixture:

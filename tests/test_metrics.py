@@ -1,3 +1,4 @@
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +22,10 @@ from circan import (
     is_connected,
     metrics_summary,
 )
+from circan import metrics
 from circan.errors import (
     DisconnectedGraphError,
+    EmptyComplementError,
     EmptyJumpSetError,
     PropertyStarViolatedError,
 )
@@ -88,6 +91,87 @@ class TestDistanceVector:
     def test_validation_rejects_non_palindrome(self):
         with pytest.raises(ValueError):
             DistanceVector(4, np.array([0, 1, 1, 2]))
+
+
+def _queue_bfs_oracle(n, offsets):
+    """The plain queue BFS over the offsets, kept as an oracle for the
+    two-sided kernel; -1 marks unreachable vertices."""
+    dist = [-1] * n
+    dist[0] = 0
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        du = dist[u] + 1
+        for off in offsets:
+            w = u + off
+            if w >= n:
+                w -= n
+            if dist[w] < 0:
+                dist[w] = du
+                queue.append(w)
+    return np.array(dist, dtype=np.int64)
+
+
+def _kernel_side(spec, dist):
+    """Which side of the kernel a BFS with these distances runs on: "row"
+    (bitset from level 1), "switch" (queue, then bitset) or "queue"."""
+    limit = spec.n // metrics._SHIFT_EDGE_CHECKS + metrics._THIN_FRONTIER
+    if spec.degree > limit:
+        return "row"
+    return "switch" if np.bincount(dist[dist >= 0]).max() > limit else "queue"
+
+
+@st.composite
+def kernel_specs(draw):
+    """Circulants of order 2..600: sparse jump sets, sets holding the n/2
+    jump, disconnected sets (all jumps multiples of g | n), complete graphs
+    and complements of sparse sets."""
+    kind = draw(st.sampled_from(["sparse", "half", "disconnected", "complete", "complement"]))
+    if kind == "disconnected":
+        g = draw(st.integers(2, 5))
+        m = draw(st.integers(2, 600 // g))
+        jumps = draw(st.lists(st.integers(1, m // 2), min_size=1, max_size=6))
+        return CirculantSpec.of(g * m, [g * j for j in jumps])
+    n = draw(st.integers(2, 600))
+    if kind == "complete":
+        return CirculantSpec.of(n, range(1, n // 2 + 1))
+    jumps = draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=6))
+    if kind == "half":
+        jumps.append(n // 2)
+    spec = CirculantSpec.of(n, jumps)
+    if kind == "complement":
+        try:
+            return complement_spec(spec)
+        except EmptyComplementError:
+            pass
+    return spec
+
+
+class TestCirculantBfsKernel:
+    @given(spec=kernel_specs())
+    @settings(max_examples=250, deadline=None)
+    def test_matches_generic_bfs(self, spec):
+        want = bfs_distances(build_circulant(spec), 0)
+        got = metrics._circulant_bfs(spec)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), spec
+        if (want < 0).any():
+            with pytest.raises(DisconnectedGraphError):
+                distance_vector(spec)
+        else:
+            assert np.array_equal(distance_vector(spec).d, want)
+
+    @pytest.mark.parametrize("spec, side", [
+        (CirculantSpec.of(4096, [1]), "queue"),
+        (CirculantSpec.of(4096, [1, 64]), "switch"),
+        (complement_spec(CirculantSpec.of(4096, [1, 64])), "row"),
+        (CirculantSpec.of(1 << 16, [1, 17, 300, 5000]), "switch"),
+        (CirculantSpec.of(1 << 16, [2, 34, 600, 10000]), "switch"),
+    ], ids=str)
+    def test_matches_queue_oracle_on_each_side(self, spec, side):
+        want = _queue_bfs_oracle(spec.n, spec.offsets())
+        assert _kernel_side(spec, want) == side
+        assert np.array_equal(metrics._circulant_bfs(spec), want)
 
 
 class TestDistanceMatrix:
