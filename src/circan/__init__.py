@@ -40,11 +40,9 @@ from .families import (
     Family,
     FamilyPoint,
     Prediction,
-    alternate_rt_az_form,
     base_spec,
     c7_point,
     domain_status,
-    double_loop_diameter_lower_bound,
     double_loop_gen_point,
     double_loop_half_point,
     multiplicative_base_diameter,

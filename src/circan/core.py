@@ -125,10 +125,17 @@ def complement_spec(spec: CirculantSpec) -> CirculantSpec:
     offsets = tuple(np.flatnonzero(row).tolist())
     if not offsets:
         raise EmptyComplementError(f"complement of {spec} has no edges")
-    comp = CirculantSpec(n, offsets[: bisect_right(offsets, n // 2)])
     row.setflags(write=False)
-    # The flip is the complement's row, and its set bits are its offsets.
-    comp.__dict__.update(connection_row=row, _offsets=offsets)
+    # The offsets up to n // 2 are sorted, distinct, in range and Python ints,
+    # so the spec skips __post_init__'s per-jump check; the flip is the
+    # complement's row, and its set bits are its offsets.
+    comp = object.__new__(CirculantSpec)
+    comp.__dict__.update(
+        n=n,
+        jumps=offsets[: bisect_right(offsets, n // 2)],
+        connection_row=row,
+        _offsets=offsets,
+    )
     return comp
 
 

@@ -438,25 +438,6 @@ def predict(point: FamilyPoint) -> Prediction:
     )
 
 
-def alternate_rt_az_form(point: FamilyPoint) -> Fraction | None:
-    """Sign-rearranged augmented-Zagreb closed forms for the multiplicative
-    families; algebraically equal to the canonical positive forms."""
-    n, h = point.n, point.h
-    if point.family is Family.MC_2H:
-        assert h is not None
-        return Fraction(
-            n * (2 * h - n) * (1 + 2 * h - 2 * n) ** 6,
-            128 * (3 + 2 * h - 2 * n) ** 3,
-        )
-    if point.family is Family.MC_GEN:
-        assert h is not None
-        return Fraction(
-            n * (1 + 2 * h - n) * (1 + h - n) ** 6,
-            16 * (2 + h - n) ** 3,
-        )
-    return None
-
-
 def multiplicative_base_diameter(m: int, h: int) -> int:
     """Closed-form diameter of the base multiplicative circulant
     C_{m^h}(1, m, ..., m^(h-1)): (h(m-1)+1)/2 when m is even and h odd,
@@ -467,11 +448,3 @@ def multiplicative_base_diameter(m: int, h: int) -> int:
         return (h * (m - 1) + 1) // 2
     return h * (m - 1) // 2
 
-
-def double_loop_diameter_lower_bound(n: int) -> int:
-    """Integer lower bound ceil((sqrt(2n-1)-1)/2) on the minimum diameter
-    over all n-vertex double loops, computed exactly."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    # smallest t with (2t+1)^2 >= 2n-1
-    return (math.isqrt(2 * n - 2) + 1) // 2

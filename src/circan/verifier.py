@@ -11,6 +11,20 @@ compares that one load with the predicted forwarding index. Integer and
 rational fields must match exactly; square-root-valued indices are compared
 at 1e-9 relative and the numeric spectrum at 1e-6 relative.
 
+Most fields are count-determined: ``degree``, ``rho``, ``rs``, ``xi``,
+``pi_lower``, ``pi_upper`` and the seventeen indices. Their computed side
+reads only n and the distance counts (the transmission, the number of
+distance-1 vertices, the reciprocal transmission, the edge-forwarding bounds
+from n, rho and r, and ``report_from_distance_vector``), and their predicted
+side is a closed form of (family, n, h) that never reads the double-loop
+jump ``a``. Two points with equal (family, n, h) and equal counts therefore
+get equal checks, so a sweep builds them once per key and shares the frozen
+``FieldCheck`` objects; the complement of C_n(1, a) has the same counts for
+every a, so a double-loop sweep builds them once per order. The table lives
+for one sweep (one worker chunk under ``jobs``). The distance vector, the
+numeric spectrum, the routing witness, the base diameter and ``predict``
+itself, with its internal consistency check, still run at every point.
+
 Out-of-domain parameters are still swept: they produce flagged records (the
 observed obstruction goes into the note) rather than assertions, so a sweep
 documents where the closed forms stop holding instead of silently skipping.
@@ -30,12 +44,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import complement_spec
+from .core import CirculantSpec, complement_spec
 from .errors import DisconnectedGraphError, EmptyComplementError
 from .families import (
     DomainStatus,
     Family,
     FamilyPoint,
+    Prediction,
     base_spec,
     c7_point,
     domain_status,
@@ -46,7 +61,7 @@ from .families import (
     predict,
 )
 from .indices import INDEX_FIELDS, PAIR_FIELDS, report_from_distance_vector
-from .metrics import distance_vector
+from .metrics import DistanceVector, distance_vector
 from .routing import build_rotation_routing, edge_forwarding_bounds
 from .spectral import circulant_spectrum, spectral_radius_exact
 
@@ -115,8 +130,13 @@ def verify_point(
     *,
     float_tol: float = DEFAULT_FLOAT_TOL,
     spectral_tol: float = DEFAULT_SPECTRAL_TOL,
+    _table: dict | None = None,
 ) -> VerificationRecord:
-    """Compare every closed form for one parameter point against brute force."""
+    """Compare every closed form for one parameter point against brute force.
+
+    ``_table`` is the calling sweep's table of count-determined checks (see
+    the module docstring); a point verified alone is a sweep of one.
+    """
     status, reason = domain_status(point)
     base = base_spec(point)
     try:
@@ -135,29 +155,37 @@ def verify_point(
         return VerificationRecord(point, status, note, {})
 
     pred = predict(point)
-    fields: dict[str, FieldCheck] = {}
+    if _table is None:
+        _table = {}
+    key = (point.family, point.n, point.h, dv.distance_counts().tobytes())
+    if key not in _table:
+        _table[key] = _count_checks(pred, comp, dv, float_tol)
+    checks = {**_table[key], **_vector_checks(point, pred, base, comp, dv, spectral_tol)}
+    fields = {name: checks[name] for name in FIELD_ORDER if name in checks}
+    return VerificationRecord(point, DomainStatus.IN_DOMAIN, "", fields)
 
-    fields["distance_vector"] = FieldCheck(
-        match=bool(np.array_equal(dv.d, pred.distance_vector.d)),
-        predicted=_vector_repr(pred.distance_vector.d),
-        computed=_vector_repr(dv.d),
-    )
-    degree = dv.degree
-    fields["degree"] = FieldCheck(degree == pred.degree, str(pred.degree), str(degree))
 
+def _vector_checks(
+    point: FamilyPoint,
+    pred: Prediction,
+    base: CirculantSpec,
+    comp: CirculantSpec,
+    dv: DistanceVector,
+    spectral_tol: float,
+) -> dict[str, FieldCheck]:
+    """The fields that read the distance vector itself, checked at every point."""
+    fields = {
+        "distance_vector": FieldCheck(
+            match=bool(np.array_equal(dv.d, pred.distance_vector.d)),
+            predicted=_vector_repr(pred.distance_vector.d),
+            computed=_vector_repr(dv.d),
+        )
+    }
     rho = spectral_radius_exact(dv)
-    fields["rho"] = FieldCheck(rho == pred.rho, str(pred.rho), str(rho))
-
     dft_max = circulant_spectrum(dv).radius
     fields["spectral_max"] = FieldCheck(
         _rel_close(dft_max, float(rho), spectral_tol), str(rho), repr(dft_max)
     )
-
-    rs = dv.reciprocal_transmission
-    fields["rs"] = FieldCheck(rs == pred.rs, str(pred.rs), str(rs))
-
-    xi = rho - (point.n - 1)
-    fields["xi"] = FieldCheck(xi == pred.xi, str(pred.xi), str(xi))
 
     routing = build_rotation_routing(comp, dv)
     loads = routing.vertex_loads()
@@ -169,14 +197,6 @@ def verify_point(
         routing.minimal and lo == hi == pred.xi, str(pred.xi), witness
     )
 
-    pi_lower, pi_upper = edge_forwarding_bounds(comp, dv)
-    fields["pi_lower"] = FieldCheck(
-        pi_lower == pred.pi_lower, str(pred.pi_lower), str(pi_lower)
-    )
-    fields["pi_upper"] = FieldCheck(
-        pi_upper == pred.pi_upper, str(pred.pi_upper), str(pi_upper)
-    )
-
     if point.family in (Family.MC_2H, Family.MC_GEN, Family.MC_23):
         assert point.m is not None and point.h is not None
         base_diam = distance_vector(base).diameter
@@ -184,6 +204,26 @@ def verify_point(
         fields["base_diameter"] = FieldCheck(
             base_diam == predicted_diam, str(predicted_diam), str(base_diam)
         )
+    return fields
+
+
+def _count_checks(
+    pred: Prediction, comp: CirculantSpec, dv: DistanceVector, float_tol: float
+) -> dict[str, FieldCheck]:
+    """The fields whose computed side reads only n and the distance counts."""
+    degree = dv.degree
+    rho = spectral_radius_exact(dv)
+    rs = dv.reciprocal_transmission
+    xi = rho - (dv.n - 1)
+    pi_lower, pi_upper = edge_forwarding_bounds(comp, dv)
+    fields = {
+        "degree": FieldCheck(degree == pred.degree, str(pred.degree), str(degree)),
+        "rho": FieldCheck(rho == pred.rho, str(pred.rho), str(rho)),
+        "rs": FieldCheck(rs == pred.rs, str(pred.rs), str(rs)),
+        "xi": FieldCheck(xi == pred.xi, str(pred.xi), str(xi)),
+        "pi_lower": FieldCheck(pi_lower == pred.pi_lower, str(pred.pi_lower), str(pi_lower)),
+        "pi_upper": FieldCheck(pi_upper == pred.pi_upper, str(pred.pi_upper), str(pi_upper)),
+    }
 
     computed = report_from_distance_vector(dv)
     for name in INDEX_FIELDS:
@@ -202,7 +242,7 @@ def verify_point(
             fields[name] = FieldCheck(
                 _rel_close(got, want, float_tol), repr(want), repr(got)
             )
-    return VerificationRecord(point, DomainStatus.IN_DOMAIN, "", fields)
+    return fields
 
 
 def _domain_note(status: DomainStatus, reason: str, observed: str) -> str:
@@ -253,12 +293,25 @@ def verify_sweep(
     spectral_tol: float = DEFAULT_SPECTRAL_TOL,
 ) -> list[VerificationRecord]:
     """Verify every point, in order; ``jobs`` > 1 shards across processes."""
-    worker = partial(verify_point, float_tol=float_tol, spectral_tol=spectral_tol)
+    run = partial(_verify_chunk, float_tol=float_tol, spectral_tol=spectral_tol)
     if jobs <= 1 or len(points) < 4:
-        return [worker(p) for p in points]
+        return run(points)
+    size = max(1, len(points) // (4 * jobs))
+    chunks = [points[i : i + size] for i in range(0, len(points), size)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(points) // (4 * jobs))
-        return list(pool.map(worker, points, chunksize=chunk))
+        return [rec for recs in pool.map(run, chunks) for rec in recs]
+
+
+def _verify_chunk(
+    points: Sequence[FamilyPoint], *, float_tol: float, spectral_tol: float
+) -> list[VerificationRecord]:
+    """Verify points in order with one table of count-determined checks,
+    dropped on return."""
+    table: dict = {}
+    return [
+        verify_point(p, float_tol=float_tol, spectral_tol=spectral_tol, _table=table)
+        for p in points
+    ]
 
 
 def verify_family(

@@ -57,6 +57,17 @@ class TestNormalizeJumps:
         with pytest.raises(ValueError):
             CirculantSpec(8, (1, 7))
 
+    @pytest.mark.parametrize(
+        "n, jumps",
+        [(8, (2, 1)), (8, (1, 1)), (8, (0, 1)), (8, (1, 5)), (9, (-1,)),
+         (16116, (*range(1, 8058), 8059))],
+    )
+    def test_spec_constructor_rejects_each_unnormalized_form(self, n, jumps):
+        # complement_spec skips this check for its own jumps; every other
+        # constructor call keeps it
+        with pytest.raises(ValueError):
+            CirculantSpec(n, jumps)
+
 
 class TestBuildCirculant:
     def test_half_jump_degree(self):

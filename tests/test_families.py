@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,10 @@ from circan import (
     CirculantSpec,
     DomainStatus,
     Family,
-    alternate_rt_az_form,
     base_spec,
     c7_point,
     distance_vector,
     domain_status,
-    double_loop_diameter_lower_bound,
     double_loop_gen_point,
     double_loop_half_point,
     multiplicative_base_diameter,
@@ -20,6 +19,32 @@ from circan import (
     predicted_distance_vector,
 )
 from circan.errors import InconsistentPredictionError, KnownExceptionError, OutOfDomainError
+
+
+def alternate_rt_az_form(point):
+    """Sign-rearranged augmented-Zagreb closed forms for the multiplicative
+    families; algebraically equal to the canonical positive forms."""
+    n, h = point.n, point.h
+    if point.family is Family.MC_2H:
+        return Fraction(
+            n * (2 * h - n) * (1 + 2 * h - 2 * n) ** 6,
+            128 * (3 + 2 * h - 2 * n) ** 3,
+        )
+    if point.family is Family.MC_GEN:
+        return Fraction(
+            n * (1 + 2 * h - n) * (1 + h - n) ** 6,
+            16 * (2 + h - n) ** 3,
+        )
+    return None
+
+
+def double_loop_diameter_lower_bound(n):
+    """Integer lower bound ceil((sqrt(2n-1)-1)/2) on the minimum diameter
+    over all n-vertex double loops, computed exactly."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    # smallest t with (2t+1)^2 >= 2n-1
+    return (math.isqrt(2 * n - 2) + 1) // 2
 
 
 class TestPointConstruction:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -9,16 +10,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circan import (
+    INDEX_FIELDS,
     DomainStatus,
     RotationRouting,
+    c7_point,
     double_loop_gen_point,
     multiplicative_point,
+    predict,
     verify_family,
     verify_point,
 )
 from circan.verifier import (
     FIELD_ORDER,
     _dumps_indent2,
+    c7_points,
     double_loop_gen_points,
     double_loop_half_points,
     has_failures,
@@ -136,6 +141,72 @@ class TestSweeps:
         assert {r.point.family.value for r in mc} >= {"mc-2h", "mc-gen", "mc-23"}
         only_2h = verify_family("mc-2h", max_order=64)
         assert all(r.point.family.value == "mc-2h" for r in only_2h)
+
+
+def _count_determined(pred):
+    """The predicted values a sweep shares among points with one table key."""
+    indices = tuple(getattr(pred.indices, name) for name in INDEX_FIELDS)
+    exact = sorted(pred.indices.exact.items())
+    return pred.degree, pred.rho, pred.rs, pred.xi, pred.pi_lower, pred.pi_upper, indices, exact
+
+
+class TestCountTable:
+    """A sweep checks the count-determined fields once per (family, n, h,
+    distance counts); these tests pin that this changes no record."""
+
+    def test_table_key_holds_every_prediction(self):
+        # The key leaves out the double-loop jump a: no closed form may read it.
+        for n in range(8, 65):
+            preds = [_count_determined(predict(double_loop_gen_point(n, a)))
+                     for a in range(2, (n - 1) // 2 + 1) if (n, a) != (8, 3)]
+            assert all(p == preds[0] for p in preds), n
+        assert _count_determined(predict(c7_point(2))) == _count_determined(predict(c7_point(3)))
+
+    def test_sweep_equals_points_verified_alone(self, monkeypatch):
+        import circan.verifier as verifier_module
+
+        points = (double_loop_gen_points(8, 40) + double_loop_half_points(2, 40)
+                  + c7_points() + multiplicative_points(256))
+        calls = []
+        for name in ("predict", "report_from_distance_vector"):
+            real = getattr(verifier_module, name)
+            monkeypatch.setattr(verifier_module, name,
+                                lambda arg, name=name, real=real: calls.append(name) or real(arg))
+        swept = verify_sweep(points)
+        in_domain = [r for r in swept if r.domain_status is DomainStatus.IN_DOMAIN]
+        keys = {(r.point.family, r.point.n, r.point.h) for r in in_domain}
+        # predict, with its consistency check, runs at every point; the
+        # indices once per key, that is once per order for the double loops
+        assert calls.count("predict") == len(in_domain)
+        assert calls.count("report_from_distance_vector") == len(keys) < len(in_domain)
+        for rec in in_domain:
+            assert list(rec.fields) == [f for f in FIELD_ORDER if f in rec.fields]
+        alone = [verify_point(p) for p in points]
+        assert swept == alone
+        assert records_to_json(swept) == records_to_json(alone)
+        assert records_to_csv(swept) == records_to_csv(alone)
+
+    def test_wrong_closed_form_fails_every_point_sharing_its_key(self, monkeypatch):
+        import circan.verifier as verifier_module
+
+        real = verifier_module.predict
+
+        def wrong_rs_at_20(point):
+            pred = real(point)
+            return dataclasses.replace(pred, rs=pred.rs + 1) if point.n == 20 else pred
+
+        monkeypatch.setattr(verifier_module, "predict", wrong_rs_at_20)
+        points = double_loop_gen_points(8, 30) + double_loop_half_points(2, 30)
+        recs = verify_sweep(points)
+        at_20 = [r for r in recs if r.point.n == 20]
+        assert len(at_20) == 9  # eight general double loops and the half jump k = 10
+        assert all(set(r.mismatches()) == {"rs"} and not r.passed for r in at_20)
+        assert all(r.passed for r in recs if r.point.n != 20)
+        assert not verify_point(double_loop_gen_point(20, 3)).passed
+        monkeypatch.undo()
+        # a fresh sweep rebuilds its checks: nothing wrong survives the first one
+        assert not has_failures(verify_sweep(points))
+        assert verify_point(double_loop_gen_point(20, 3)).passed
 
 
 class TestSerialization:
