@@ -196,7 +196,7 @@ def _routing_doc(g: GenericGraph, routing_path: str, dist=None) -> dict:
     routing = parse_routing_fixture(text, g, _dist=dist)
     profile = load_profile(routing)
     return {
-        "paths": len(routing.paths),
+        "paths": len(routing),
         "minimal": routing.minimal,
         "symmetric": routing.symmetric,
         "vertex_loads": [int(x) for x in profile.vertex_loads],

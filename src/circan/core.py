@@ -8,7 +8,10 @@ computes its connection row (row 0 of the adjacency) and its offsets at
 most once; the complement spec is that row flipped.
 
 Generic graphs are backed by a read-only boolean adjacency matrix; the class
-exposes sorted neighbor arrays and edge lists on top of it.
+exposes sorted neighbor arrays and edge lists on top of it. Edge-list
+fixtures are split once per line and then checked as whole arrays (token
+counts, integers, range, self-loops, duplicates); a faulty fixture names
+its earliest bad line.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -230,55 +234,103 @@ def complement_graph(g: GenericGraph) -> GenericGraph:
     return GenericGraph(adj, index_base=g.index_base, validate=False)
 
 
+def _content_rows(text: str) -> tuple[list[str], list[int], list[list[str]]]:
+    """The lines of a fixture, the indices of its content lines (neither
+    blank nor ``#`` comments) and their tokens; each line is split once."""
+    lines = text.splitlines()
+    split = list(map(str.split, lines))
+    keep = [i for i, parts in enumerate(split) if parts and parts[0][0] != "#"]
+    return lines, keep, [split[i] for i in keep]
+
+
+def _ints_before_fault(rows: list[list[str]]) -> tuple[list[int], int]:
+    """The tokens of ``rows`` as ints, through one ``int`` map, up to the
+    first row holding a non-integer token; and that row's index
+    (``len(rows)`` when there is none)."""
+    values: list[int] = []
+    try:
+        values.extend(map(int, chain.from_iterable(rows)))
+        return values, len(rows)
+    except ValueError:
+        # extend keeps the integers converted before the bad token
+        ends = np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)))
+        row = int(np.searchsorted(ends, len(values), side="right"))
+        return values[: int(ends[row]) - len(rows[row])], row
+
+
+def _int64_array(values: list[int]) -> np.ndarray:
+    """``values`` as int64; a value past int64 becomes +-2**62, outside the
+    vertex range of any graph that fits in memory either way."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        cap = 1 << 62
+        return np.array([max(-cap, min(v, cap)) for v in values], dtype=np.int64)
+
+
+def _first_true(mask: np.ndarray) -> int:
+    """Index of the first True entry of ``mask``, or its length if none."""
+    return int(np.argmax(mask)) if mask.any() else mask.size
+
+
 def parse_graph_fixture(text: str) -> GenericGraph:
     """Parse the edge-list fixture format.
 
     Line 1 is ``n`` optionally followed by ``one-indexed``; every following
     non-empty, non-comment line is ``u v``. Vertices are stored 0-indexed
     regardless of the declared base.
+
+    The edge lines are checked as whole arrays: token counts, one ``int``
+    map, then range, self-loop and duplicate masks over the (m, 2) vertex
+    array (a duplicate is an unordered pair seen on an earlier line), and
+    the adjacency is filled by fancy indexing. A faulty fixture reports its
+    earliest bad line; within a line the checks keep the order token count,
+    integer, range (u, then v), self-loop, duplicate.
     """
-    lines = text.splitlines()
-    header_seen = False
-    n = 0
-    base = 0
-    adj: np.ndarray | None = None
-    seen: set[tuple[int, int]] = set()
-    for lineno, lin in enumerate(lines, start=1):
-        stripped = lin.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if not header_seen:
-            if len(parts) not in (1, 2) or (len(parts) == 2 and parts[1] != "one-indexed"):
-                raise FixtureParseError(f"line {lineno}: bad header {stripped!r}")
-            try:
-                n = int(parts[0])
-            except ValueError:
-                raise FixtureParseError(f"line {lineno}: bad vertex count {parts[0]!r}")
-            if n < 1:
-                raise FixtureParseError(f"line {lineno}: vertex count must be positive")
-            base = 1 if len(parts) == 2 else 0
-            adj = np.zeros((n, n), dtype=bool)
-            header_seen = True
-            continue
-        if len(parts) != 2:
-            raise FixtureParseError(f"line {lineno}: expected 'u v', got {stripped!r}")
-        try:
-            u, v = int(parts[0]) - base, int(parts[1]) - base
-        except ValueError:
-            raise FixtureParseError(f"line {lineno}: non-integer vertex in {stripped!r}")
+    lines, keep, rows = _content_rows(text)
+    if not rows:
+        raise FixtureParseError("fixture has no header line")
+    lineno, parts = keep[0] + 1, rows[0]
+    if len(parts) not in (1, 2) or (len(parts) == 2 and parts[1] != "one-indexed"):
+        raise FixtureParseError(f"line {lineno}: bad header {lines[keep[0]].strip()!r}")
+    try:
+        n = int(parts[0])
+    except ValueError:
+        raise FixtureParseError(f"line {lineno}: bad vertex count {parts[0]!r}")
+    if n < 1:
+        raise FixtureParseError(f"line {lineno}: vertex count must be positive")
+    base = 1 if len(parts) == 2 else 0
+    adj = np.zeros((n, n), dtype=bool)
+
+    keep, rows = keep[1:], rows[1:]
+    # Each stage runs on the lines before the previous stage's first fault,
+    # so the earliest bad line wins and a line's first fault names it.
+    sized = _first_true(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) != 2)
+    values, numeric = _ints_before_fault(rows[:sized])
+    uv = _int64_array(values).reshape(-1, 2) - base
+    outside = ((uv < 0) | (uv >= n)).any(axis=1)
+    loop = uv[:, 0] == uv[:, 1]
+    # An out-of-range line's key means nothing, but that line is reported
+    # before any later line its key could be taken to repeat.
+    lo, hi = np.sort(uv, axis=1).T
+    _, first_seen, which = np.unique(lo * n + hi, return_index=True, return_inverse=True)
+    repeated = first_seen[which] != np.arange(numeric)
+    bad = _first_true(outside | loop | repeated)
+    if bad < numeric:
+        lineno = keep[bad] + 1
+        u, v = values[2 * bad] - base, values[2 * bad + 1] - base
         for w in (u, v):
             if not 0 <= w < n:
                 raise VertexRangeError(f"line {lineno}: vertex {w + base} outside 0..{n - 1 + base}")
         if u == v:
             raise FixtureParseError(f"line {lineno}: self-loop at vertex {u + base}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise DuplicateEdgeError(f"line {lineno}: duplicate edge {u + base} {v + base}")
-        seen.add(key)
-        assert adj is not None
-        adj[u, v] = adj[v, u] = True
-    if not header_seen:
-        raise FixtureParseError("fixture has no header line")
-    assert adj is not None
+        raise DuplicateEdgeError(f"line {lineno}: duplicate edge {u + base} {v + base}")
+    if numeric < sized:
+        stripped = lines[keep[numeric]].strip()
+        raise FixtureParseError(f"line {keep[numeric] + 1}: non-integer vertex in {stripped!r}")
+    if sized < len(rows):
+        stripped = lines[keep[sized]].strip()
+        raise FixtureParseError(f"line {keep[sized] + 1}: expected 'u v', got {stripped!r}")
+    adj[uv[:, 0], uv[:, 1]] = True
+    adj[uv[:, 1], uv[:, 0]] = True
     return GenericGraph(adj, index_base=base, validate=False)

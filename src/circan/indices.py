@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping
 
 import numpy as np
@@ -39,7 +40,7 @@ from .errors import (
     DegenerateTransmissionError,
     DisconnectedGraphError,
 )
-from .metrics import DistanceVector, all_pairs_distances
+from .metrics import DistanceVector, all_pairs_distances, reciprocal_weights
 
 PAIR_FIELDS = (
     "wiener",
@@ -135,32 +136,19 @@ def _distance_counts(
 def _pair_indices_from_stats(
     cnt: list[int], dsum: list[int], dprod: list[int]
 ) -> PairIndices:
-    wiener = 0
-    sumsq = 0
-    schultz = 0
-    gutman = 0
-    harary = Fraction(0)
-    har_add = Fraction(0)
-    har_mul = Fraction(0)
-    for d in range(1, len(cnt)):
-        c = cnt[d]
-        if not c and not dsum[d] and not dprod[d]:
-            continue
-        wiener += d * c
-        sumsq += d * d * c
-        schultz += d * dsum[d]
-        gutman += d * dprod[d]
-        harary += Fraction(c, d)
-        har_add += Fraction(dsum[d], d)
-        har_mul += Fraction(dprod[d], d)
+    dists = range(len(cnt))
+    wiener = sum(map(mul, dists, cnt))
+    sumsq = sum(map(mul, map(mul, dists, dists), cnt))
+    # the three Harary sums over one common denominator, each reduced once
+    denom, weights = reciprocal_weights(len(cnt) - 1)
     return PairIndices(
         wiener=Fraction(wiener),
         hyper_wiener=Fraction(wiener + sumsq, 2),
-        harary=harary,
-        schultz=Fraction(schultz),
-        gutman=Fraction(gutman),
-        harary_additive=har_add,
-        harary_multiplicative=har_mul,
+        harary=Fraction(sum(map(mul, weights, cnt)), denom),
+        schultz=Fraction(sum(map(mul, dists, dsum))),
+        gutman=Fraction(sum(map(mul, dists, dprod))),
+        harary_additive=Fraction(sum(map(mul, weights, dsum)), denom),
+        harary_multiplicative=Fraction(sum(map(mul, weights, dprod)), denom),
     )
 
 
@@ -266,9 +254,7 @@ def _transmission_indices(
 def _reciprocal_numerators(counts: np.ndarray) -> tuple[int, list[int]]:
     """The common denominator L = lcm(1..diameter) and, per row of distance
     counts, the reciprocal transmission times L."""
-    diameter = counts.shape[1] - 1
-    denom = math.lcm(*range(1, diameter + 1))
-    weights = [0] + [denom // d for d in range(1, diameter + 1)]
+    denom, weights = reciprocal_weights(counts.shape[1] - 1)
     return denom, (counts.astype(object) @ np.array(weights, dtype=object)).tolist()
 
 

@@ -23,9 +23,11 @@ direction-optimizing BFS, on the circulant's connection row):
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -42,13 +44,18 @@ _SHIFT_EDGE_CHECKS = 700
 _THIN_FRONTIER = 8
 
 
+def reciprocal_weights(diameter: int) -> tuple[int, list[int]]:
+    """The common denominator L = lcm(1..diameter) and the weights L // d
+    for d = 0..diameter, with weight 0 at d = 0."""
+    denom = math.lcm(*range(1, diameter + 1))
+    return denom, [0] + [denom // d for d in range(1, diameter + 1)]
+
+
 def reciprocal_sum(counts: np.ndarray | list[int]) -> Fraction:
-    """Exact sum of count[d] / d over distances d >= 1."""
-    total = Fraction(0)
-    for d, c in enumerate(counts):
-        if d >= 1 and c:
-            total += Fraction(int(c), d)
-    return total
+    """Exact sum of count[d] / d over distances d >= 1, as one fraction
+    over lcm(1..len(counts) - 1), reduced once."""
+    denom, weights = reciprocal_weights(len(counts) - 1)
+    return Fraction(sum(map(mul, map(int, counts), weights)), denom)
 
 
 @dataclass(frozen=True, eq=False)

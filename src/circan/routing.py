@@ -6,6 +6,14 @@ vertex-forwarding index of a connected circulant equals the transmission
 minus (n - 1), and a rotation-invariant shortest-path routing attains it
 with all vertex loads equal. For the edge-forwarding index only bounds are
 produced.
+
+An explicit routing is validated in whole-array passes over its paths laid
+end to end (one vertex array plus one length per path): vertex range,
+length, repeats within a path, steps along edges, each ordered pair routed
+exactly once, then ``minimal`` and ``symmetric``, each from one gather. The
+earliest faulty path is reported, with the message a path-by-path check
+would give. Its load profile is one ``np.bincount`` over the inner
+positions and one ``np.unique`` over the steps.
 """
 
 from __future__ import annotations
@@ -13,11 +21,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .core import CirculantSpec, GenericGraph, build_circulant
+from .core import (
+    CirculantSpec,
+    GenericGraph,
+    _content_rows,
+    _first_true,
+    _int64_array,
+    _ints_before_fault,
+    build_circulant,
+)
 from .errors import (
     FixtureParseError,
     InvalidEdgeError,
@@ -45,86 +62,169 @@ class LoadProfile:
 class Routing:
     """Explicit routing: one elementary path per ordered vertex pair.
 
+    The paths are stored flat: ``vertices`` holds them end to end and
+    ``starts`` the offset of each one plus a final end offset. ``paths``,
+    the dict from (first, last) to the path tuple, is built when first read.
     ``minimal`` and ``symmetric`` are computed during validation, never
     asserted by the caller.
     """
 
-    __slots__ = ("n", "paths", "minimal", "symmetric")
+    __slots__ = ("n", "vertices", "starts", "minimal", "symmetric", "_paths")
 
     def __init__(
         self,
         n: int,
-        paths: dict[tuple[int, int], tuple[int, ...]],
+        vertices: np.ndarray,
+        starts: np.ndarray,
         *,
         minimal: bool,
         symmetric: bool,
     ) -> None:
         self.n = n
-        self.paths = paths
+        self.vertices = vertices
+        self.starts = starts
         self.minimal = minimal
         self.symmetric = symmetric
+        self._paths: dict[tuple[int, int], tuple[int, ...]] | None = None
+
+    @property
+    def paths(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """{(first, last): path} in the order the paths were given."""
+        if self._paths is None:
+            flat = self.vertices.tolist()
+            bounds = self.starts.tolist()
+            self._paths = {
+                (flat[lo], flat[hi - 1]): tuple(flat[lo:hi])
+                for lo, hi in zip(bounds, bounds[1:])
+            }
+        return self._paths
 
     @classmethod
     def from_paths(
         cls,
         g: GenericGraph,
-        paths: Iterable[tuple[int, ...]],
+        paths: Iterable[Iterable[int]],
         *,
         _dist: np.ndarray | None = None,
     ) -> "Routing":
-        """Validate a collection of paths as a routing of ``g``."""
-        n = g.n
-        table: dict[tuple[int, int], tuple[int, ...]] = {}
-        for path in paths:
-            path = tuple(int(v) for v in path)
-            if len(path) < 2:
-                raise NonElementaryPathError(f"path {path} has fewer than two vertices")
-            if len(set(path)) != len(path):
-                raise NonElementaryPathError(f"path {path} repeats a vertex")
-            for u, v in zip(path, path[1:]):
-                if not g.has_edge(u, v):
-                    raise InvalidEdgeError(f"path {path} uses non-edge ({u}, {v})")
-            key = (path[0], path[-1])
-            if key in table:
-                raise MissingPairError(f"ordered pair {key} routed twice")
-            table[key] = path
-        if len(table) != n * (n - 1):
-            missing = n * (n - 1) - len(table)
-            raise MissingPairError(f"{missing} ordered pairs have no path")
-        dist = all_pairs_distances(g) if _dist is None else _dist
-        minimal = all(len(p) - 1 == dist[x, y] for (x, y), p in table.items())
-        symmetric = all(
-            table[(y, x)] == tuple(reversed(p)) for (x, y), p in table.items()
-        )
-        return cls(n, table, minimal=minimal, symmetric=symmetric)
+        """Validate a collection of paths as a routing of ``g``: the first
+        vertex outside 0..n-1 raises :class:`VertexRangeError`, then the
+        paths go through the array checks of the module docstring."""
+        paths = list(map(tuple, paths))
+        values = list(map(int, chain.from_iterable(paths)))
+        lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+        vertices = _int64_array(values)
+        bad = _out_of_range(vertices, lengths, g.n)
+        if bad is not None:
+            pos, row = bad
+            raise VertexRangeError(
+                f"path {tuple(map(int, paths[row]))} has vertex {values[pos]} "
+                f"outside 0..{g.n - 1}"
+            )
+        return _validated(g, vertices, lengths, _dist)
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return self.starts.size - 1
+
+
+def _out_of_range(
+    vertices: np.ndarray, lengths: np.ndarray, n: int
+) -> tuple[int, int] | None:
+    """(position, path index) of the first vertex outside 0..n-1, if any."""
+    pos = _first_true((vertices < 0) | (vertices >= n))
+    if pos == vertices.size:
+        return None
+    return pos, int(np.searchsorted(np.cumsum(lengths), pos, side="right"))
+
+
+def _validated(
+    g: GenericGraph,
+    vertices: np.ndarray,
+    lengths: np.ndarray,
+    dist: np.ndarray | None,
+) -> Routing:
+    """Check in-range flat paths as a routing of ``g``.
+
+    Each check is one array pass: length >= 2, a repeat within a path (equal
+    neighbours after sorting path * n + vertex), every step inside a path an
+    edge, each (first, last) pair routed once, then every pair routed. The
+    earliest faulty path is reported, and within a path the checks keep that
+    order.
+    """
+    n = g.n
+    count = lengths.size
+    starts = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(lengths, out=starts[1:])
+    path_of = np.repeat(np.arange(count), lengths)
+    steps = np.flatnonzero(path_of[1:] == path_of[:-1])
+    long = np.flatnonzero(lengths >= 2)
+    first = vertices[starts[long]]
+    last = vertices[starts[long + 1] - 1]
+    keys, first_seen, which = np.unique(
+        first * n + last, return_index=True, return_inverse=True
+    )
+
+    # Each path gets the first fault in check order: later kinds are written
+    # first and overwritten by earlier ones.
+    fault = np.zeros(count, dtype=np.int8)
+    fault[long[first_seen[which] != np.arange(long.size)]] = 4
+    non_edges = steps[~g.adj[vertices[steps], vertices[steps + 1]]]
+    fault[path_of[non_edges]] = 3
+    cells = np.sort(path_of * n + vertices)
+    fault[cells[1:][cells[1:] == cells[:-1]] // n] = 2
+    fault[lengths < 2] = 1
+    bad = _first_true(fault != 0)
+    if bad < count:
+        path = tuple(vertices[starts[bad] : starts[bad + 1]].tolist())
+        kind = fault[bad]
+        if kind == 1:
+            raise NonElementaryPathError(f"path {path} has fewer than two vertices")
+        if kind == 2:
+            raise NonElementaryPathError(f"path {path} repeats a vertex")
+        if kind == 3:
+            u, v = vertices[non_edges[0] : non_edges[0] + 2].tolist()
+            raise InvalidEdgeError(f"path {path} uses non-edge ({u}, {v})")
+        raise MissingPairError(f"ordered pair {(path[0], path[-1])} routed twice")
+    if count != n * (n - 1):
+        raise MissingPairError(f"{n * (n - 1) - count} ordered pairs have no path")
+
+    dist = all_pairs_distances(g) if dist is None else dist
+    minimal = bool((dist[first, last] == lengths - 1).all())
+    # The path of (last, first) read backwards must be this path. Of two
+    # partners with different lengths, the longer one fails the comparison
+    # at its far end, where the shorter one's first vertex would have to be.
+    partner = first_seen[np.searchsorted(keys, last * n + first)]
+    offset = np.arange(vertices.size) - starts[path_of]
+    mirror = starts[partner + 1][path_of] - 1 - offset
+    symmetric = bool(np.array_equal(vertices[mirror], vertices))
+    return Routing(n, vertices, starts, minimal=minimal, symmetric=symmetric)
 
 
 def parse_routing_fixture(
     text: str, g: GenericGraph, *, _dist: np.ndarray | None = None
 ) -> Routing:
     """Parse a routing fixture: one whitespace-separated path per line,
-    using the companion graph fixture's vertex indexing."""
+    using the companion graph fixture's vertex indexing.
+
+    Every line is read before any path is checked: the earliest line with a
+    non-integer or out-of-range vertex is reported first, then the paths go
+    through the same array validation as ``Routing.from_paths``.
+    """
     base = g.index_base
-    paths = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            raw = [int(tok) for tok in stripped.split()]
-        except ValueError:
-            raise FixtureParseError(f"line {lineno}: non-integer vertex in {stripped!r}")
-        path = tuple(v - base for v in raw)
-        for v in path:
-            if not 0 <= v < g.n:
-                raise VertexRangeError(
-                    f"line {lineno}: vertex {v + base} outside 0..{g.n - 1 + base}"
-                )
-        paths.append(path)
-    return Routing.from_paths(g, paths, _dist=_dist)
+    lines, keep, rows = _content_rows(text)
+    values, numeric = _ints_before_fault(rows)
+    vertices = _int64_array(values) - base
+    lengths = np.fromiter(map(len, rows[:numeric]), dtype=np.int64, count=numeric)
+    bad = _out_of_range(vertices, lengths, g.n)
+    if bad is not None:
+        pos, row = bad
+        raise VertexRangeError(
+            f"line {keep[row] + 1}: vertex {values[pos]} outside 0..{g.n - 1 + base}"
+        )
+    if numeric < len(rows):
+        stripped = lines[keep[numeric]].strip()
+        raise FixtureParseError(f"line {keep[numeric] + 1}: non-integer vertex in {stripped!r}")
+    return _validated(g, vertices, lengths, _dist)
 
 
 class RotationRouting:
@@ -264,14 +364,18 @@ def load_profile(routing: Routing | RotationRouting) -> LoadProfile:
         vertex_loads = routing.vertex_loads()
         edge_loads = routing.edge_loads()
     else:
-        vertex_loads = np.zeros(routing.n, dtype=np.int64)
-        edge_loads: dict[tuple[int, int], int] = {}
-        for path in routing.paths.values():
-            for v in path[1:-1]:
-                vertex_loads[v] += 1
-            for u, v in zip(path, path[1:]):
-                key = (min(u, v), max(u, v))
-                edge_loads[key] = edge_loads.get(key, 0) + 1
+        n, vertices, starts = routing.n, routing.vertices, routing.starts
+        inner = np.ones(vertices.size, dtype=bool)
+        inner[starts[:-1]] = inner[starts[1:] - 1] = False
+        vertex_loads = np.bincount(vertices[inner], minlength=n)
+        tail = np.ones(vertices.size, dtype=bool)
+        tail[starts[1:] - 1] = False
+        u = vertices[:-1][tail[:-1]]
+        v = vertices[1:][tail[:-1]]
+        keys, counts = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_counts=True)
+        edge_loads = {
+            (k // n, k % n): c for k, c in zip(keys.tolist(), counts.tolist())
+        }
     return LoadProfile(
         vertex_loads=vertex_loads,
         edge_loads=edge_loads,

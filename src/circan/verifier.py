@@ -20,10 +20,15 @@ side is a closed form of (family, n, h) that never reads the double-loop
 jump ``a``. Two points with equal (family, n, h) and equal counts therefore
 get equal checks, so a sweep builds them once per key and shares the frozen
 ``FieldCheck`` objects; the complement of C_n(1, a) has the same counts for
-every a, so a double-loop sweep builds them once per order. The table lives
-for one sweep (one worker chunk under ``jobs``). The distance vector, the
-numeric spectrum, the routing witness, the base diameter and ``predict``
-itself, with its internal consistency check, still run at every point.
+every a, so a double-loop sweep builds them once per order. ``predict``
+runs only when a key is first met, and the key also holds the counts of the
+point's predicted vector: the closed forms read only (family, n, h) and the
+internal consistency check only those counts, so it is the same check at
+every point with the key. The table keeps the checks and the predicted
+forwarding index, not the prediction, and lives for one sweep (one worker
+chunk under ``jobs``). The predicted and computed distance vectors, the
+numeric spectrum, the routing witness and the base diameter still run at
+every point.
 
 Out-of-domain parameters are still swept: they produce flagged records (the
 observed obstruction goes into the note) rather than assertions, so a sweep
@@ -59,6 +64,7 @@ from .families import (
     multiplicative_base_diameter,
     multiplicative_point,
     predict,
+    predicted_distance_vector,
 )
 from .indices import INDEX_FIELDS, PAIR_FIELDS, report_from_distance_vector
 from .metrics import DistanceVector, distance_vector
@@ -154,30 +160,39 @@ def verify_point(
         note = _domain_note(status, reason, "complement is connected; formulas not asserted")
         return VerificationRecord(point, status, note, {})
 
-    pred = predict(point)
     if _table is None:
         _table = {}
-    key = (point.family, point.n, point.h, dv.distance_counts().tobytes())
+    predicted = predicted_distance_vector(point)
+    key = (point.family, point.n, point.h, dv.distance_counts().tobytes(),
+           predicted.distance_counts().tobytes())
     if key not in _table:
-        _table[key] = _count_checks(pred, comp, dv, float_tol)
-    checks = {**_table[key], **_vector_checks(point, pred, base, comp, dv, spectral_tol)}
+        pred = predict(point)
+        _table[key] = (_count_checks(pred, comp, dv, float_tol), pred.xi)
+    count_checks, xi = _table[key]
+    checks = {
+        **count_checks,
+        **_vector_checks(point, xi, predicted, base, comp, dv, spectral_tol),
+    }
     fields = {name: checks[name] for name in FIELD_ORDER if name in checks}
     return VerificationRecord(point, DomainStatus.IN_DOMAIN, "", fields)
 
 
 def _vector_checks(
     point: FamilyPoint,
-    pred: Prediction,
+    xi: int,
+    predicted: DistanceVector,
     base: CirculantSpec,
     comp: CirculantSpec,
     dv: DistanceVector,
     spectral_tol: float,
 ) -> dict[str, FieldCheck]:
-    """The fields that read the distance vector itself, checked at every point."""
+    """The fields that read the distance vector itself, checked at every
+    point against the point's own predicted vector and the predicted
+    forwarding index ``xi``."""
     fields = {
         "distance_vector": FieldCheck(
-            match=bool(np.array_equal(dv.d, pred.distance_vector.d)),
-            predicted=_vector_repr(pred.distance_vector.d),
+            match=bool(np.array_equal(dv.d, predicted.d)),
+            predicted=_vector_repr(predicted.d),
             computed=_vector_repr(dv.d),
         )
     }
@@ -193,9 +208,7 @@ def _vector_checks(
     witness = f"min={lo},max={hi}"
     if not routing.minimal:
         witness += ";not a shortest-path tree"
-    fields["xi_witness"] = FieldCheck(
-        routing.minimal and lo == hi == pred.xi, str(pred.xi), witness
-    )
+    fields["xi_witness"] = FieldCheck(routing.minimal and lo == hi == xi, str(xi), witness)
 
     if point.family in (Family.MC_2H, Family.MC_GEN, Family.MC_23):
         assert point.m is not None and point.h is not None

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -336,3 +337,48 @@ class TestJsonFormat:
         code, empty = run(capsys, *argv, "--format", "json", "--out", str(out_path))
         assert code == 0 and empty == ""
         assert out_path.read_bytes() == out.encode()
+
+
+def _wrong_rho(monkeypatch):
+    import circan.verifier as verifier_module
+
+    real = verifier_module.predict
+    monkeypatch.setattr(verifier_module, "predict",
+                        lambda point: dataclasses.replace(real(point), rho=real(point).rho + 1))
+
+
+EXIT_CASES = [
+    (0, ["analyze", "--n", "8", "--jumps", "1,4"], None),
+    (0, ["routing", "--fixture", str(FIXTURES / "fig1.graph"),
+         "--routing", str(FIXTURES / "fig1_r2.routes")], None),
+    (1, ["analyze", "--n", "2", "--jumps", "1"], None),
+    (1, ["analyze", "--n", "4000", "--jumps", "1"], None),
+    (2, ["analyze", "--n", "8", "--jumps", "2,4"], None),
+    (2, ["analyze", "--n", "4", "--jumps", "1,2", "--complement"], None),
+    (2, ["verify", "--family", "c7", "--jobs", "0"], None),
+    (2, ["analyze", "--format", "json"], None),
+    (3, ["analyze", "--n", "8", "--jumps", "1,x"], None),
+    (3, ["analyze", "--fixture", str(FIXTURES / "no-such.graph")], None),
+    (3, ["routing", "--fixture", str(FIXTURES / "fig1.graph"),
+         "--routing", str(FIXTURES / "fig1.graph")], None),
+    (4, ["verify", "--family", "c7"], _wrong_rho),
+]
+
+
+class TestExitCodes:
+    """Each documented exit code, mapped to a call that produces it."""
+
+    def test_every_code_is_covered(self):
+        assert {code for code, _, _ in EXIT_CASES} == {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("code,argv,patch", EXIT_CASES)
+    def test_exit_code(self, capsys, monkeypatch, code, argv, patch):
+        if patch is not None:
+            patch(monkeypatch)
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            got = exc.code
+        assert got == code
+        err = capsys.readouterr().err
+        assert (err == "") == (code in (0, 4))

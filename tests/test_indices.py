@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circan import (
     CirculantSpec,
@@ -176,6 +178,42 @@ class TestInvariants:
                 continue
             comp = complement_graph(g)
             assert full_report(comp).wiener == spec.n * (spec.n - 1) // 2 + g.edge_count
+
+
+def _naive_reciprocal(values):
+    """Sum of values[d] / d over d >= 1, one Fraction addition per term."""
+    total = Fraction(0)
+    for d, value in enumerate(values):
+        if d >= 1:
+            total += Fraction(value, d)
+    return total
+
+
+class TestCommonDenominatorSums:
+    """Reciprocal sums over lcm(1..diameter), reduced once, equal the
+    term-by-term Fraction sums (and so print the same)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 10**12), max_size=60))
+    def test_reciprocal_sum(self, counts):
+        want = _naive_reciprocal(counts)
+        for given_as in (counts, np.array(counts, dtype=np.int64)):
+            got = reciprocal_sum(given_as)
+            assert got == want and str(got) == str(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 10**12)] * 3), min_size=1, max_size=60))
+    def test_pair_stats(self, rows):
+        cnt, dsum, dprod = (list(col) for col in zip(*rows))
+        pair = _pair_indices_from_stats(cnt, dsum, dprod)
+        for name, values in (("harary", cnt), ("harary_additive", dsum),
+                             ("harary_multiplicative", dprod)):
+            got, want = getattr(pair, name), _naive_reciprocal(values)
+            assert got == want and str(got) == str(want), name
+        assert pair.wiener == sum(d * c for d, c in enumerate(cnt))
+        assert pair.hyper_wiener == Fraction(sum((d + d * d) * c for d, c in enumerate(cnt)), 2)
+        assert pair.schultz == sum(d * s for d, s in enumerate(dsum))
+        assert pair.gutman == sum(d * p for d, p in enumerate(dprod))
 
 
 class TestDegenerateInputs:
