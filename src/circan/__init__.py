@@ -83,7 +83,12 @@ from .routing import (
     parse_routing_fixture,
     vertex_forwarding_index,
 )
-from .spectral import Spectrum, circulant_spectrum, spectral_radius_exact
+from .spectral import (
+    Spectrum,
+    circulant_spectrum,
+    spectral_radius_exact,
+    spectral_radius_numeric,
+)
 from .verifier import (
     VerificationRecord,
     has_failures,

@@ -22,6 +22,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .core import (
     CirculantSpec,
     GenericGraph,
@@ -42,9 +44,10 @@ from .errors import (
 from .indices import INDEX_FIELDS, full_report, report_from_distance_vector
 from .metrics import all_pairs_distances, distance_vector, metrics_summary
 from .routing import load_profile, parse_routing_fixture, edge_forwarding_bounds, vertex_forwarding_index
-from .spectral import circulant_spectrum, spectral_radius_exact
+from .spectral import circulant_spectrum, spectral_radius_exact, spectral_radius_numeric
 from .verifier import (
     _dumps_indent2,
+    _int_array_items,
     has_failures,
     records_to_csv,
     records_to_json,
@@ -106,6 +109,8 @@ def _flatten(doc, prefix: str = "") -> list[tuple[str, str]]:
     if isinstance(doc, dict):
         for key, value in doc.items():
             rows += _flatten(value, f"{prefix}{key}." if prefix else f"{key}.")
+    elif isinstance(doc, np.ndarray):
+        rows.append((prefix.rstrip("."), " ".join(_int_array_items(doc))))
     elif isinstance(doc, (list, tuple)):
         rows.append((prefix.rstrip("."), " ".join(repr(v) if isinstance(v, float) else str(v) for v in doc)))
     else:
@@ -248,12 +253,13 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
                                                      dv.reciprocal_transmission),
             "diameter": dv.diameter,
             # first row of the circulant distance matrix; row i is this
-            # vector rotated by i
-            "distance_vector": dv.d.tolist(),
+            # vector rotated by i (the read-only array, written by the
+            # emitter's table gather)
+            "distance_vector": dv.d,
         },
         "spectrum": {
             "rho": rho,
-            "radius_float": circulant_spectrum(dv).radius,
+            "radius_float": spectral_radius_numeric(dv),
         },
         "forwarding": {
             "xi": vertex_forwarding_index(spec, dv),

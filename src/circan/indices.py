@@ -22,15 +22,22 @@ P = A*B and E = S - 2L), and ``math.fsum`` adds the group terms
 independently of their order. The GA/AG pairs collapse to the exact edge
 count on transmission-regular graphs, and the report keeps those exact
 values alongside the floats.
+
+The exact values (``exact``) are built when first read: the group loop
+keeps only the AZ numerators summed per gap E, and their sum over one
+denominator is formed and reduced on that read. A caller that prints only
+the fields pays for no exact AZ rational.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import mul
-from typing import Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -54,6 +61,34 @@ PAIR_FIELDS = (
 TRANSMISSION_FIELDS = ("t_ga", "t_ag", "t_sc", "t_abc", "t_az")
 RECIPROCAL_FIELDS = ("rt_ga", "rt_ag", "rt_sc", "rt_abc", "rt_az")
 INDEX_FIELDS = PAIR_FIELDS + TRANSMISSION_FIELDS + RECIPROCAL_FIELDS
+
+
+class _Deferred(Mapping):
+    """A read-only mapping whose dict ``build()`` makes when it is first
+    read; it compares, iterates and prints as that dict."""
+
+    __slots__ = ("_build", "_dict")
+
+    def __init__(self, build: Callable[[], dict]) -> None:
+        self._build = build
+        self._dict: dict | None = None
+
+    def _built(self) -> dict:
+        if self._dict is None:
+            self._dict = self._build()
+        return self._dict
+
+    def __getitem__(self, key):
+        return self._built()[key]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
 
 
 @dataclass(frozen=True)
@@ -95,7 +130,8 @@ class ReciprocalTransmissionIndices:
 
 @dataclass(frozen=True)
 class IndexReport:
-    """All seventeen index values plus the provably-exact subset."""
+    """All seventeen index values plus the provably-exact subset, built when
+    ``exact`` is first read."""
 
     wiener: Fraction
     hyper_wiener: Fraction
@@ -209,7 +245,10 @@ def _edge_indices(
     kind: type, groups: dict[tuple[int, int], int], denom: int
 ) -> TransmissionIndices | ReciprocalTransmissionIndices:
     """GA/AG/SC/ABC/AZ edge sums of ``kind`` for endpoint statistics
-    A/denom and B/denom given as {(A, B): edge count}."""
+    A/denom and B/denom given as {(A, B): edge count}.
+
+    The exact values are built when ``exact`` is first read, from the AZ
+    numerators summed per gap here."""
     prefix, error, what = _EDGE_KINDS[kind]
     ga, ag, sc, abc, az = [], [], [], [], []
     az_by_gap: dict[int, int] = {}
@@ -231,17 +270,27 @@ def _edge_indices(
         cube = count * p**3
         az.append(cube / (denom * gap) ** 3)
         az_by_gap[gap] = az_by_gap.get(gap, 0) + cube
-    numerator, gaps = _sum_fractions([(c, gap**3) for gap, c in az_by_gap.items()])
-    exact = {f"{prefix}_az": Fraction(numerator, gaps * denom**3)}
-    if len(groups) == 1 and next(iter(groups))[0] == next(iter(groups))[1]:
-        # transmission-regular: every GA/AG term is exactly 1
-        edge_total = Fraction(sum(groups.values()))
-        exact[f"{prefix}_ga"] = exact[f"{prefix}_ag"] = edge_total
+    # transmission-regular: every GA/AG term is exactly 1
+    regular = len(groups) == 1 and next(iter(groups))[0] == next(iter(groups))[1]
+    edge_total = sum(groups.values()) if regular else None
     fields = {
         f"{prefix}_{name}": math.fsum(terms)
         for name, terms in zip(("ga", "ag", "sc", "abc", "az"), (ga, ag, sc, abc, az))
     }
+    exact = _Deferred(partial(_exact_edge_values, prefix, az_by_gap, denom, edge_total))
     return kind(**fields, exact=exact)
+
+
+def _exact_edge_values(
+    prefix: str, az_by_gap: dict[int, int], denom: int, edge_total: int | None
+) -> dict[str, Fraction]:
+    """The exact AZ sum from its numerators per gap, reduced once, and the
+    GA/AG sums when they are the edge count ``edge_total``."""
+    numerator, gaps = _sum_fractions([(c, gap**3) for gap, c in az_by_gap.items()])
+    exact = {f"{prefix}_az": Fraction(numerator, gaps * denom**3)}
+    if edge_total is not None:
+        exact[f"{prefix}_ga"] = exact[f"{prefix}_ag"] = Fraction(edge_total)
+    return exact
 
 
 def _transmission_indices(
@@ -300,8 +349,12 @@ def _assemble(
     recip: ReciprocalTransmissionIndices,
 ) -> IndexReport:
     fields = {**vars(pair), **vars(trans), **vars(recip)}
-    fields["exact"] = {**trans.exact, **recip.exact}
+    fields["exact"] = _Deferred(partial(_merged, trans.exact, recip.exact))
     return IndexReport(**fields)
+
+
+def _merged(first: Mapping, second: Mapping) -> dict:
+    return {**first, **second}
 
 
 def full_report(g: GenericGraph, *, _dist: np.ndarray | None = None) -> IndexReport:

@@ -231,7 +231,8 @@ class RotationRouting:
     """Shortest-path routing of a circulant, closed under rotation.
 
     A BFS tree from vertex 0, stored as a parent array (parent = smallest
-    neighbor one level closer), fixes the paths 0 -> v; the path for
+    neighbor one level closer, or the vertex itself when ``dv`` gives it
+    none; such a tree is not ``minimal``), fixes the paths 0 -> v; the path for
     (x, x + v) is that base path shifted by x. Rotation makes every vertex
     carry the same load, sum over v of (depth(v) - 1), and every edge of one
     offset orbit the same load, so neither is accumulated path by path.
@@ -261,6 +262,8 @@ class RotationRouting:
         )
 
     def _base_path(self, v: int) -> list[int]:
+        if self.depth[v] < 0:
+            raise ValueError(f"vertex {v} has no tree path from 0")
         path = [v]
         while path[-1] != 0:
             path.append(int(self.parent[path[-1]]))
@@ -290,8 +293,10 @@ class RotationRouting:
         return Routing.from_paths(g, self.paths())
 
     def vertex_loads(self) -> np.ndarray:
-        """Inner-vertex counts: every vertex carries sum(depth - 1)."""
-        return np.full(self.n, int((self.depth[1:] - 1).sum()), dtype=np.int64)
+        """Inner-vertex counts: every vertex carries sum(depth - 1) over the
+        base paths that reach 0."""
+        rooted = self.depth[self.depth > 0]
+        return np.full(self.n, int((rooted - 1).sum()), dtype=np.int64)
 
     def edge_loads(self) -> dict[tuple[int, int], int]:
         """Undirected traversal counts, one value per offset orbit.
@@ -302,9 +307,10 @@ class RotationRouting:
         edges, so each of them carries twice that.
         """
         n = self.n
-        step = (np.arange(1, n) - self.parent[1:]) % n
+        rooted = np.flatnonzero(self.depth > 0)
+        step = (rooted - self.parent[rooted]) % n
         orbit_load = np.zeros(n // 2 + 1, dtype=np.int64)
-        np.add.at(orbit_load, np.minimum(step, n - step), self._subtree_sizes()[1:])
+        np.add.at(orbit_load, np.minimum(step, n - step), self._subtree_sizes()[rooted])
         if n % 2 == 0:
             orbit_load[n // 2] *= 2
         loads = {}
@@ -354,7 +360,11 @@ def build_rotation_routing(
         vs = far[start : start + chunk]
         nbrs = (vs[:, None] + offs[None, :]) % n
         closer = dist[nbrs] == dist[vs][:, None] - 1
-        parent[vs] = np.where(closer, nbrs, n).min(axis=1)
+        found = np.where(closer, nbrs, n).min(axis=1)
+        # no neighbour one level closer (``dv`` is not the BFS vector): the
+        # vertex is its own parent, so its walk never reaches 0 and the
+        # routing is not minimal
+        parent[vs] = np.where(found < n, found, vs)
     return RotationRouting(spec, parent, dv)
 
 

@@ -27,8 +27,9 @@ internal consistency check only those counts, so it is the same check at
 every point with the key. The table keeps the checks and the predicted
 forwarding index, not the prediction, and lives for one sweep (one worker
 chunk under ``jobs``). The predicted and computed distance vectors, the
-numeric spectrum, the routing witness and the base diameter still run at
-every point.
+numeric spectral radius (the FFT's maximum; nothing sorts the spectrum),
+the routing witness and the base diameter still run at every point. A
+sub-family sweep builds only its own multiplicative points.
 
 Out-of-domain parameters are still swept: they produce flagged records (the
 observed obstruction goes into the note) rather than assertions, so a sweep
@@ -41,7 +42,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -69,7 +69,7 @@ from .families import (
 from .indices import INDEX_FIELDS, PAIR_FIELDS, report_from_distance_vector
 from .metrics import DistanceVector, distance_vector
 from .routing import build_rotation_routing, edge_forwarding_bounds
-from .spectral import circulant_spectrum, spectral_radius_exact
+from .spectral import spectral_radius_exact, spectral_radius_numeric
 
 DEFAULT_FLOAT_TOL = 1e-9
 DEFAULT_SPECTRAL_TOL = 1e-6
@@ -197,7 +197,7 @@ def _vector_checks(
         )
     }
     rho = spectral_radius_exact(dv)
-    dft_max = circulant_spectrum(dv).radius
+    dft_max = spectral_radius_numeric(dv)
     fields["spectral_max"] = FieldCheck(
         _rel_close(dft_max, float(rho), spectral_tol), str(rho), repr(dft_max)
     )
@@ -286,13 +286,25 @@ def c7_points() -> list[FamilyPoint]:
     return [c7_point(2), c7_point(3)]
 
 
-def multiplicative_points(max_order: int) -> list[FamilyPoint]:
+def multiplicative_points(
+    max_order: int, family: Family | None = None
+) -> list[FamilyPoint]:
+    """The multiplicative points with m^h <= ``max_order`` by m, then h; only
+    those of the sub-family ``family`` when given, built from its own m."""
+    if family is None:
+        ms = range(2, max_order + 1)
+    elif family is Family.MC_GEN:
+        ms = range(3, max_order + 1)
+    else:  # MC_2H and MC_23 have m = 2
+        ms = (2,)
     points = []
-    for m in range(2, max_order + 1):
+    for m in ms:
         n = m
         h = 1
         while n <= max_order:
-            points.append(multiplicative_point(m, h))
+            point = multiplicative_point(m, h)
+            if family is None or point.family is family:
+                points.append(point)
             n *= m
             h += 1
     return points
@@ -309,6 +321,10 @@ def verify_sweep(
     run = partial(_verify_chunk, float_tol=float_tol, spectral_tol=spectral_tol)
     if jobs <= 1 or len(points) < 4:
         return run(points)
+    # imported here so that a process that never runs workers does not pay
+    # for loading the pool
+    from concurrent.futures import ProcessPoolExecutor
+
     size = max(1, len(points) // (4 * jobs))
     chunks = [points[i : i + size] for i in range(0, len(points), size)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -345,10 +361,10 @@ def verify_family(
         points = double_loop_gen_points(*n_range)
     elif name == Family.C7_SPECIAL.value:
         points = c7_points()
-    elif name in ("mc", Family.MC_2H.value, Family.MC_GEN.value, Family.MC_23.value):
+    elif name == "mc":
         points = multiplicative_points(max_order)
-        if name != "mc":
-            points = [p for p in points if p.family.value == name]
+    elif name in (Family.MC_2H.value, Family.MC_GEN.value, Family.MC_23.value):
+        points = multiplicative_points(max_order, Family(name))
     else:
         raise ValueError(f"unknown family {family!r}")
     return verify_sweep(
@@ -385,18 +401,31 @@ def record_to_dict(rec: VerificationRecord) -> dict:
     }
 
 
+def _int_array_items(arr: np.ndarray) -> list[str]:
+    """The decimal text of each entry of a non-empty 1-D integer array with
+    entries in 0..len - 1, such as a distance vector, by one gather over the
+    texts of 0..max: the table is never longer than the array."""
+    if not (arr.ndim == 1 and arr.size and arr.dtype.kind in "iu"
+            and arr.min() >= 0 and arr.max() < arr.size):
+        raise TypeError("only a non-empty 1-D integer array with entries in "
+                        "0..len - 1 is serializable")
+    table = np.array([str(i) for i in range(int(arr.max()) + 1)], dtype=object)
+    return table.take(arr).tolist()
+
+
 _INF = float("inf")
 _NOT_SCALAR = (str, dict, list, tuple)
 
 
 def _dumps_indent2(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for dicts with str keys,
-    lists, tuples, str, int, float, bool and None.
+    lists, tuples, str, int, float, bool and None; an integer array of
+    :func:`_int_array_items` is written as the list of its entries.
 
     Any ``indent`` turns the stdlib's C encoder off, so this builds the layout
-    by joins instead: strings go through the C string escaper, and a list of
-    plain scalars through one C-encoder call. ``pad`` is the newline plus the
-    indentation of the enclosing level.
+    by joins instead: strings go through the C string escaper, a list of
+    plain scalars through one C-encoder call and an array through one table
+    gather. ``pad`` is the newline plus the indentation of the enclosing level.
     """
     if isinstance(value, str):
         return _encode_str(value)
@@ -414,6 +443,9 @@ def _dumps_indent2(value, pad: str = "\n") -> str:
         inner = pad + "  "
         items = [_encode_str(k) + ": " + _dumps_indent2(v, inner) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, np.ndarray):
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join(_int_array_items(value)) + pad + "]"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"

@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -313,6 +316,21 @@ class TestVerify:
         assert _default_jobs() == 3
         monkeypatch.setenv("CIRCAN_JOBS", "zzz")
         assert _default_jobs() == 1
+
+    def test_jobs_two_output_equals_serial(self, capsys):
+        argv = ["verify", "--family", "mc", "--max-order", "200", "--format", "csv"]
+        assert run(capsys, *argv, "--jobs", "2") == run(capsys, *argv, "--jobs", "1")
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # the pool is imported only when a sweep runs workers
+        code = ("import sys, circan.cli; "
+                "print('concurrent.futures.process' in sys.modules)")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestJsonFormat:

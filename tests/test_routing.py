@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from circan import (
     parse_routing_fixture,
     vertex_forwarding_index,
 )
+from circan.metrics import DistanceVector
 from circan.errors import (
     DisconnectedGraphError,
     EmptyJumpSetError,
@@ -139,6 +141,21 @@ class TestRotationRouting:
             parent = good.parent.copy()
             parent[1] = bad_parent
             assert not RotationRouting(spec, parent, good.dv).minimal, bad_parent
+
+    def test_vector_without_closer_neighbour_is_not_minimal(self):
+        # C_10(1): vertex 3 sits at 4 with neighbours at 2 and 4, none at 3,
+        # so the tree cannot reach it (this raised a bare IndexError)
+        spec = CirculantSpec.of(10, [1])
+        dv = DistanceVector(10, np.array([0, 1, 2, 4, 4, 5, 4, 4, 2, 1]))
+        routing = build_rotation_routing(spec, dv)
+        assert not routing.minimal
+        assert routing.depth.tolist() == [0, 1, 2, -1, -1, -1, -1, -1, 2, 1]
+        # the four base paths that reach 0 (to 1, 2, 8, 9) cross 2 inner vertices
+        assert routing.vertex_loads().tolist() == [2] * 10
+        profile = load_profile(routing)
+        assert all(u != v for u, v in profile.edge_loads)
+        with pytest.raises(ValueError, match="no tree path"):
+            routing.path(0, 3)
 
     def test_symmetric_flag_is_computed(self):
         # identity-path routing on a complete graph is symmetric

@@ -6,20 +6,26 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circan import (
     INDEX_FIELDS,
+    DistanceVector,
     DomainStatus,
+    Family,
     RotationRouting,
+    base_spec,
     c7_point,
+    complement_spec,
     double_loop_gen_point,
     multiplicative_point,
     predict,
     verify_family,
     verify_point,
 )
+from circan import verifier
 from circan.verifier import (
     FIELD_ORDER,
     _dumps_indent2,
@@ -141,6 +147,28 @@ class TestSweeps:
         assert {r.point.family.value for r in mc} >= {"mc-2h", "mc-gen", "mc-23"}
         only_2h = verify_family("mc-2h", max_order=64)
         assert all(r.point.family.value == "mc-2h" for r in only_2h)
+
+
+    @pytest.mark.parametrize("max_order", [*range(1, 10), 128, 4096])
+    @pytest.mark.parametrize("family", [Family.MC_2H, Family.MC_23, Family.MC_GEN])
+    def test_sub_family_points_equal_filtered_class(self, family, max_order):
+        whole = [p for p in multiplicative_points(max_order) if p.family is family]
+        assert multiplicative_points(max_order, family) == whole
+
+    def test_failed_xi_witness_on_vector_without_tree(self, monkeypatch):
+        # a distance vector of the right counts on which vertex 3 has no
+        # neighbour one level closer: the witness fails instead of raising
+        point = double_loop_gen_point(10, 2)
+        bad = DistanceVector(10, np.array([0, 1, 2, 4, 4, 5, 4, 4, 2, 1]))
+        real = verifier.distance_vector
+        monkeypatch.setattr(
+            verifier, "distance_vector",
+            lambda spec: bad if spec == complement_spec(base_spec(point)) else real(spec),
+        )
+        rec = verify_point(point)
+        witness = rec.fields["xi_witness"]
+        assert not witness.match and not rec.passed
+        assert witness.computed.endswith(";not a shortest-path tree")
 
 
 def _count_determined(pred):
