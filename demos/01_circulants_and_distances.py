@@ -10,13 +10,11 @@ import numpy as np
 
 from circan import (
     CirculantSpec,
+    DisconnectedGraphError,
     all_pairs_distances,
     build_circulant,
     complement_spec,
-    distance_matrix,
     distance_vector,
-    has_property_star,
-    is_connected,
     metrics_summary,
 )
 
@@ -37,19 +35,31 @@ print("distance vector:", dv.d.tolist())
 print("transmission:", dv.transmission, "| reciprocal:", dv.reciprocal_transmission)
 print("diameter:", dv.diameter)
 
-# The rotation expansion of that one vector equals brute-force all-pairs BFS.
-rotated = distance_matrix(dv)
+# The rotation expansion of that one vector, entry (i, j) = d[(j - i) mod n],
+# equals brute-force all-pairs BFS.
+shift = np.arange(dv.n)
+rotated = dv.d[(shift[None, :] - shift[:, None]) % dv.n]
 brute = all_pairs_distances(build_circulant(comp))
 print("rotation expansion == all-pairs BFS:", np.array_equal(rotated, brute))
 
 # --- connectivity is not automatic ------------------------------------------
 broken = complement_spec(CirculantSpec.of(8, [1, 3]))   # C8(2,4)
-print(f"\n{broken} connected?", is_connected(build_circulant(broken)))
+try:
+    distance_vector(broken)
+except DisconnectedGraphError as exc:
+    print(f"\n{broken} connected? no: {exc}")
 
 # --- summaries and the star property ----------------------------------------
 summary = metrics_summary(build_circulant(comp))
 print("\nsummary of", comp, "->", summary)
 
+# The star property: every edge {u, v} has a third vertex adjacent to
+# neither endpoint. Then the complement joins u and v through that vertex.
 g16 = build_circulant(CirculantSpec.of(16, [1, 3]))
-print("C16(1,3) has the star property:", has_property_star(g16))
-print("(so its complement is connected with diameter 2)")
+non = ~g16.adj
+np.fill_diagonal(non, False)
+u, v = g16.edges().T
+star = bool((non[u] & non[v]).any(axis=1).all())
+print("C16(1,3) has the star property:", star)
+comp16 = metrics_summary(build_circulant(complement_spec(CirculantSpec.of(16, [1, 3]))))
+print("so its complement is connected with diameter", comp16.diameter)

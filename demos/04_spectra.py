@@ -13,7 +13,6 @@ from circan import (
     circulant_spectrum,
     complement_spec,
     distance_vector,
-    spectral_radius_exact,
 )
 
 showcase = [
@@ -24,7 +23,7 @@ showcase = [
 for spec in showcase:
     dv = distance_vector(spec)
     spectrum = circulant_spectrum(dv)
-    exact = spectral_radius_exact(dv)
+    exact = dv.transmission  # the exact radius: the constant row sum
     print(f"{spec}: radius {spectrum.radius:.12f} (exact {exact}), "
           f"trace {spectrum.trace:+.2e}")
     print("  eigenvalues:", np.round(spectrum.eigenvalues, 6).tolist())
@@ -42,4 +41,4 @@ for k in (4, 10, 25, 60):
     comp = complement_spec(CirculantSpec.of(2 * k, [1, k]))
     dv = distance_vector(comp)
     print(f"  n={2*k:3d}: radius {circulant_spectrum(dv).radius:10.6f}"
-          f"  exact {spectral_radius_exact(dv)}")
+          f"  exact {dv.transmission}")

@@ -32,7 +32,6 @@ from .errors import (
     NonElementaryPathError,
     OutOfDomainError,
     OversizedRationalError,
-    PropertyStarViolatedError,
     VertexRangeError,
 )
 from .families import (
@@ -54,23 +53,14 @@ from .indices import (
     INDEX_FIELDS,
     IndexReport,
     full_report,
-    pair_indices,
-    reciprocal_transmission_indices,
     report_from_distance_vector,
-    transmission_indices,
 )
 from .metrics import (
     DistanceVector,
     MetricsSummary,
-    StarComplementPrediction,
     all_pairs_distances,
     bfs_distances,
-    complement_distance_by_star,
-    diameter,
-    distance_matrix,
     distance_vector,
-    has_property_star,
-    is_connected,
     metrics_summary,
 )
 from .routing import (
@@ -86,7 +76,6 @@ from .routing import (
 from .spectral import (
     Spectrum,
     circulant_spectrum,
-    spectral_radius_exact,
     spectral_radius_numeric,
 )
 from .verifier import (

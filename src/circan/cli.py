@@ -7,10 +7,11 @@ library error (e.g. ``DegenerateTransmissionError`` for ``analyze --n 2
 --jumps 1``, ``OversizedRationalError`` when an exact rational has more
 digits than Python converts to text), 2 disconnected or edgeless graph,
 argparse usage errors (including ``verify --jobs`` below 1) and a sweep
-that selects no points, 3 parse error,
-4 verification failure. Exact rationals are serialized as "p/q" strings,
-floats as shortest round-trip decimals. ``--out`` files hold the stdout
-bytes as UTF-8; text and CSV values holding a line break are CSV-quoted.
+that selects no points, 3 parse error, or a file that cannot be read or
+written, 4 verification failure. Exact rationals are serialized as "p/q"
+strings, floats as shortest round-trip decimals. ``--out`` files hold the
+stdout bytes as UTF-8; text and CSV values holding a line break are
+CSV-quoted.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
 from .indices import INDEX_FIELDS, full_report, report_from_distance_vector
 from .metrics import all_pairs_distances, distance_vector, metrics_summary
 from .routing import load_profile, parse_routing_fixture, edge_forwarding_bounds, vertex_forwarding_index
-from .spectral import circulant_spectrum, spectral_radius_exact, spectral_radius_numeric
+from .spectral import circulant_spectrum, spectral_radius_numeric
 from .verifier import (
     _dumps_indent2,
     _int_array_items,
@@ -242,7 +243,6 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     spec = _circulant_source(args)
     dv = distance_vector(spec)
     report = report_from_distance_vector(dv)
-    rho = spectral_radius_exact(dv)
     pi_lower, pi_upper = edge_forwarding_bounds(spec, dv)
     doc = {
         "graph": {"n": spec.n, "jumps": list(spec.jumps), "degree": dv.degree,
@@ -258,7 +258,7 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             "distance_vector": dv.d,
         },
         "spectrum": {
-            "rho": rho,
+            "rho": dv.transmission,
             "radius_float": spectral_radius_numeric(dv),
         },
         "forwarding": {
@@ -278,7 +278,7 @@ def cmd_spectrum(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     spec = _circulant_source(args)
     dv = distance_vector(spec)
     spectrum = circulant_spectrum(dv)
-    exact = spectral_radius_exact(dv)
+    exact = dv.transmission
     doc = {
         "n": spec.n,
         "jumps": list(spec.jumps),
@@ -396,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     except _DISCONNECTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CirculantError as exc:

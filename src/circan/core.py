@@ -197,9 +197,6 @@ class GenericGraph:
         """Sorted neighbor indices of v."""
         return np.flatnonzero(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u, v])
-
     def edges(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""
         return np.argwhere(np.triu(self.adj))

@@ -46,10 +46,6 @@ class NonElementaryPathError(CirculantError):
     """A routing path repeats a vertex."""
 
 
-class PropertyStarViolatedError(CirculantError):
-    """Some edge has no third vertex non-adjacent to both endpoints."""
-
-
 class DegenerateTransmissionError(CirculantError):
     """An edge has endpoint transmissions with sum <= 2 (graph too small)."""
 

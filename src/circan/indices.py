@@ -92,43 +92,6 @@ class _Deferred(Mapping):
 
 
 @dataclass(frozen=True)
-class PairIndices:
-    """Indices summed over unordered vertex pairs (all exact)."""
-
-    wiener: Fraction
-    hyper_wiener: Fraction
-    harary: Fraction
-    schultz: Fraction
-    gutman: Fraction
-    harary_additive: Fraction
-    harary_multiplicative: Fraction
-
-
-@dataclass(frozen=True)
-class TransmissionIndices:
-    """Per-edge indices driven by endpoint transmissions."""
-
-    t_ga: float
-    t_ag: float
-    t_sc: float
-    t_abc: float
-    t_az: float
-    exact: Mapping[str, Fraction]
-
-
-@dataclass(frozen=True)
-class ReciprocalTransmissionIndices:
-    """Per-edge indices driven by endpoint reciprocal transmissions."""
-
-    rt_ga: float
-    rt_ag: float
-    rt_sc: float
-    rt_abc: float
-    rt_az: float
-    exact: Mapping[str, Fraction]
-
-
-@dataclass(frozen=True)
 class IndexReport:
     """All seventeen index values plus the provably-exact subset, built when
     ``exact`` is first read."""
@@ -171,32 +134,24 @@ def _distance_counts(
 
 def _pair_indices_from_stats(
     cnt: list[int], dsum: list[int], dprod: list[int]
-) -> PairIndices:
+) -> dict[str, Fraction]:
+    """The pair-sum indices from, per distance d, the number of unordered
+    pairs, the sum of their degree sums and the sum of their degree
+    products."""
     dists = range(len(cnt))
     wiener = sum(map(mul, dists, cnt))
     sumsq = sum(map(mul, map(mul, dists, dists), cnt))
     # the three Harary sums over one common denominator, each reduced once
     denom, weights = reciprocal_weights(len(cnt) - 1)
-    return PairIndices(
-        wiener=Fraction(wiener),
-        hyper_wiener=Fraction(wiener + sumsq, 2),
-        harary=Fraction(sum(map(mul, weights, cnt)), denom),
-        schultz=Fraction(sum(map(mul, dists, dsum))),
-        gutman=Fraction(sum(map(mul, dists, dprod))),
-        harary_additive=Fraction(sum(map(mul, weights, dsum)), denom),
-        harary_multiplicative=Fraction(sum(map(mul, weights, dprod)), denom),
-    )
-
-
-def _pair_indices(
-    counts: np.ndarray, dist: np.ndarray, deg: np.ndarray
-) -> PairIndices:
-    # Over ordered pairs at distance d: the count, the sum of deg_i, and
-    # the sum of deg_i * deg_j; unordered pairs halve the first and last.
-    cnt = counts.sum(axis=0) // 2
-    dsum = deg @ counts
-    dprod = deg @ _distance_counts(dist, deg) // 2
-    return _pair_indices_from_stats(cnt.tolist(), dsum.tolist(), dprod.tolist())
+    return {
+        "wiener": Fraction(wiener),
+        "hyper_wiener": Fraction(wiener + sumsq, 2),
+        "harary": Fraction(sum(map(mul, weights, cnt)), denom),
+        "schultz": Fraction(sum(map(mul, dists, dsum))),
+        "gutman": Fraction(sum(map(mul, dists, dprod))),
+        "harary_additive": Fraction(sum(map(mul, weights, dsum)), denom),
+        "harary_multiplicative": Fraction(sum(map(mul, weights, dprod)), denom),
+    }
 
 
 def _edge_groups(
@@ -233,29 +188,27 @@ def _sum_fractions(terms: list[tuple[int, int]]) -> tuple[int, int]:
     return terms[0] if terms else (0, 1)
 
 
-_EDGE_KINDS = {
-    TransmissionIndices: ("t", DegenerateTransmissionError, "transmissions"),
-    ReciprocalTransmissionIndices: (
-        "rt", DegenerateReciprocalTransmissionError, "reciprocal transmissions"
-    ),
+# the degenerate-edge error of each kind of endpoint statistic
+_DEGENERATE = {
+    "t": (DegenerateTransmissionError, "transmissions"),
+    "rt": (DegenerateReciprocalTransmissionError, "reciprocal transmissions"),
 }
 
 
 def _edge_indices(
-    kind: type, groups: dict[tuple[int, int], int], denom: int
-) -> TransmissionIndices | ReciprocalTransmissionIndices:
-    """GA/AG/SC/ABC/AZ edge sums of ``kind`` for endpoint statistics
-    A/denom and B/denom given as {(A, B): edge count}.
-
-    The exact values are built when ``exact`` is first read, from the AZ
-    numerators summed per gap here."""
-    prefix, error, what = _EDGE_KINDS[kind]
+    prefix: str, groups: dict[tuple[int, int], int], denom: int
+) -> tuple[dict[str, float], tuple]:
+    """GA/AG/SC/ABC/AZ edge sums, named ``prefix_*``, for endpoint
+    statistics A/denom and B/denom given as {(A, B): edge count}; and the
+    arguments of :func:`_exact_edge_values`, which builds their exact values
+    from the AZ numerators summed per gap here."""
     ga, ag, sc, abc, az = [], [], [], [], []
     az_by_gap: dict[int, int] = {}
     for (a, b), count in groups.items():
         s = a + b
         gap = s - 2 * denom
         if gap <= 0:
+            error, what = _DEGENERATE[prefix]
             raise error(
                 f"edge {what} {Fraction(a, denom)} + {Fraction(b, denom)} "
                 "do not exceed 2"
@@ -277,8 +230,7 @@ def _edge_indices(
         f"{prefix}_{name}": math.fsum(terms)
         for name, terms in zip(("ga", "ag", "sc", "abc", "az"), (ga, ag, sc, abc, az))
     }
-    exact = _Deferred(partial(_exact_edge_values, prefix, az_by_gap, denom, edge_total))
-    return kind(**fields, exact=exact)
+    return fields, (prefix, az_by_gap, denom, edge_total)
 
 
 def _exact_edge_values(
@@ -293,26 +245,11 @@ def _exact_edge_values(
     return exact
 
 
-def _transmission_indices(
-    counts: np.ndarray, edges: np.ndarray
-) -> TransmissionIndices:
-    sigma = counts @ np.arange(counts.shape[1])
-    return _edge_indices(TransmissionIndices, _edge_groups(sigma.tolist(), edges), 1)
-
-
 def _reciprocal_numerators(counts: np.ndarray) -> tuple[int, list[int]]:
     """The common denominator L = lcm(1..diameter) and, per row of distance
     counts, the reciprocal transmission times L."""
     denom, weights = reciprocal_weights(counts.shape[1] - 1)
     return denom, (counts.astype(object) @ np.array(weights, dtype=object)).tolist()
-
-
-def _reciprocal_indices(
-    counts: np.ndarray, edges: np.ndarray
-) -> ReciprocalTransmissionIndices:
-    denom, numerators = _reciprocal_numerators(counts)
-    groups = _edge_groups(numerators, edges)
-    return _edge_indices(ReciprocalTransmissionIndices, groups, denom)
 
 
 def _connected_counts(
@@ -326,35 +263,10 @@ def _connected_counts(
     return dist, _distance_counts(dist)
 
 
-def pair_indices(g: GenericGraph) -> PairIndices:
-    """Wiener, hyper-Wiener, Harary, Schultz, Gutman, and both weighted
-    Harary indices from all-pairs BFS distances."""
-    dist, counts = _connected_counts(g)
-    return _pair_indices(counts, dist, g.degrees())
-
-
-def transmission_indices(g: GenericGraph) -> TransmissionIndices:
-    """GA/AG/SC/ABC/AZ edge sums over endpoint transmissions."""
-    return _transmission_indices(_connected_counts(g)[1], g.edges())
-
-
-def reciprocal_transmission_indices(g: GenericGraph) -> ReciprocalTransmissionIndices:
-    """GA/AG/SC/ABC/AZ edge sums over endpoint reciprocal transmissions."""
-    return _reciprocal_indices(_connected_counts(g)[1], g.edges())
-
-
-def _assemble(
-    pair: PairIndices,
-    trans: TransmissionIndices,
-    recip: ReciprocalTransmissionIndices,
-) -> IndexReport:
-    fields = {**vars(pair), **vars(trans), **vars(recip)}
-    fields["exact"] = _Deferred(partial(_merged, trans.exact, recip.exact))
-    return IndexReport(**fields)
-
-
-def _merged(first: Mapping, second: Mapping) -> dict:
-    return {**first, **second}
+def _exact_values(trans: tuple, recip: tuple) -> dict[str, Fraction]:
+    """The exact values of both edge-sum kinds, from the arguments
+    :func:`_edge_indices` returned for each."""
+    return {**_exact_edge_values(*trans), **_exact_edge_values(*recip)}
 
 
 def full_report(g: GenericGraph, *, _dist: np.ndarray | None = None) -> IndexReport:
@@ -362,11 +274,20 @@ def full_report(g: GenericGraph, *, _dist: np.ndarray | None = None) -> IndexRep
     pass and one matrix of per-vertex distance counts."""
     dist, counts = _connected_counts(g, _dist)
     edges = g.edges()
-    return _assemble(
-        _pair_indices(counts, dist, g.degrees()),
-        _transmission_indices(counts, edges),
-        _reciprocal_indices(counts, edges),
+    deg = g.degrees()
+    # Over ordered pairs at distance d: the count, the sum of deg_i, and
+    # the sum of deg_i * deg_j; unordered pairs halve the first and last.
+    pair = _pair_indices_from_stats(
+        (counts.sum(axis=0) // 2).tolist(),
+        (deg @ counts).tolist(),
+        (deg @ _distance_counts(dist, deg) // 2).tolist(),
     )
+    sigma = counts @ np.arange(counts.shape[1])
+    t_fields, t_exact = _edge_indices("t", _edge_groups(sigma.tolist(), edges), 1)
+    denom, numerators = _reciprocal_numerators(counts)
+    rt_fields, rt_exact = _edge_indices("rt", _edge_groups(numerators, edges), denom)
+    exact = _Deferred(partial(_exact_values, t_exact, rt_exact))
+    return IndexReport(**pair, **t_fields, **rt_fields, exact=exact)
 
 
 def report_from_distance_vector(dv: DistanceVector) -> IndexReport:
@@ -386,7 +307,8 @@ def report_from_distance_vector(dv: DistanceVector) -> IndexReport:
         pairs, [2 * r * c for c in pairs], [r * r * c for c in pairs]
     )
     sigma = dv.transmission
-    trans = _edge_indices(TransmissionIndices, {(sigma, sigma): edge_total}, 1)
+    t_fields, t_exact = _edge_indices("t", {(sigma, sigma): edge_total}, 1)
     denom, (rs,) = _reciprocal_numerators(counts[None, :])
-    recip = _edge_indices(ReciprocalTransmissionIndices, {(rs, rs): edge_total}, denom)
-    return _assemble(pair, trans, recip)
+    rt_fields, rt_exact = _edge_indices("rt", {(rs, rs): edge_total}, denom)
+    exact = _Deferred(partial(_exact_values, t_exact, rt_exact))
+    return IndexReport(**pair, **t_fields, **rt_fields, exact=exact)

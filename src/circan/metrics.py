@@ -6,42 +6,32 @@ matrix is circulant, so one BFS from vertex 0 determines all pairs (the
 rotation expansion is itself verified against all-pairs BFS in the test
 suite).
 
-That BFS is one kernel with two sides, switched at most once per call by
-the width of the frontier F (Beamer, Asanovic and Patterson's
-direction-optimizing BFS, on the circulant's connection row):
+That BFS has two sides, chosen by the spec alone:
 
-* While |F| <= n / 700 + 8 it is a plain queue over the offsets, with one
-  comparison when a level starts. Cycles and other narrow bands never
-  leave it.
-* Past that it finishes level by level on n-bit Python ints. A level
-  either pushes F through every offset by rotation or, once fewer than
-  degree vertices are unreached, pulls each of them: v is reached when the
-  row rotated by v meets F. When the degree itself passes the bound, level
-  1 is the connection row and the queue is skipped; the dense complements
-  this package studies take a handful of big-int operations.
+* A one-jump circulant (degree <= 2) is the orbit of its jump j: level t
+  is {t j, -t j} mod n, up to half the orbit's length n / gcd(n, j). The
+  whole vector is one ``arange`` and two scatters; when gcd(n, j) > 1 the
+  vertices off the orbit stay unreached.
+* Every other spec runs level by level on n-bit Python ints, starting from
+  level 1, the connection row. A level pushes the frontier F through every
+  offset by rotation or, once fewer than degree vertices are unreached,
+  pulls each of them: v is reached when the row rotated by v meets F
+  (Beamer, Asanovic and Patterson's direction-optimizing BFS on the
+  connection row). The dense complements this package studies take a
+  handful of big-int operations.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 import numpy as np
 
-from .core import CirculantSpec, GenericGraph, _circulant_matrix
-from .errors import DisconnectedGraphError, PropertyStarViolatedError
-
-# Circulant BFS: a queue level checks |frontier| * degree edges, a bitset
-# level shifts n-bit ints degree times, and one shift costs about as much as
-# n / _SHIFT_EDGE_CHECKS edge checks. The degree cancels, so the queue keeps
-# a level while |frontier| <= n // _SHIFT_EDGE_CHECKS + _THIN_FRONTIER; the
-# additive part keeps narrow bands (a cycle's frontier never exceeds 2) and
-# orders too small to repay the bit packing on the queue.
-_SHIFT_EDGE_CHECKS = 700
-_THIN_FRONTIER = 8
+from .core import CirculantSpec, GenericGraph
+from .errors import DisconnectedGraphError
 
 
 def reciprocal_weights(diameter: int) -> tuple[int, list[int]]:
@@ -189,42 +179,19 @@ def _circulant_bfs(spec: CirculantSpec) -> np.ndarray:
     n = spec.n
     offsets = spec.offsets()
     degree = len(offsets)
-    limit = n // _SHIFT_EDGE_CHECKS + _THIN_FRONTIER
-    if degree > limit:
-        # Level 1, the connection row, is already wide.
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[0] = 0
-        dist[spec.connection_row] = level = 1
-        row = frontier = _bitset(spec.connection_row)
-        unreached = ((1 << n) - 2) ^ row
-    else:
-        dist_list = [-1] * n
-        dist_list[0] = 0
-        queue = deque([0])
-        # With degree <= 2 no frontier holds more than 2 vertices, so the
-        # check could never fire: start it past the last level.
-        d = 0 if degree > 2 else n
-        while queue:
-            u = queue.popleft()
-            du = dist_list[u] + 1
-            if du > d:  # u opens a level, the rest of it is queued: |F| = len + 1
-                if len(queue) >= limit:
-                    break
-                d = du
-            for off in offsets:
-                w = u + off
-                if w >= n:
-                    w -= n
-                if dist_list[w] < 0:
-                    dist_list[w] = du
-                    queue.append(w)
-        else:
-            return np.array(dist_list, dtype=np.int64)
-        dist = np.array(dist_list, dtype=np.int64)
-        level = du - 1
-        row = _bitset(spec.connection_row)
-        frontier = _bitset(dist == level)
-        unreached = _bitset(dist < 0)
+    dist = np.full(n, -1, dtype=np.int64)
+    if degree <= 2:
+        # One jump j: level t is {t j, -t j} mod n, up to half the orbit.
+        j = spec.jumps[0]
+        level = np.arange(n // math.gcd(n, j) // 2 + 1)
+        ahead = level * j % n
+        dist[-ahead % n] = level
+        dist[ahead] = level
+        return dist
+    dist[0] = 0
+    dist[spec.connection_row] = level = 1
+    row = frontier = _bitset(spec.connection_row)
+    unreached = ((1 << n) - 2) ^ row
     while frontier and unreached:
         level += 1
         if unreached.bit_count() < degree:
@@ -262,27 +229,6 @@ def distance_vector(spec: CirculantSpec) -> DistanceVector:
         raise DisconnectedGraphError(f"{spec} is disconnected")
     dist.setflags(write=False)  # a fresh array: DistanceVector keeps it, uncopied
     return DistanceVector(spec.n, dist)
-
-
-def distance_matrix(dv: DistanceVector) -> np.ndarray:
-    """Expand a distance vector into the full circulant distance matrix:
-    entry (i, j) = dv.d[(j - i) mod n]."""
-    return _circulant_matrix(dv.d)
-
-
-def is_connected(g: GenericGraph) -> bool:
-    """True iff BFS from vertex 0 reaches every vertex."""
-    if g.n == 0:
-        return False
-    return bool((bfs_distances(g, 0) >= 0).all())
-
-
-def diameter(g: GenericGraph) -> int:
-    """Maximum distance over all vertex pairs."""
-    dist = all_pairs_distances(g)
-    if (dist < 0).any():
-        raise DisconnectedGraphError("graph is disconnected")
-    return int(dist.max())
 
 
 @dataclass(frozen=True)
@@ -326,46 +272,3 @@ def metrics_summary(
         diameter=int(dist.max()),
         transmission_regular=t_regular,
     )
-
-
-def has_property_star(g: GenericGraph) -> bool:
-    """True iff every edge {u, v} has a third vertex adjacent to neither
-    endpoint."""
-    non = ~g.adj
-    np.fill_diagonal(non, False)
-    edges = g.edges()
-    for start in range(0, len(edges), 4096):
-        chunk = edges[start : start + 4096]
-        ok = (non[chunk[:, 0]] & non[chunk[:, 1]]).any(axis=1)
-        if not ok.all():
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class StarComplementPrediction:
-    """Predicted complement distances for a graph with the star property:
-    distance 2 between originally adjacent pairs, 1 between distinct
-    non-adjacent pairs."""
-
-    n: int
-    matrix: np.ndarray
-    wiener: int
-    diameter: int = 2
-
-
-def complement_distance_by_star(g: GenericGraph) -> StarComplementPrediction:
-    """Predict the complement's distance matrix from the star property.
-
-    The prediction implies the complement is connected with diameter 2 and
-    Wiener index C(n, 2) + m; callers cross-check those against BFS.
-    """
-    if not has_property_star(g):
-        raise PropertyStarViolatedError(
-            "some edge has no vertex non-adjacent to both endpoints"
-        )
-    matrix = np.where(g.adj, 2, 1).astype(np.int64)
-    np.fill_diagonal(matrix, 0)
-    matrix.setflags(write=False)
-    wiener = g.n * (g.n - 1) // 2 + g.edge_count
-    return StarComplementPrediction(n=g.n, matrix=matrix, wiener=wiener)

@@ -33,7 +33,6 @@ from .core import (
     _first_true,
     _int64_array,
     _ints_before_fault,
-    build_circulant,
 )
 from .errors import (
     FixtureParseError,
@@ -43,11 +42,6 @@ from .errors import (
     VertexRangeError,
 )
 from .metrics import DistanceVector, all_pairs_distances, distance_vector
-
-# Explicit path dictionaries get large quadratically; above this order
-# rotation routings stay in parent-array form.
-EXPLICIT_PATH_LIMIT = 512
-
 
 @dataclass(frozen=True)
 class LoadProfile:
@@ -281,16 +275,6 @@ class RotationRouting:
         for x in range(self.n):
             for base in bases:
                 yield tuple((u + x) % self.n for u in base)
-
-    def to_explicit(self, g: GenericGraph | None = None) -> Routing:
-        """Materialize and fully re-validate every path (small orders)."""
-        if self.n > EXPLICIT_PATH_LIMIT:
-            raise ValueError(
-                f"explicit materialization capped at n={EXPLICIT_PATH_LIMIT}"
-            )
-        if g is None:
-            g = build_circulant(self.spec)
-        return Routing.from_paths(g, self.paths())
 
     def vertex_loads(self) -> np.ndarray:
         """Inner-vertex counts: every vertex carries sum(depth - 1) over the

@@ -4,10 +4,10 @@ A circulant matrix with first row d has eigenvalues
 sum_k d[k] * exp(2*pi*i*j*k / n), the DFT of d; palindrome symmetry of
 distance vectors makes them real, so the real part of the FFT suffices. The
 exact spectral radius of a connected circulant's distance matrix is its
-(constant) row sum, i.e. the transmission of any vertex -- that integer is
-authoritative, the numeric spectrum is a cross-check oracle. Callers that
-need only the numeric radius read the FFT's maximum; only the full listing
-sorts.
+(constant) row sum, the transmission of any vertex, which callers read as
+``DistanceVector.transmission``: that integer is authoritative, the numeric
+spectrum is a cross-check oracle. Callers that need only the numeric radius
+read the FFT's maximum; only the full listing sorts.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CirculantSpec
-from .metrics import DistanceVector, distance_vector
+from .metrics import DistanceVector
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,13 +58,3 @@ def spectral_radius_numeric(dv: DistanceVector) -> float:
     """The largest numeric eigenvalue, the FFT's maximum: bit for bit
     ``circulant_spectrum(dv).radius``, without sorting the spectrum."""
     return float(_eigenvalues(dv).max())
-
-
-def spectral_radius_exact(obj: DistanceVector | CirculantSpec) -> int:
-    """Exact distance spectral radius of a connected circulant.
-
-    Equals the transmission of vertex 0 (the constant row sum of the
-    nonnegative circulant distance matrix).
-    """
-    dv = distance_vector(obj) if isinstance(obj, CirculantSpec) else obj
-    return dv.transmission

@@ -42,6 +42,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -68,8 +69,8 @@ from .families import (
 )
 from .indices import INDEX_FIELDS, PAIR_FIELDS, report_from_distance_vector
 from .metrics import DistanceVector, distance_vector
-from .routing import build_rotation_routing, edge_forwarding_bounds
-from .spectral import spectral_radius_exact, spectral_radius_numeric
+from .routing import build_rotation_routing, edge_forwarding_bounds, vertex_forwarding_index
+from .spectral import spectral_radius_numeric
 
 DEFAULT_FLOAT_TOL = 1e-9
 DEFAULT_SPECTRAL_TOL = 1e-6
@@ -196,7 +197,7 @@ def _vector_checks(
             computed=_vector_repr(dv.d),
         )
     }
-    rho = spectral_radius_exact(dv)
+    rho = dv.transmission
     dft_max = spectral_radius_numeric(dv)
     fields["spectral_max"] = FieldCheck(
         _rel_close(dft_max, float(rho), spectral_tol), str(rho), repr(dft_max)
@@ -225,9 +226,9 @@ def _count_checks(
 ) -> dict[str, FieldCheck]:
     """The fields whose computed side reads only n and the distance counts."""
     degree = dv.degree
-    rho = spectral_radius_exact(dv)
+    rho = dv.transmission
     rs = dv.reciprocal_transmission
-    xi = rho - (dv.n - 1)
+    xi = vertex_forwarding_index(comp, dv)
     pi_lower, pi_upper = edge_forwarding_bounds(comp, dv)
     fields = {
         "degree": FieldCheck(degree == pred.degree, str(pred.degree), str(degree)),
@@ -317,8 +318,11 @@ def verify_sweep(
     float_tol: float = DEFAULT_FLOAT_TOL,
     spectral_tol: float = DEFAULT_SPECTRAL_TOL,
 ) -> list[VerificationRecord]:
-    """Verify every point, in order; ``jobs`` > 1 shards across processes."""
+    """Verify every point, in order; ``jobs`` > 1 shards across at most
+    ``jobs`` processes, and never more than the machine has cores."""
     run = partial(_verify_chunk, float_tol=float_tol, spectral_tol=spectral_tol)
+    # more workers than cores only add processes, and more than chunks idle
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(points) < 4:
         return run(points)
     # imported here so that a process that never runs workers does not pay
@@ -327,7 +331,7 @@ def verify_sweep(
 
     size = max(1, len(points) // (4 * jobs))
     chunks = [points[i : i + size] for i in range(0, len(points), size)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
         return [rec for recs in pool.map(run, chunks) for rec in recs]
 
 

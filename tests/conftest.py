@@ -42,3 +42,19 @@ def random_connected_specs(count: int, max_n: int, seed: int) -> list[CirculantS
             continue
         specs.append(spec)
     return specs
+
+
+def distance_matrix(dv) -> np.ndarray:
+    """The rotation expansion of a circulant distance vector: entry (i, j)
+    is dv.d[(j - i) mod n]."""
+    shift = np.arange(dv.n)
+    return dv.d[(shift[None, :] - shift[:, None]) % dv.n]
+
+
+def has_property_star(g) -> bool:
+    """True iff every edge {u, v} has a third vertex adjacent to neither
+    endpoint."""
+    non = ~g.adj
+    np.fill_diagonal(non, False)
+    u, v = g.edges().T
+    return bool((non[u] & non[v]).any(axis=1).all())

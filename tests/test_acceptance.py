@@ -17,10 +17,8 @@ from circan import (
     all_pairs_distances,
     build_circulant,
     complement_spec,
-    distance_matrix,
     distance_vector,
     full_report,
-    has_property_star,
     load_profile,
     parse_graph_fixture,
     parse_routing_fixture,
@@ -32,7 +30,7 @@ from circan.verifier import (
     verify_sweep,
 )
 
-from conftest import random_connected_specs
+from conftest import distance_matrix, has_property_star, random_connected_specs
 
 REL = 1e-9
 

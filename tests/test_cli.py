@@ -380,6 +380,11 @@ EXIT_CASES = [
     (3, ["routing", "--fixture", str(FIXTURES / "fig1.graph"),
          "--routing", str(FIXTURES / "fig1.graph")], None),
     (4, ["verify", "--family", "c7"], _wrong_rho),
+    # {tmp} is the test's empty temporary directory
+    (3, ["analyze", "--fixture", "{tmp}"], None),
+    (3, ["routing", "--fixture", str(FIXTURES / "fig1.graph"), "--routing", "{tmp}"], None),
+    (3, ["analyze", "--n", "8", "--jumps", "1,4", "--out", "{tmp}"], None),
+    (3, ["analyze", "--n", "8", "--jumps", "1,4", "--out", "{tmp}/no-such-dir/out.txt"], None),
 ]
 
 
@@ -390,9 +395,10 @@ class TestExitCodes:
         assert {code for code, _, _ in EXIT_CASES} == {0, 1, 2, 3, 4}
 
     @pytest.mark.parametrize("code,argv,patch", EXIT_CASES)
-    def test_exit_code(self, capsys, monkeypatch, code, argv, patch):
+    def test_exit_code(self, capsys, monkeypatch, tmp_path, code, argv, patch):
         if patch is not None:
             patch(monkeypatch)
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         try:
             got = main(argv)
         except SystemExit as exc:  # argparse usage errors
@@ -400,3 +406,5 @@ class TestExitCodes:
         assert got == code
         err = capsys.readouterr().err
         assert (err == "") == (code in (0, 4))
+        if code in (1, 3):  # library and file errors: one error line
+            assert err.startswith("error: ") and err.count("\n") == 1, err

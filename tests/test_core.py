@@ -241,7 +241,7 @@ class TestGraphFixture:
         assert g.index_base == 1
         assert sorted(g.degrees().tolist(), reverse=True) == [3, 3, 3, 3, 2, 2]
         # 1-indexed edge (1, 2) lands on vertices 0 and 1
-        assert g.has_edge(0, 1)
+        assert g.adj[0, 1]
 
     def test_single_edge(self):
         g = parse_graph_fixture("2\n0 1\n")

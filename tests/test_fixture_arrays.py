@@ -92,7 +92,7 @@ def oracle_from_paths(g, paths):
         if len(set(path)) != len(path):
             raise NonElementaryPathError(f"path {path} repeats a vertex")
         for u, v in zip(path, path[1:]):
-            if not g.has_edge(u, v):
+            if not g.adj[u, v]:
                 raise InvalidEdgeError(f"path {path} uses non-edge ({u}, {v})")
         key = (path[0], path[-1])
         if key in table:

@@ -15,20 +15,17 @@ from circan import (
     complement_spec,
     distance_vector,
     full_report,
-    pair_indices,
-    reciprocal_transmission_indices,
     report_from_distance_vector,
-    transmission_indices,
 )
 from circan.errors import (
     DegenerateReciprocalTransmissionError,
     DegenerateTransmissionError,
     DisconnectedGraphError,
 )
-from circan.indices import INDEX_FIELDS, PAIR_FIELDS, _pair_indices_from_stats
+from circan.indices import INDEX_FIELDS, PAIR_FIELDS, _edge_indices, _pair_indices_from_stats
 from circan.metrics import reciprocal_sum
 
-from conftest import random_connected_specs
+from conftest import has_property_star, random_connected_specs
 
 REL = 1e-9
 
@@ -44,21 +41,21 @@ def _complement_graph_of(n, jumps):
 class TestCompleteGraph:
     def test_pair_indices(self):
         k4 = build_circulant(CirculantSpec.of(4, [1, 2]))
-        p = pair_indices(k4)
+        p = full_report(k4)
         assert (p.wiener, p.hyper_wiener, p.harary) == (6, 6, 6)
         assert (p.schultz, p.gutman) == (36, 54)
         assert (p.harary_additive, p.harary_multiplicative) == (36, 54)
 
     def test_transmission_indices(self):
         k4 = build_circulant(CirculantSpec.of(4, [1, 2]))
-        t = transmission_indices(k4)
+        t = full_report(k4)
         assert t.exact["t_ga"] == 6
         assert _close(t.t_sc, 6 / math.sqrt(6))
         assert t.exact["t_az"] == 6 * Fraction(9, 4) ** 3
 
     def test_reciprocal_indices(self):
         k4 = build_circulant(CirculantSpec.of(4, [1, 2]))
-        r = reciprocal_transmission_indices(k4)
+        r = full_report(k4)
         assert r.exact["rt_ga"] == 6
         assert _close(r.rt_sc, 6 / math.sqrt(6))
 
@@ -170,8 +167,6 @@ class TestInvariants:
             assert report.harary == Fraction(pairs + m, 2)
 
     def test_star_property_wiener_identity(self):
-        from circan import complement_graph, has_property_star
-
         for spec in random_connected_specs(10, 64, seed=999):
             g = build_circulant(spec)
             if not has_property_star(g):
@@ -208,24 +203,25 @@ class TestCommonDenominatorSums:
         pair = _pair_indices_from_stats(cnt, dsum, dprod)
         for name, values in (("harary", cnt), ("harary_additive", dsum),
                              ("harary_multiplicative", dprod)):
-            got, want = getattr(pair, name), _naive_reciprocal(values)
+            got, want = pair[name], _naive_reciprocal(values)
             assert got == want and str(got) == str(want), name
-        assert pair.wiener == sum(d * c for d, c in enumerate(cnt))
-        assert pair.hyper_wiener == Fraction(sum((d + d * d) * c for d, c in enumerate(cnt)), 2)
-        assert pair.schultz == sum(d * s for d, s in enumerate(dsum))
-        assert pair.gutman == sum(d * p for d, p in enumerate(dprod))
+        assert pair["wiener"] == sum(d * c for d, c in enumerate(cnt))
+        assert pair["hyper_wiener"] == Fraction(sum((d + d * d) * c for d, c in enumerate(cnt)), 2)
+        assert pair["schultz"] == sum(d * s for d, s in enumerate(dsum))
+        assert pair["gutman"] == sum(d * p for d, p in enumerate(dprod))
 
 
 class TestDegenerateInputs:
     def test_two_vertex_transmission(self):
         k2 = build_circulant(CirculantSpec.of(2, [1]))
         with pytest.raises(DegenerateTransmissionError):
-            transmission_indices(k2)
+            full_report(k2)
 
     def test_two_vertex_reciprocal(self):
-        k2 = build_circulant(CirculantSpec.of(2, [1]))
+        # full_report stops at K2's transmissions; its reciprocal kernel
+        # raises on K2's reciprocal transmissions 1 + 1 on its own
         with pytest.raises(DegenerateReciprocalTransmissionError):
-            reciprocal_transmission_indices(k2)
+            _edge_indices("rt", {(1, 1): 1}, 1)
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
@@ -327,7 +323,7 @@ def _oracle_report(g):
     rs = [reciprocal_sum(np.bincount(row)) for row in dist]
     t_floats, t_exact = _oracle_transmission(_oracle_groups(sigma, edges))
     rt_floats, rt_exact = _oracle_reciprocal(_oracle_groups(rs, edges))
-    values = {name: getattr(pair, name) for name in PAIR_FIELDS}
+    values = dict(pair)
     values.update(t_floats)
     values.update(rt_floats)
     return values, {**t_exact, **rt_exact}
@@ -389,15 +385,6 @@ class TestKernelAgainstOracle:
         for name in INDEX_FIELDS:
             assert getattr(report, name) == values[name], name
         assert report.exact == exact
-
-    def test_public_parts_match_full_report(self):
-        g = self.GRAPHS[-1]
-        report = full_report(g)
-        p, t, r = pair_indices(g), transmission_indices(g), reciprocal_transmission_indices(g)
-        for name in INDEX_FIELDS:
-            part = p if name in PAIR_FIELDS else t if name.startswith("t_") else r
-            assert getattr(part, name) == getattr(report, name), name
-        assert {**t.exact, **r.exact} == report.exact
 
     @pytest.mark.parametrize(
         "spec",

@@ -1,3 +1,4 @@
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -12,14 +13,9 @@ from circan import (
     all_pairs_distances,
     bfs_distances,
     build_circulant,
-    complement_distance_by_star,
     complement_graph,
     complement_spec,
-    diameter,
-    distance_matrix,
     distance_vector,
-    has_property_star,
-    is_connected,
     metrics_summary,
 )
 from circan import metrics
@@ -27,8 +23,9 @@ from circan.errors import (
     DisconnectedGraphError,
     EmptyComplementError,
     EmptyJumpSetError,
-    PropertyStarViolatedError,
 )
+
+from conftest import distance_matrix, has_property_star
 
 
 def _complement_graph_of(n, jumps):
@@ -95,7 +92,7 @@ class TestDistanceVector:
 
 def _queue_bfs_oracle(n, offsets):
     """The plain queue BFS over the offsets, kept as an oracle for the
-    two-sided kernel; -1 marks unreachable vertices."""
+    kernel; -1 marks unreachable vertices."""
     dist = [-1] * n
     dist[0] = 0
     queue = deque([0])
@@ -112,13 +109,32 @@ def _queue_bfs_oracle(n, offsets):
     return np.array(dist, dtype=np.int64)
 
 
-def _kernel_side(spec, dist):
-    """Which side of the kernel a BFS with these distances runs on: "row"
-    (bitset from level 1), "switch" (queue, then bitset) or "queue"."""
-    limit = spec.n // metrics._SHIFT_EDGE_CHECKS + metrics._THIN_FRONTIER
-    if spec.degree > limit:
-        return "row"
-    return "switch" if np.bincount(dist[dist >= 0]).max() > limit else "queue"
+def _kernel_side(spec):
+    """The side of the kernel ``spec`` runs on: "orbit" (one jump), "pull"
+    (fewer than degree vertices left after level 1, the connection row) or
+    "push"."""
+    if spec.degree <= 2:
+        return "orbit"
+    return "pull" if spec.n - 1 - spec.degree < spec.degree else "push"
+
+
+def _kernel_id(spec):
+    """A short id: order, degree and, for a disconnected spec, the gcd of
+    the order and the jumps."""
+    g = math.gcd(spec.n, *spec.jumps)
+    return f"n{spec.n}-deg{spec.degree}" + (f"-g{g}" if g > 1 else "")
+
+
+KERNEL_CASES = [
+    (CirculantSpec.of(2, [1]), "orbit"),
+    (CirculantSpec.of(12, [3]), "orbit"),  # disconnected: the orbit of 3
+    (CirculantSpec.of(4096, [1]), "orbit"),
+    (CirculantSpec.of(4096, [2048]), "orbit"),
+    (CirculantSpec.of(4096, [1, 64]), "push"),
+    (complement_spec(CirculantSpec.of(4096, [1, 64])), "pull"),
+    (CirculantSpec.of(1 << 16, [1, 17, 300, 5000]), "push"),
+    (CirculantSpec.of(1 << 16, [2, 34, 600, 10000]), "push"),
+]
 
 
 @st.composite
@@ -161,17 +177,15 @@ class TestCirculantBfsKernel:
         else:
             assert np.array_equal(distance_vector(spec).d, want)
 
-    @pytest.mark.parametrize("spec, side", [
-        (CirculantSpec.of(4096, [1]), "queue"),
-        (CirculantSpec.of(4096, [1, 64]), "switch"),
-        (complement_spec(CirculantSpec.of(4096, [1, 64])), "row"),
-        (CirculantSpec.of(1 << 16, [1, 17, 300, 5000]), "switch"),
-        (CirculantSpec.of(1 << 16, [2, 34, 600, 10000]), "switch"),
-    ], ids=str)
+    @pytest.mark.parametrize("spec, side", KERNEL_CASES,
+                             ids=[_kernel_id(spec) for spec, _ in KERNEL_CASES])
     def test_matches_queue_oracle_on_each_side(self, spec, side):
+        assert _kernel_side(spec) == side
         want = _queue_bfs_oracle(spec.n, spec.offsets())
-        assert _kernel_side(spec, want) == side
         assert np.array_equal(metrics._circulant_bfs(spec), want)
+        if (want < 0).any():
+            with pytest.raises(DisconnectedGraphError):
+                distance_vector(spec)
 
 
 class TestDistanceMatrix:
@@ -229,18 +243,26 @@ class TestMetricsSummary:
 
 class TestDiameterAndConnectivity:
     def test_diameter_examples(self):
-        assert diameter(build_circulant(CirculantSpec.of(9, [1, 3]))) == 2
-        assert diameter(build_circulant(CirculantSpec.of(8, [1, 2, 4]))) == 2
-        assert diameter(build_circulant(CirculantSpec.of(4, [1, 2]))) == 1
+        for n, jumps, want in [(9, [1, 3], 2), (8, [1, 2, 4], 2), (4, [1, 2], 1)]:
+            assert metrics_summary(build_circulant(CirculantSpec.of(n, jumps))).diameter == want
 
     def test_generic_diameter_matches_distance_vector(self):
         spec = CirculantSpec.of(20, [3, 5])
-        assert diameter(build_circulant(spec)) == distance_vector(spec).diameter
+        assert metrics_summary(build_circulant(spec)).diameter == distance_vector(spec).diameter
 
     def test_connectivity_examples(self):
-        assert not is_connected(_complement_graph_of(8, [1, 3]))
-        assert not is_connected(_complement_graph_of(6, [1, 3]))
-        assert is_connected(_complement_graph_of(8, [1, 4]))
+        for n, jumps in [(8, [1, 3]), (6, [1, 3])]:
+            with pytest.raises(DisconnectedGraphError):
+                metrics_summary(_complement_graph_of(n, jumps))
+        assert metrics_summary(_complement_graph_of(8, [1, 4])).connected
+
+
+def _star_prediction(g):
+    """The complement distances the star property predicts: 2 between
+    adjacent pairs, 1 between distinct non-adjacent pairs."""
+    matrix = np.where(g.adj, 2, 1).astype(np.int64)
+    np.fill_diagonal(matrix, 0)
+    return matrix
 
 
 class TestPropertyStar:
@@ -255,27 +277,30 @@ class TestPropertyStar:
 
     def test_prediction_matches_bfs(self):
         g = build_circulant(CirculantSpec.of(26, [1, 2]))
-        pred = complement_distance_by_star(g)
-        comp = complement_graph(g)
-        actual = all_pairs_distances(comp)
-        assert np.array_equal(pred.matrix, actual)
-        assert int(np.triu(actual).sum()) == pred.wiener
-        assert actual.max() == pred.diameter == 2
+        assert has_property_star(g)
+        actual = all_pairs_distances(complement_graph(g))
+        assert np.array_equal(_star_prediction(g), actual)
+        # diameter 2 and Wiener index C(n, 2) + m
+        assert int(np.triu(actual).sum()) == 26 * 25 // 2 + g.edge_count
+        assert actual.max() == 2
 
     def test_wiener_identity(self):
         g = build_circulant(CirculantSpec.of(16, [1, 3]))
-        pred = complement_distance_by_star(g)
-        assert pred.wiener == 16 * 15 // 2 + 32 == 152
+        assert has_property_star(g)
+        assert 16 * 15 // 2 + g.edge_count == 152
         comp_dist = all_pairs_distances(complement_graph(g))
         assert int(np.triu(comp_dist).sum()) == 152
 
     def test_violation(self):
-        with pytest.raises(PropertyStarViolatedError):
-            complement_distance_by_star(build_circulant(CirculantSpec.of(4, [1, 2])))
+        # K4 lacks the property, and its complement is edgeless
+        k4 = build_circulant(CirculantSpec.of(4, [1, 2]))
+        assert not has_property_star(k4)
+        with pytest.raises(DisconnectedGraphError):
+            metrics_summary(complement_graph(k4))
 
     def test_diameter_four_implies_star(self):
         # sparse circulants with large diameter
         for n, jumps in [(16, [1]), (25, [1, 5]), (31, [1, 6]), (40, [1, 4])]:
             g = build_circulant(CirculantSpec.of(n, jumps))
-            if diameter(g) >= 4:
+            if metrics_summary(g).diameter >= 4:
                 assert has_property_star(g), (n, jumps)

@@ -27,17 +27,13 @@ from circan import (
     circulant_spectrum,
     distance_vector,
     full_report,
-    reciprocal_transmission_indices,
     report_from_distance_vector,
     spectral_radius_numeric,
-    transmission_indices,
 )
 from circan.errors import DegenerateTransmissionError, DisconnectedGraphError
 from circan.indices import (
     INDEX_FIELDS,
-    ReciprocalTransmissionIndices,
-    TransmissionIndices,
-    _EDGE_KINDS,
+    _DEGENERATE,
     _connected_counts,
     _edge_groups,
     _reciprocal_numerators,
@@ -48,9 +44,10 @@ from circan.verifier import _dumps_indent2, _int_array_items
 from conftest import FIXTURES, random_connected_specs
 
 
-def _eager_edge_indices(kind, groups, denom):
-    """``indices._edge_indices`` as it was before ``exact`` was deferred."""
-    prefix, error, what = _EDGE_KINDS[kind]
+def _eager_edge_indices(prefix, groups, denom):
+    """``indices._edge_indices`` as it was before ``exact`` was deferred:
+    the ``prefix_*`` fields, with the exact values under ``"exact"``."""
+    error, what = _DEGENERATE[prefix]
     ga, ag, sc, abc, az = [], [], [], [], []
     az_by_gap = {}
     for (a, b), count in groups.items():
@@ -80,18 +77,16 @@ def _eager_edge_indices(kind, groups, denom):
         f"{prefix}_{name}": math.fsum(terms)
         for name, terms in zip(("ga", "ag", "sc", "abc", "az"), (ga, ag, sc, abc, az))
     }
-    return kind(**fields, exact=exact)
+    return {**fields, "exact": exact}
 
 
 def _eager_parts(g):
     counts = _connected_counts(g)[1]
     edges = g.edges()
     sigma = counts @ np.arange(counts.shape[1])
-    trans = _eager_edge_indices(TransmissionIndices, _edge_groups(sigma.tolist(), edges), 1)
+    trans = _eager_edge_indices("t", _edge_groups(sigma.tolist(), edges), 1)
     denom, numerators = _reciprocal_numerators(counts)
-    recip = _eager_edge_indices(
-        ReciprocalTransmissionIndices, _edge_groups(numerators, edges), denom
-    )
+    recip = _eager_edge_indices("rt", _edge_groups(numerators, edges), denom)
     return trans, recip
 
 
@@ -117,21 +112,18 @@ class TestDeferredExact:
     @settings(max_examples=150, deadline=None)
     def test_equals_eager_oracle(self, g):
         trans, recip = _eager_parts(g)
-        want = {**trans.exact, **recip.exact}
-        t, r = transmission_indices(g), reciprocal_transmission_indices(g)
-        for part, eager in ((t, trans), (r, recip)):
-            for name, value in vars(eager).items():
-                if name != "exact":  # the floats are bit for bit the eager ones
-                    assert getattr(part, name).hex() == value.hex(), name
+        want = {**trans["exact"], **recip["exact"]}
         report = full_report(g)
+        for eager in (trans, recip):
+            for name, value in eager.items():
+                if name != "exact":  # the floats are bit for bit the eager ones
+                    assert getattr(report, name).hex() == value.hex(), name
         pickled = pickle.loads(pickle.dumps(report))  # before the first read
         assert pickled.exact == want
         assert report.exact == want and want == report.exact
         assert all((name in report.exact) == (name in want) for name in INDEX_FIELDS)
-        merged = {**t.exact, **r.exact}
-        assert merged == want and list(merged) == list(want)
+        assert list(report.exact) == list(want)
         assert repr(report.exact) == repr(want)
-        assert repr(t.exact) == repr(trans.exact) and repr(r.exact) == repr(recip.exact)
         assert pickle.loads(pickle.dumps(report)).exact == want  # after it
         assert pickled == report
 
@@ -142,19 +134,17 @@ class TestDeferredExact:
         report = report_from_distance_vector(dv)
         edge_total = spec.n * dv.degree // 2
         sigma = dv.transmission
-        trans = _eager_edge_indices(TransmissionIndices, {(sigma, sigma): edge_total}, 1)
+        trans = _eager_edge_indices("t", {(sigma, sigma): edge_total}, 1)
         denom, (rs,) = _reciprocal_numerators(dv.distance_counts()[None, :])
-        recip = _eager_edge_indices(
-            ReciprocalTransmissionIndices, {(rs, rs): edge_total}, denom
-        )
-        want = {**trans.exact, **recip.exact}
+        recip = _eager_edge_indices("rt", {(rs, rs): edge_total}, denom)
+        want = {**trans["exact"], **recip["exact"]}
         assert report.exact == want and repr(report.exact) == repr(want)
         assert pickle.loads(pickle.dumps(report)).exact == want
 
     def test_degenerate_edges_still_raise_when_built(self):
         # the gap check stays in the group loop, not in the deferred part
         with pytest.raises(DegenerateTransmissionError):
-            transmission_indices(GenericGraph.from_edges(2, [(0, 1)]))
+            full_report(GenericGraph.from_edges(2, [(0, 1)]))
 
     @pytest.fixture
     def exact_builds(self, monkeypatch):

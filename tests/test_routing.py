@@ -125,7 +125,8 @@ class TestRotationRouting:
             CirculantSpec.of(16, [1, 8]),  # the n/2 orbit has only n/2 edges
         ]:
             rotation = build_rotation_routing(spec)
-            explicit = rotation.to_explicit()
+            # every rotated path, re-validated as an explicit routing
+            explicit = Routing.from_paths(build_circulant(spec), rotation.paths())
             assert explicit.minimal  # every rotated path is a shortest path
             profile = load_profile(explicit)
             assert profile.vertex_loads.tolist() == rotation.vertex_loads().tolist()

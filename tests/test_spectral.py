@@ -7,7 +7,6 @@ from circan import (
     circulant_spectrum,
     complement_spec,
     distance_vector,
-    spectral_radius_exact,
 )
 from circan.errors import DisconnectedGraphError
 
@@ -60,20 +59,23 @@ class TestSpectrum:
 
 
 class TestExactRadius:
+    """The exact radius is the transmission, the distance matrix's constant
+    row sum."""
+
     def test_seven_vertex_complements(self):
-        assert spectral_radius_exact(_complement_dv(7, [1, 2])) == 12
-        assert spectral_radius_exact(_complement_dv(7, [1, 3])) == 12
+        assert _complement_dv(7, [1, 2]).transmission == 12
+        assert _complement_dv(7, [1, 3]).transmission == 12
 
     def test_double_loop_complement(self):
         # complement of C_10(1, 2): radius n + 3
-        assert spectral_radius_exact(complement_spec(CirculantSpec.of(10, [1, 2]))) == 13
+        assert _complement_dv(10, [1, 2]).transmission == 13
 
     def test_complete_graph(self):
-        assert spectral_radius_exact(CirculantSpec.of(4, [1, 2])) == 3
+        assert distance_vector(CirculantSpec.of(4, [1, 2])).transmission == 3
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
-            spectral_radius_exact(CirculantSpec.of(8, [2, 4]))
+            distance_vector(CirculantSpec.of(8, [2, 4]))
 
 
 class TestSpectrumInvariants:
@@ -83,7 +85,7 @@ class TestSpectrumInvariants:
         for spec in specs:
             dv = distance_vector(spec)
             spectrum = circulant_spectrum(dv)
-            exact = spectral_radius_exact(dv)
+            exact = dv.transmission
             assert abs(spectrum.radius - exact) <= 1e-6 * exact, spec
             # zero trace of the distance matrix
             tol = 1e-6 * dv.n * max(1, dv.diameter)

@@ -139,6 +139,42 @@ class TestSweeps:
         parallel = verify_sweep(points, jobs=2)
         assert [record_to_dict(r) for r in serial] == [record_to_dict(r) for r in parallel]
 
+    def test_pool_bounded_by_cores_and_chunks(self, monkeypatch):
+        # a stand-in pool records its size and maps in this process, so no
+        # worker process is started whatever size is asked for
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 4)
+        points = double_loop_gen_points(8, 18)  # 52 points
+        serial = [record_to_dict(r) for r in verify_sweep(points, jobs=1)]
+        for jobs in (100_000, 3, 2):
+            assert [record_to_dict(r) for r in verify_sweep(points, jobs=jobs)] == serial
+        assert sizes == [4, 3, 2]
+        # 4 points make 4 chunks of one: no more workers than chunks
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 128)
+        verify_sweep(points[:4], jobs=64)
+        assert sizes[-1] == 4
+        # an unknown core count runs serially
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: None)
+        verify_sweep(points, jobs=64)
+        assert len(sizes) == 4
+
     def test_verify_family_names(self):
         assert len(verify_family("c7")) == 2
         recs = verify_family("double-loop-half", k_range=(2, 8))
