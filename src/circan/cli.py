@@ -43,7 +43,7 @@ from .errors import (
     OversizedRationalError,
 )
 from .indices import INDEX_FIELDS, full_report, report_from_distance_vector
-from .metrics import all_pairs_distances, distance_vector, metrics_summary
+from .metrics import distance_vector, metrics_summary
 from .routing import load_profile, parse_routing_fixture, edge_forwarding_bounds, vertex_forwarding_index
 from .spectral import circulant_spectrum, spectral_radius_numeric
 from .verifier import (
@@ -197,9 +197,9 @@ def _indices_doc(report) -> dict:
     return indices
 
 
-def _routing_doc(g: GenericGraph, routing_path: str, dist=None) -> dict:
+def _routing_doc(g: GenericGraph, routing_path: str) -> dict:
     text = Path(routing_path).read_text(encoding="ascii")
-    routing = parse_routing_fixture(text, g, _dist=dist)
+    routing = parse_routing_fixture(text, g)
     profile = load_profile(routing)
     return {
         "paths": len(routing),
@@ -218,8 +218,7 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         g = parse_graph_fixture(Path(args.fixture).read_text(encoding="ascii"))
         if args.complement:
             g = complement_graph(g)
-        dist = all_pairs_distances(g)
-        summary = metrics_summary(g, _dist=dist)
+        summary = metrics_summary(g)
         doc = {
             "graph": {"source": args.fixture, "n": g.n, "edge_count": g.edge_count,
                       "complement": args.complement},
@@ -232,10 +231,10 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
                 "diameter": summary.diameter,
                 "transmission_regular": summary.transmission_regular,
             },
-            "indices": _indices_doc(full_report(g, _dist=dist)),
+            "indices": _indices_doc(full_report(g)),
         }
         if args.routing:
-            doc["routing"] = _routing_doc(g, args.routing, dist)
+            doc["routing"] = _routing_doc(g, args.routing)
         _emit(args, doc)
         return EXIT_OK
     if args.routing:

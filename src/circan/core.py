@@ -7,11 +7,11 @@ specs describe the same graph exactly when they compare equal. Each spec
 computes its connection row (row 0 of the adjacency) and its offsets at
 most once; the complement spec is that row flipped.
 
-Generic graphs are backed by a read-only boolean adjacency matrix; the class
-exposes sorted neighbor arrays and edge lists on top of it. Edge-list
-fixtures are split once per line and then checked as whole arrays (token
-counts, integers, range, self-loops, duplicates); a faulty fixture names
-its earliest bad line.
+Generic graphs are backed by a read-only boolean adjacency matrix; the
+class exposes degrees and the edge list on top of it. Edge-list fixtures
+are split once per line and then checked as whole arrays (token counts,
+integers, range, self-loops, duplicates); a faulty fixture names its
+earliest bad line.
 """
 
 from __future__ import annotations
@@ -146,10 +146,12 @@ def complement_spec(spec: CirculantSpec) -> CirculantSpec:
 class GenericGraph:
     """Simple undirected graph over vertices 0..n-1.
 
-    Stores a read-only boolean adjacency matrix.
+    Stores a read-only boolean adjacency matrix. Its distance counts are
+    kept in ``_distance_counts`` by ``metrics.distance_counts`` once they
+    are computed; the adjacency never changes, so they never go stale.
     """
 
-    __slots__ = ("adj", "n", "index_base")
+    __slots__ = ("adj", "n", "index_base", "_distance_counts")
 
     def __init__(
         self,
@@ -172,6 +174,7 @@ class GenericGraph:
         self.adj = adj
         self.n = adj.shape[0]
         self.index_base = index_base
+        self._distance_counts: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_edges(
@@ -189,13 +192,6 @@ class GenericGraph:
 
     def degrees(self) -> np.ndarray:
         return self.adj.sum(axis=1).astype(np.int64)
-
-    def degree(self, v: int) -> int:
-        return int(self.adj[v].sum())
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor indices of v."""
-        return np.flatnonzero(self.adj[v])
 
     def edges(self) -> np.ndarray:
         """All edges as an (m, 2) array with u < v, lexicographically sorted."""

@@ -6,9 +6,11 @@ pairs (Wiener, hyper-Wiener, Harary), degree-and-distance pair sums
 transmissions respectively reciprocal transmissions (GA, AG, SC, ABC, AZ
 kernels).
 
-Everything derives from one integer matrix: the number of vertices at each
-distance d from each vertex i (one row for a circulant). Pair sums read its column totals and their
-degree-weighted versions. The per-edge kernels see integer vertex
+Everything derives from one integer matrix C: the number of vertices at
+each distance d from each vertex i (one row for a circulant), with its
+degree-weighted twin W for a generic graph (both from
+``metrics.distance_counts``). Pair sums read the column totals of C and
+their degree-weighted versions. The per-edge kernels see integer vertex
 statistics over a common denominator L: the transmission itself (L = 1),
 or the reciprocal transmission times L = lcm(1..diameter). Edges are
 grouped by the unordered pair of endpoint statistics (A, B), and one kernel
@@ -45,9 +47,8 @@ from .core import GenericGraph
 from .errors import (
     DegenerateReciprocalTransmissionError,
     DegenerateTransmissionError,
-    DisconnectedGraphError,
 )
-from .metrics import DistanceVector, all_pairs_distances, reciprocal_weights
+from .metrics import DistanceVector, distance_counts, reciprocal_weights
 
 PAIR_FIELDS = (
     "wiener",
@@ -114,22 +115,6 @@ class IndexReport:
     rt_abc: float
     rt_az: float
     exact: Mapping[str, Fraction]
-
-
-def _distance_counts(
-    dist: np.ndarray, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Row i, column d: the number of vertices at distance d from vertex i,
-    or the sum of their ``weights``."""
-    n = dist.shape[0]
-    width = int(dist.max()) + 1
-    cells = (dist + width * np.arange(n)[:, None]).ravel()
-    if weights is None:
-        return np.bincount(cells, minlength=n * width).reshape(n, width)
-    # float64 sums of integers stay exact below 2**53
-    flat = np.broadcast_to(weights, dist.shape).ravel()
-    summed = np.bincount(cells, weights=flat, minlength=n * width)
-    return summed.astype(np.int64).reshape(n, width)
 
 
 def _pair_indices_from_stats(
@@ -252,27 +237,16 @@ def _reciprocal_numerators(counts: np.ndarray) -> tuple[int, list[int]]:
     return denom, (counts.astype(object) @ np.array(weights, dtype=object)).tolist()
 
 
-def _connected_counts(
-    g: GenericGraph, dist: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs distances (computed unless given) and their per-vertex
-    distance counts, raising on a disconnected graph."""
-    dist = all_pairs_distances(g) if dist is None else dist
-    if (dist < 0).any():
-        raise DisconnectedGraphError("indices are defined for connected graphs only")
-    return dist, _distance_counts(dist)
-
-
 def _exact_values(trans: tuple, recip: tuple) -> dict[str, Fraction]:
     """The exact values of both edge-sum kinds, from the arguments
     :func:`_edge_indices` returned for each."""
     return {**_exact_edge_values(*trans), **_exact_edge_values(*recip)}
 
 
-def full_report(g: GenericGraph, *, _dist: np.ndarray | None = None) -> IndexReport:
-    """All seventeen indices of a connected graph from one all-pairs BFS
-    pass and one matrix of per-vertex distance counts."""
-    dist, counts = _connected_counts(g, _dist)
+def full_report(g: GenericGraph) -> IndexReport:
+    """All seventeen indices of a connected graph from its distance counts
+    and their degree-weighted twin (:func:`metrics.distance_counts`)."""
+    counts, weights = distance_counts(g)
     edges = g.edges()
     deg = g.degrees()
     # Over ordered pairs at distance d: the count, the sum of deg_i, and
@@ -280,7 +254,7 @@ def full_report(g: GenericGraph, *, _dist: np.ndarray | None = None) -> IndexRep
     pair = _pair_indices_from_stats(
         (counts.sum(axis=0) // 2).tolist(),
         (deg @ counts).tolist(),
-        (deg @ _distance_counts(dist, deg) // 2).tolist(),
+        (deg @ weights // 2).tolist(),
     )
     sigma = counts @ np.arange(counts.shape[1])
     t_fields, t_exact = _edge_indices("t", _edge_groups(sigma.tolist(), edges), 1)

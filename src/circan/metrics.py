@@ -1,10 +1,13 @@
 """Distance structure of graphs.
 
-BFS distances are the ground-truth oracle everything else is checked
-against. Circulant graphs get a single-source shortcut: their distance
-matrix is circulant, so one BFS from vertex 0 determines all pairs (the
-rotation expansion is itself verified against all-pairs BFS in the test
-suite).
+Every distance quantity this package reports depends only on how many
+vertices sit at each distance from each vertex. A generic graph gets those
+counts from one all-sources BFS level loop (``distance_counts``), which
+also sums the degrees at each distance and never builds a distance matrix;
+the result is computed once per graph. Circulant graphs get a
+single-source shortcut: their distance matrix is circulant, so one BFS
+from vertex 0 determines all pairs (the rotation expansion is itself
+verified against all-pairs BFS in the test suite).
 
 That BFS has two sides, chosen by the spec alone:
 
@@ -102,65 +105,59 @@ class DistanceVector:
         return np.bincount(self.d)
 
 
-def bfs_distances(g: GenericGraph, source: int) -> np.ndarray:
-    """Hop counts from ``source``; unreachable vertices are marked -1."""
-    if not 0 <= source < g.n:
-        raise ValueError(f"source {source} out of range for n={g.n}")
-    adj = g.adj
-    n = g.n
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[source] = True
-    undiscovered = ~frontier
-    d = 0
-    while True:
-        d += 1
-        fr_idx = np.flatnonzero(frontier)
-        und_idx = np.flatnonzero(undiscovered)
-        if fr_idx.size == 0 or und_idx.size == 0:
-            break
-        # Expand from whichever side has fewer rows to slice.
-        if fr_idx.size <= und_idx.size:
-            new_mask = adj[fr_idx].any(axis=0) & undiscovered
-        else:
-            hits = (adj[und_idx] & frontier).any(axis=1)
-            new_mask = np.zeros(n, dtype=bool)
-            new_mask[und_idx[hits]] = True
-        if not new_mask.any():
-            break
-        dist[new_mask] = d
-        undiscovered &= ~new_mask
-        frontier = new_mask
-    return dist
+def distance_counts(g: GenericGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(C, W) of a connected graph: C[i, d] is the number of vertices at
+    distance d from i, and W[i, d] the sum of their degrees.
 
-
-def all_pairs_distances(g: GenericGraph) -> np.ndarray:
-    """Full n x n distance matrix by BFS; -1 marks unreachable pairs.
-
-    Uses simultaneous level expansion through boolean matrix products, which
-    is exact (reachability counts stay far below float32 precision at the
-    orders this library targets).
+    One level loop serves all sources at once. Level d's float32 product
+    with the adjacency, minus the pairs reached before, is level d + 1;
+    its row sums, added in float64 (exact below 2**53), are W[:, d] =
+    level @ deg. Level 0 is the identity, whose product is the adjacency.
+    Only sources with a non-empty frontier and vertices left to find are
+    multiplied, so the last level of a source never is: its weight is what
+    the degree total leaves. The result is kept on ``g``, whose adjacency
+    is read-only. Raises :class:`DisconnectedGraphError` when some source
+    misses a vertex.
     """
+    if g._distance_counts is not None:
+        return g._distance_counts
     n = g.n
-    if n > 2048:
-        return np.stack([bfs_distances(g, s) for s in range(n)])
-    adj_f = g.adj.astype(np.float32)
-    dist = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    frontier = g.adj.copy()
-    dist[frontier] = 1
-    reached = frontier | np.eye(n, dtype=bool)
-    d = 1
-    while frontier.any():
-        d += 1
-        new = (frontier.astype(np.float32) @ adj_f > 0) & ~reached
+    adj = g.adj.astype(np.float32)
+    rows = np.arange(n)
+    reached = np.eye(n, dtype=bool)
+    product = adj
+    counts = [np.ones(n, dtype=np.int64)]
+    weights = []
+    while rows.size:
+        weights.append(_column(n, rows, product.sum(axis=1, dtype=np.float64)))
+        new = (product > 0) & ~reached
         if not new.any():
             break
-        dist[new] = d
+        counts.append(_column(n, rows, new.sum(axis=1)))
         reached |= new
-        frontier = new
-    return dist
+        keep = np.flatnonzero(new.any(axis=1) & ~reached.all(axis=1))
+        rows, reached = rows[keep], reached[keep]
+        product = new[keep].astype(np.float32) @ adj
+    c = np.column_stack(counts)
+    if (c.sum(axis=1) != n).any():
+        raise DisconnectedGraphError("graph is disconnected")
+    w = np.zeros(c.shape, dtype=np.int64)
+    w[:, : len(weights)] = np.column_stack(weights)
+    # BFS levels are contiguous, so a source's last level is its count of
+    # non-empty ones, less one; its weight is still 0 here
+    last = (c > 0).sum(axis=1) - 1
+    w[np.arange(n), last] = 2 * g.edge_count - w.sum(axis=1)
+    c.setflags(write=False)
+    w.setflags(write=False)
+    g._distance_counts = (c, w)
+    return g._distance_counts
+
+
+def _column(n: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Length-n column holding ``values`` at ``rows`` and 0 elsewhere."""
+    column = np.zeros(n, dtype=values.dtype)
+    column[rows] = values
+    return column
 
 
 def _bitset(mask: np.ndarray) -> int:
@@ -247,28 +244,24 @@ class MetricsSummary:
     reciprocal_transmission: Fraction | None
     diameter: int
     transmission_regular: bool
-    connected: bool = True
 
 
-def metrics_summary(
-    g: GenericGraph, *, _dist: np.ndarray | None = None
-) -> MetricsSummary:
-    """Compute the distance summary, raising on disconnected input."""
+def metrics_summary(g: GenericGraph) -> MetricsSummary:
+    """Compute the distance summary from the distance counts, raising on
+    disconnected input."""
     degrees = g.degrees()
     degree = int(degrees[0]) if g.n and (degrees == degrees[0]).all() else None
-    dist = all_pairs_distances(g) if _dist is None else _dist
-    if (dist < 0).any():
-        raise DisconnectedGraphError("graph is disconnected")
-    sigmas = dist.sum(axis=1)
+    counts, _ = distance_counts(g)
+    sigmas = counts @ np.arange(counts.shape[1])
     t_regular = bool((sigmas == sigmas[0]).all())
     transmission = int(sigmas[0]) if t_regular else None
-    rs = reciprocal_sum(np.bincount(dist[0])) if t_regular else None
+    rs = reciprocal_sum(counts[0]) if t_regular else None
     return MetricsSummary(
         n=g.n,
         edge_count=g.edge_count,
         degree=degree,
         transmission=transmission,
         reciprocal_transmission=rs,
-        diameter=int(dist.max()),
+        diameter=counts.shape[1] - 1,
         transmission_regular=t_regular,
     )

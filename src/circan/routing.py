@@ -10,10 +10,12 @@ produced.
 An explicit routing is validated in whole-array passes over its paths laid
 end to end (one vertex array plus one length per path): vertex range,
 length, repeats within a path, steps along edges, each ordered pair routed
-exactly once, then ``minimal`` and ``symmetric``, each from one gather. The
-earliest faulty path is reported, with the message a path-by-path check
-would give. Its load profile is one ``np.bincount`` over the inner
-positions and one ``np.unique`` over the steps.
+exactly once. The earliest faulty path is reported, with the message a
+path-by-path check would give. A valid routing is ``minimal`` when its
+path lengths sum to the graph's distance total (each length is at least
+its pair's distance, so the sums agree only when every path is shortest),
+and ``symmetric`` is one gather. Its load profile is one ``np.bincount``
+over the inner positions and one ``np.unique`` over the steps.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (
     NonElementaryPathError,
     VertexRangeError,
 )
-from .metrics import DistanceVector, all_pairs_distances, distance_vector
+from .metrics import DistanceVector, distance_counts, distance_vector
 
 @dataclass(frozen=True)
 class LoadProfile:
@@ -94,13 +96,7 @@ class Routing:
         return self._paths
 
     @classmethod
-    def from_paths(
-        cls,
-        g: GenericGraph,
-        paths: Iterable[Iterable[int]],
-        *,
-        _dist: np.ndarray | None = None,
-    ) -> "Routing":
+    def from_paths(cls, g: GenericGraph, paths: Iterable[Iterable[int]]) -> "Routing":
         """Validate a collection of paths as a routing of ``g``: the first
         vertex outside 0..n-1 raises :class:`VertexRangeError`, then the
         paths go through the array checks of the module docstring."""
@@ -115,7 +111,7 @@ class Routing:
                 f"path {tuple(map(int, paths[row]))} has vertex {values[pos]} "
                 f"outside 0..{g.n - 1}"
             )
-        return _validated(g, vertices, lengths, _dist)
+        return _validated(g, vertices, lengths)
 
     def __len__(self) -> int:
         return self.starts.size - 1
@@ -131,12 +127,7 @@ def _out_of_range(
     return pos, int(np.searchsorted(np.cumsum(lengths), pos, side="right"))
 
 
-def _validated(
-    g: GenericGraph,
-    vertices: np.ndarray,
-    lengths: np.ndarray,
-    dist: np.ndarray | None,
-) -> Routing:
+def _validated(g: GenericGraph, vertices: np.ndarray, lengths: np.ndarray) -> Routing:
     """Check in-range flat paths as a routing of ``g``.
 
     Each check is one array pass: length >= 2, a repeat within a path (equal
@@ -182,8 +173,12 @@ def _validated(
     if count != n * (n - 1):
         raise MissingPairError(f"{n * (n - 1) - count} ordered pairs have no path")
 
-    dist = all_pairs_distances(g) if dist is None else dist
-    minimal = bool((dist[first, last] == lengths - 1).all())
+    # Every path is an elementary edge walk and every ordered pair has one,
+    # so each length is at least its pair's distance: the lengths sum to
+    # the distance total exactly when every path is shortest.
+    counts, _ = distance_counts(g)
+    total = int((counts @ np.arange(counts.shape[1])).sum())
+    minimal = int((lengths - 1).sum()) == total
     # The path of (last, first) read backwards must be this path. Of two
     # partners with different lengths, the longer one fails the comparison
     # at its far end, where the shorter one's first vertex would have to be.
@@ -194,9 +189,7 @@ def _validated(
     return Routing(n, vertices, starts, minimal=minimal, symmetric=symmetric)
 
 
-def parse_routing_fixture(
-    text: str, g: GenericGraph, *, _dist: np.ndarray | None = None
-) -> Routing:
+def parse_routing_fixture(text: str, g: GenericGraph) -> Routing:
     """Parse a routing fixture: one whitespace-separated path per line,
     using the companion graph fixture's vertex indexing.
 
@@ -218,7 +211,7 @@ def parse_routing_fixture(
     if numeric < len(rows):
         stripped = lines[keep[numeric]].strip()
         raise FixtureParseError(f"line {keep[numeric] + 1}: non-integer vertex in {stripped!r}")
-    return _validated(g, vertices, lengths, _dist)
+    return _validated(g, vertices, lengths)
 
 
 class RotationRouting:

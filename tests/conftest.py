@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circan import CirculantSpec, distance_vector
+from circan import CirculantSpec, GenericGraph, distance_vector
 from circan.errors import DisconnectedGraphError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -58,3 +58,62 @@ def has_property_star(g) -> bool:
     np.fill_diagonal(non, False)
     u, v = g.edges().T
     return bool((non[u] & non[v]).any(axis=1).all())
+
+
+def bfs_distances(g: GenericGraph, source: int) -> np.ndarray:
+    """Hop counts from ``source``; unreachable vertices are marked -1."""
+    if not 0 <= source < g.n:
+        raise ValueError(f"source {source} out of range for n={g.n}")
+    adj = g.adj
+    n = g.n
+    dist = np.full(n, -1, dtype=np.int64)
+    dist[source] = 0
+    frontier = np.zeros(n, dtype=bool)
+    frontier[source] = True
+    undiscovered = ~frontier
+    d = 0
+    while True:
+        d += 1
+        fr_idx = np.flatnonzero(frontier)
+        und_idx = np.flatnonzero(undiscovered)
+        if fr_idx.size == 0 or und_idx.size == 0:
+            break
+        # Expand from whichever side has fewer rows to slice.
+        if fr_idx.size <= und_idx.size:
+            new_mask = adj[fr_idx].any(axis=0) & undiscovered
+        else:
+            hits = (adj[und_idx] & frontier).any(axis=1)
+            new_mask = np.zeros(n, dtype=bool)
+            new_mask[und_idx[hits]] = True
+        if not new_mask.any():
+            break
+        dist[new_mask] = d
+        undiscovered &= ~new_mask
+        frontier = new_mask
+    return dist
+
+
+def all_pairs_distances(g: GenericGraph) -> np.ndarray:
+    """Full n x n distance matrix by BFS; -1 marks unreachable pairs.
+
+    Uses simultaneous level expansion through boolean matrix products, which
+    is exact (reachability counts stay far below float32 precision at the
+    orders the tests use).
+    """
+    n = g.n
+    adj_f = g.adj.astype(np.float32)
+    dist = np.full((n, n), -1, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    frontier = g.adj.copy()
+    dist[frontier] = 1
+    reached = frontier | np.eye(n, dtype=bool)
+    d = 1
+    while frontier.any():
+        d += 1
+        new = (frontier.astype(np.float32) @ adj_f > 0) & ~reached
+        if not new.any():
+            break
+        dist[new] = d
+        reached |= new
+        frontier = new
+    return dist

@@ -14,7 +14,6 @@ import pytest
 from circan import (
     CirculantSpec,
     DomainStatus,
-    all_pairs_distances,
     build_circulant,
     complement_spec,
     distance_vector,
@@ -30,7 +29,12 @@ from circan.verifier import (
     verify_sweep,
 )
 
-from conftest import distance_matrix, has_property_star, random_connected_specs
+from conftest import (
+    all_pairs_distances,
+    distance_matrix,
+    has_property_star,
+    random_connected_specs,
+)
 
 REL = 1e-9
 

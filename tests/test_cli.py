@@ -51,6 +51,17 @@ class TestAnalyze:
         assert doc["routing"]["forwarding_index_wrt_routing"] == 4
         assert doc["routing"]["minimal"] is True
 
+    def test_large_disconnected_fixture_exits_2(self, tmp_path, capsys):
+        # 3,000 vertices and one edge: a generic graph past the order at
+        # which the all-pairs pass once switched kernels
+        big = tmp_path / "big.graph"
+        big.write_text("3000\n0 1\n")
+        code = main(["analyze", "--fixture", str(big)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_bad_fixture_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.graph"
         bad.write_text("3\n0 9\n")
@@ -331,6 +342,20 @@ class TestVerify:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+
+def test_import_loads_no_undeclared_dependency():
+    # numpy is the only runtime dependency; these are installed, undeclared
+    code = ("import sys, circan, circan.cli; "
+            "print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "numpy" in loaded
+    assert not loaded & {"scipy", "networkx", "sympy", "pytest", "hypothesis"}
 
 
 class TestJsonFormat:

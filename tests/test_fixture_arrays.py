@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from circan import (
     CirculantSpec,
     Routing,
-    all_pairs_distances,
     build_circulant,
     load_profile,
     parse_graph_fixture,
@@ -30,6 +29,8 @@ from circan.errors import (
     NonElementaryPathError,
     VertexRangeError,
 )
+
+from conftest import all_pairs_distances
 
 # ---------------------------------------------------------------------------
 # Reference implementations (scalar loops)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from circan import (
     CirculantSpec,
     GenericGraph,
-    all_pairs_distances,
     build_circulant,
     complement_graph,
     complement_spec,
@@ -25,7 +24,7 @@ from circan.errors import (
 from circan.indices import INDEX_FIELDS, PAIR_FIELDS, _edge_indices, _pair_indices_from_stats
 from circan.metrics import reciprocal_sum
 
-from conftest import has_property_star, random_connected_specs
+from conftest import all_pairs_distances, has_property_star, random_connected_specs
 
 REL = 1e-9
 

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from circan import (
     CirculantSpec,
     DistanceVector,
-    all_pairs_distances,
-    bfs_distances,
+    GenericGraph,
     build_circulant,
     complement_graph,
     complement_spec,
+    distance_counts,
     distance_vector,
     metrics_summary,
 )
@@ -25,7 +25,12 @@ from circan.errors import (
     EmptyJumpSetError,
 )
 
-from conftest import distance_matrix, has_property_star
+from conftest import (
+    all_pairs_distances,
+    bfs_distances,
+    distance_matrix,
+    has_property_star,
+)
 
 
 def _complement_graph_of(n, jumps):
@@ -208,6 +213,45 @@ class TestDistanceMatrix:
         assert (np.diag(mat) == 0).all()
 
 
+@st.composite
+def generic_graphs(draw):
+    """A random simple graph on 1..40 vertices, of any density."""
+    n = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.03, 0.1, 0.3, 0.7, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
+    return GenericGraph(upper | upper.T)
+
+
+class TestDistanceCounts:
+    @given(g=generic_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_all_pairs_oracle(self, g):
+        dist = all_pairs_distances(g)
+        if (dist < 0).any():
+            with pytest.raises(DisconnectedGraphError):
+                distance_counts(g)
+            return
+        width = int(dist.max()) + 1
+        deg = g.degrees()
+        want_c = np.stack([np.bincount(row, minlength=width) for row in dist])
+        want_w = np.stack([np.bincount(row, deg, minlength=width) for row in dist])
+        counts, weights = distance_counts(g)
+        assert np.array_equal(counts, want_c)
+        assert np.array_equal(weights, want_w)
+
+    def test_kept_on_the_graph(self):
+        g = build_circulant(CirculantSpec.of(12, [1, 5]))
+        first = distance_counts(g)
+        assert distance_counts(g) is first
+        assert not first[0].flags.writeable and not first[1].flags.writeable
+        assert distance_counts(complement_graph(complement_graph(g)))[0] is not first[0]
+
+    def test_single_vertex(self):
+        counts, weights = distance_counts(GenericGraph(np.zeros((1, 1), dtype=bool)))
+        assert counts.tolist() == [[1]] and weights.tolist() == [[0]]
+
+
 class TestMetricsSummary:
     def test_complement_of_half_jump(self):
         s = metrics_summary(_complement_graph_of(8, [1, 4]))
@@ -254,7 +298,7 @@ class TestDiameterAndConnectivity:
         for n, jumps in [(8, [1, 3]), (6, [1, 3])]:
             with pytest.raises(DisconnectedGraphError):
                 metrics_summary(_complement_graph_of(n, jumps))
-        assert metrics_summary(_complement_graph_of(8, [1, 4])).connected
+        metrics_summary(_complement_graph_of(8, [1, 4]))
 
 
 def _star_prediction(g):

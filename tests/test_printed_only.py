@@ -25,6 +25,7 @@ from circan import (
     CirculantSpec,
     GenericGraph,
     circulant_spectrum,
+    distance_counts,
     distance_vector,
     full_report,
     report_from_distance_vector,
@@ -34,7 +35,6 @@ from circan.errors import DegenerateTransmissionError, DisconnectedGraphError
 from circan.indices import (
     INDEX_FIELDS,
     _DEGENERATE,
-    _connected_counts,
     _edge_groups,
     _reciprocal_numerators,
     _sum_fractions,
@@ -81,7 +81,7 @@ def _eager_edge_indices(prefix, groups, denom):
 
 
 def _eager_parts(g):
-    counts = _connected_counts(g)[1]
+    counts = distance_counts(g)[0]
     edges = g.edges()
     sigma = counts @ np.arange(counts.shape[1])
     trans = _eager_edge_indices("t", _edge_groups(sigma.tolist(), edges), 1)
