@@ -117,9 +117,7 @@ print("  BFS tree parents:", rotation.parent.tolist(),
       "shortest-path tree:", rotation.minimal)
 print("  loads:", rotation.vertex_loads().tolist(),
       "(uniform by rotation symmetry: sum of depth - 1 over the tree)")
-print("  exact vertex-forwarding index:", vertex_forwarding_index(comp, dv))
+print("  exact vertex-forwarding index:", vertex_forwarding_index(dv))
 
-lower, upper = edge_forwarding_bounds(comp, dv)
+lower, upper = edge_forwarding_bounds(dv)
 print(f"  edge-forwarding index bounds: {lower} <= pi <= {upper}")
-profile = load_profile(rotation)
-print("  this routing's max edge load:", profile.max_edge_load)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -85,14 +84,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     if lo > hi:
         raise argparse.ArgumentTypeError(f"bad range {text!r}; lo exceeds hi")
     return lo, hi
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("CIRCAN_JOBS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
 
 
 def _fraction_str(name: str, value: Fraction) -> str:
@@ -242,7 +233,7 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     spec = _circulant_source(args)
     dv = distance_vector(spec)
     report = report_from_distance_vector(dv)
-    pi_lower, pi_upper = edge_forwarding_bounds(spec, dv)
+    pi_lower, pi_upper = edge_forwarding_bounds(dv)
     doc = {
         "graph": {"n": spec.n, "jumps": list(spec.jumps), "degree": dv.degree,
                   "edge_count": spec.n * dv.degree // 2},
@@ -261,7 +252,7 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             "radius_float": spectral_radius_numeric(dv),
         },
         "forwarding": {
-            "xi": vertex_forwarding_index(spec, dv),
+            "xi": vertex_forwarding_index(dv),
             "pi_lower": _fraction_str("pi_lower", pi_lower),
             "pi_upper": pi_upper,
         },
@@ -303,14 +294,14 @@ def cmd_routing(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if not 0 < args.tol <= 1e-3:
         parser.error("--tol must lie in (0, 1e-3]")
-    if args.jobs is not None and args.jobs < 1:
+    if args.jobs < 1:
         parser.error("--jobs must be at least 1")
     records = verify_family(
         args.family,
         k_range=args.k,
         n_range=args.n,
         max_order=args.max_order,
-        jobs=_default_jobs() if args.jobs is None else args.jobs,
+        jobs=args.jobs,
         float_tol=args.tol,
     )
     if not records:
@@ -378,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=_parse_range, default=(8, 40), help="n range lo:hi")
     verify.add_argument("--max-order", type=int, default=1024)
     verify.add_argument("--tol", type=float, default=1e-9)
-    verify.add_argument("--jobs", type=int, help="worker processes (default: $CIRCAN_JOBS or 1)")
+    verify.add_argument("--jobs", type=int, default=1, help="worker processes")
     _add_output_arguments(verify)
     verify.set_defaults(func=cmd_verify)
     return parser

@@ -80,11 +80,6 @@ class CirculantSpec:
         """Build a spec from arbitrary raw jump values, normalizing them."""
         return cls(n, normalize_jumps(n, jumps))
 
-    @property
-    def k(self) -> int:
-        """Number of jumps."""
-        return len(self.jumps)
-
     @cached_property
     def connection_row(self) -> np.ndarray:
         """Read-only row 0 of the adjacency: True at the offsets {j, n - j}."""
@@ -175,16 +170,6 @@ class GenericGraph:
         self.n = adj.shape[0]
         self.index_base = index_base
         self._distance_counts: tuple[np.ndarray, np.ndarray] | None = None
-
-    @classmethod
-    def from_edges(
-        cls, n: int, edges: Iterable[tuple[int, int]], *, index_base: int = 0
-    ) -> "GenericGraph":
-        adj = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
-            adj[u, v] = adj[v, u] = True
-        np.fill_diagonal(adj, False)
-        return cls(adj, index_base=index_base)
 
     @property
     def edge_count(self) -> int:

@@ -1,11 +1,13 @@
-"""Routings, load profiles, and forwarding indices.
+"""Explicit routings, load profiles, the rotation witness, and forwarding
+bounds.
 
 A routing fixes one elementary path for every ordered vertex pair. The
 vertex load counts paths that cross a vertex strictly inside; the
 vertex-forwarding index of a connected circulant equals the transmission
 minus (n - 1), and a rotation-invariant shortest-path routing attains it
-with all vertex loads equal. For the edge-forwarding index only bounds are
-produced.
+with all vertex loads equal. That routing is kept only as its witness: a
+BFS tree from vertex 0 and the one load every vertex carries. For the
+edge-forwarding index only bounds are produced, from the distance vector.
 
 An explicit routing is validated in whole-array passes over its paths laid
 end to end (one vertex array plus one length per path): vertex range,
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .errors import (
     NonElementaryPathError,
     VertexRangeError,
 )
-from .metrics import DistanceVector, distance_counts, distance_vector
+from .metrics import DistanceVector, distance_counts
 
 @dataclass(frozen=True)
 class LoadProfile:
@@ -59,13 +61,12 @@ class Routing:
     """Explicit routing: one elementary path per ordered vertex pair.
 
     The paths are stored flat: ``vertices`` holds them end to end and
-    ``starts`` the offset of each one plus a final end offset. ``paths``,
-    the dict from (first, last) to the path tuple, is built when first read.
-    ``minimal`` and ``symmetric`` are computed during validation, never
-    asserted by the caller.
+    ``starts`` the offset of each one plus a final end offset. ``minimal``
+    and ``symmetric`` are computed during validation, never asserted by the
+    caller.
     """
 
-    __slots__ = ("n", "vertices", "starts", "minimal", "symmetric", "_paths")
+    __slots__ = ("n", "vertices", "starts", "minimal", "symmetric")
 
     def __init__(
         self,
@@ -81,19 +82,6 @@ class Routing:
         self.starts = starts
         self.minimal = minimal
         self.symmetric = symmetric
-        self._paths: dict[tuple[int, int], tuple[int, ...]] | None = None
-
-    @property
-    def paths(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """{(first, last): path} in the order the paths were given."""
-        if self._paths is None:
-            flat = self.vertices.tolist()
-            bounds = self.starts.tolist()
-            self._paths = {
-                (flat[lo], flat[hi - 1]): tuple(flat[lo:hi])
-                for lo, hi in zip(bounds, bounds[1:])
-            }
-        return self._paths
 
     @classmethod
     def from_paths(cls, g: GenericGraph, paths: Iterable[Iterable[int]]) -> "Routing":
@@ -215,14 +203,15 @@ def parse_routing_fixture(text: str, g: GenericGraph) -> Routing:
 
 
 class RotationRouting:
-    """Shortest-path routing of a circulant, closed under rotation.
+    """The uniform-load witness of a circulant's rotation-invariant
+    shortest-path routing.
 
     A BFS tree from vertex 0, stored as a parent array (parent = smallest
     neighbor one level closer, or the vertex itself when ``dv`` gives it
-    none; such a tree is not ``minimal``), fixes the paths 0 -> v; the path for
-    (x, x + v) is that base path shifted by x. Rotation makes every vertex
-    carry the same load, sum over v of (depth(v) - 1), and every edge of one
-    offset orbit the same load, so neither is accumulated path by path.
+    none; such a tree is not ``minimal``), fixes the paths 0 -> v; the path
+    for (x, x + v) is that base path shifted by x. Rotation makes every
+    vertex carry the same load, sum over v of (depth(v) - 1), so no path is
+    ever laid out.
     """
 
     def __init__(self, spec: CirculantSpec, parent: np.ndarray, dv: DistanceVector):
@@ -241,68 +230,11 @@ class RotationRouting:
             self.depth, self.dv.d
         )
 
-    @cached_property
-    def symmetric(self) -> bool:
-        """Each pair is routed by reversed paths in the two directions."""
-        return all(
-            self.path(v, 0) == self.path(0, v)[::-1] for v in range(1, self.n)
-        )
-
-    def _base_path(self, v: int) -> list[int]:
-        if self.depth[v] < 0:
-            raise ValueError(f"vertex {v} has no tree path from 0")
-        path = [v]
-        while path[-1] != 0:
-            path.append(int(self.parent[path[-1]]))
-        path.reverse()
-        return path
-
-    def path(self, x: int, y: int) -> tuple[int, ...]:
-        v = (y - x) % self.n
-        if v == 0:
-            raise KeyError("routing paths join distinct vertices")
-        return tuple((u + x) % self.n for u in self._base_path(v))
-
-    def paths(self) -> Iterator[tuple[int, ...]]:
-        bases = [self._base_path(v) for v in range(1, self.n)]
-        for x in range(self.n):
-            for base in bases:
-                yield tuple((u + x) % self.n for u in base)
-
     def vertex_loads(self) -> np.ndarray:
         """Inner-vertex counts: every vertex carries sum(depth - 1) over the
         base paths that reach 0."""
         rooted = self.depth[self.depth > 0]
         return np.full(self.n, int((rooted - 1).sum()), dtype=np.int64)
-
-    def edge_loads(self) -> dict[tuple[int, int], int]:
-        """Undirected traversal counts, one value per offset orbit.
-
-        The tree edge into u is a step of every base path through u, i.e.
-        size(u) of them. Shifting gives each edge of orbit o the number of
-        base-path steps with difference +-o; the n/2 orbit has only n/2
-        edges, so each of them carries twice that.
-        """
-        n = self.n
-        rooted = np.flatnonzero(self.depth > 0)
-        step = (rooted - self.parent[rooted]) % n
-        orbit_load = np.zeros(n // 2 + 1, dtype=np.int64)
-        np.add.at(orbit_load, np.minimum(step, n - step), self._subtree_sizes()[rooted])
-        if n % 2 == 0:
-            orbit_load[n // 2] *= 2
-        loads = {}
-        for o in np.flatnonzero(orbit_load):
-            for x in range(n // 2 if 2 * o == n else n):
-                y = (x + int(o)) % n
-                loads[(min(x, y), max(x, y))] = int(orbit_load[o])
-        return loads
-
-    def _subtree_sizes(self) -> np.ndarray:
-        size = np.ones(self.n, dtype=np.int64)
-        for level in range(int(self.depth.max()), 0, -1):
-            vs = np.flatnonzero(self.depth == level)
-            np.add.at(size, self.parent[vs], size[vs])
-        return size
 
 
 def _tree_depths(parent: np.ndarray) -> np.ndarray:
@@ -318,12 +250,9 @@ def _tree_depths(parent: np.ndarray) -> np.ndarray:
     return depth
 
 
-def build_rotation_routing(
-    spec: CirculantSpec, dv: DistanceVector | None = None
-) -> RotationRouting:
-    """Construct the rotation-invariant shortest-path routing of ``spec``."""
-    if dv is None:
-        dv = distance_vector(spec)
+def build_rotation_routing(spec: CirculantSpec, dv: DistanceVector) -> RotationRouting:
+    """The rotation-invariant shortest-path routing of ``spec``, whose BFS
+    distance vector is ``dv``."""
     n = spec.n
     if dv.n != n:
         raise ValueError(f"distance vector has order {dv.n}, spec has {n}")
@@ -345,24 +274,20 @@ def build_rotation_routing(
     return RotationRouting(spec, parent, dv)
 
 
-def load_profile(routing: Routing | RotationRouting) -> LoadProfile:
-    """Vertex and edge load counts of a routing."""
-    if isinstance(routing, RotationRouting):
-        vertex_loads = routing.vertex_loads()
-        edge_loads = routing.edge_loads()
-    else:
-        n, vertices, starts = routing.n, routing.vertices, routing.starts
-        inner = np.ones(vertices.size, dtype=bool)
-        inner[starts[:-1]] = inner[starts[1:] - 1] = False
-        vertex_loads = np.bincount(vertices[inner], minlength=n)
-        tail = np.ones(vertices.size, dtype=bool)
-        tail[starts[1:] - 1] = False
-        u = vertices[:-1][tail[:-1]]
-        v = vertices[1:][tail[:-1]]
-        keys, counts = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_counts=True)
-        edge_loads = {
-            (k // n, k % n): c for k, c in zip(keys.tolist(), counts.tolist())
-        }
+def load_profile(routing: Routing) -> LoadProfile:
+    """Vertex and edge load counts of an explicit routing."""
+    n, vertices, starts = routing.n, routing.vertices, routing.starts
+    inner = np.ones(vertices.size, dtype=bool)
+    inner[starts[:-1]] = inner[starts[1:] - 1] = False
+    vertex_loads = np.bincount(vertices[inner], minlength=n)
+    tail = np.ones(vertices.size, dtype=bool)
+    tail[starts[1:] - 1] = False
+    u = vertices[:-1][tail[:-1]]
+    v = vertices[1:][tail[:-1]]
+    keys, counts = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_counts=True)
+    edge_loads = {
+        (k // n, k % n): c for k, c in zip(keys.tolist(), counts.tolist())
+    }
     return LoadProfile(
         vertex_loads=vertex_loads,
         edge_loads=edge_loads,
@@ -371,23 +296,16 @@ def load_profile(routing: Routing | RotationRouting) -> LoadProfile:
     )
 
 
-def vertex_forwarding_index(
-    spec: CirculantSpec, dv: DistanceVector | None = None
-) -> int:
-    """Exact vertex-forwarding index of a connected circulant:
-    transmission - (n - 1), attained by any minimal routing."""
-    if dv is None:
-        dv = distance_vector(spec)
-    return dv.transmission - (spec.n - 1)
+def vertex_forwarding_index(dv: DistanceVector) -> int:
+    """Exact vertex-forwarding index of a connected circulant with distance
+    vector ``dv``: transmission - (n - 1), attained by any minimal routing."""
+    return dv.transmission - (dv.n - 1)
 
 
-def edge_forwarding_bounds(
-    spec: CirculantSpec, dv: DistanceVector | None = None
-) -> tuple[Fraction, int]:
+def edge_forwarding_bounds(dv: DistanceVector) -> tuple[Fraction, int]:
     """(lower, upper) bounds for the edge-forwarding index of a connected
-    r-regular circulant: 2*rho/r and n + rho - (2r - 1)."""
-    if dv is None:
-        dv = distance_vector(spec)
+    r-regular circulant with distance vector ``dv``: 2*rho/r and
+    n + rho - (2r - 1)."""
     rho = dv.transmission
     r = dv.degree
-    return Fraction(2 * rho, r), spec.n + rho - (2 * r - 1)
+    return Fraction(2 * rho, r), dv.n + rho - (2 * r - 1)

@@ -168,7 +168,7 @@ def verify_point(
            predicted.distance_counts().tobytes())
     if key not in _table:
         pred = predict(point)
-        _table[key] = (_count_checks(pred, comp, dv, float_tol), pred.xi)
+        _table[key] = (_count_checks(pred, dv, float_tol), pred.xi)
     count_checks, xi = _table[key]
     checks = {
         **count_checks,
@@ -222,14 +222,14 @@ def _vector_checks(
 
 
 def _count_checks(
-    pred: Prediction, comp: CirculantSpec, dv: DistanceVector, float_tol: float
+    pred: Prediction, dv: DistanceVector, float_tol: float
 ) -> dict[str, FieldCheck]:
     """The fields whose computed side reads only n and the distance counts."""
     degree = dv.degree
     rho = dv.transmission
     rs = dv.reciprocal_transmission
-    xi = vertex_forwarding_index(comp, dv)
-    pi_lower, pi_upper = edge_forwarding_bounds(comp, dv)
+    xi = vertex_forwarding_index(dv)
+    pi_lower, pi_upper = edge_forwarding_bounds(dv)
     fields = {
         "degree": FieldCheck(degree == pred.degree, str(pred.degree), str(degree)),
         "rho": FieldCheck(rho == pred.rho, str(pred.rho), str(rho)),

@@ -44,6 +44,36 @@ def random_connected_specs(count: int, max_n: int, seed: int) -> list[CirculantS
     return specs
 
 
+def from_edges(n: int, edges) -> GenericGraph:
+    """The simple graph on 0..n-1 with the given edges (self-loops dropped)."""
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = True
+    np.fill_diagonal(adj, False)
+    return GenericGraph(adj)
+
+
+def rotation_paths(rr) -> list[tuple[int, ...]]:
+    """Every path of a rotation routing: the tree path 0 -> v of each v != 0,
+    read up the parent array, shifted by each x. The tree must reach 0 from
+    every vertex."""
+    n = rr.n
+    bases = []
+    for v in range(1, n):
+        path = [v]
+        while path[-1] != 0:
+            path.append(int(rr.parent[path[-1]]))
+        bases.append(path[::-1])
+    return [tuple((u + x) % n for u in base) for x in range(n) for base in bases]
+
+
+def routing_paths(r) -> dict[tuple[int, int], tuple[int, ...]]:
+    """{(first, last): path} of an explicit routing, in the order given."""
+    flat = r.vertices.tolist()
+    bounds = r.starts.tolist()
+    return {(flat[lo], flat[hi - 1]): tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])}
+
+
 def distance_matrix(dv) -> np.ndarray:
     """The rotation expansion of a circulant distance vector: entry (i, j)
     is dv.d[(j - i) mod n]."""

@@ -117,7 +117,7 @@ def _check_c7(a: int) -> list[str]:
     exact("xi", dv.transmission - 6, 6)
     from circan import edge_forwarding_bounds
 
-    exact("pi", edge_forwarding_bounds(comp, dv), (Fraction(12), 16))
+    exact("pi", edge_forwarding_bounds(dv), (Fraction(12), 16))
     return problems
 
 
@@ -138,7 +138,7 @@ def test_criterion_3_multiplicative_eight_table():
         dv.transmission == 16,
         dv.reciprocal_transmission == Fraction(47, 12),
         dv.transmission - 7 == 9,
-        edge_forwarding_bounds(comp, dv) == (Fraction(16), 21),
+        edge_forwarding_bounds(dv) == (Fraction(16), 21),
         report.wiener == 64,
         report.hyper_wiener == 120,
         report.harary == Fraction(47, 3),

@@ -302,32 +302,6 @@ class TestVerify:
         assert exc.value.code == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
 
-    def test_jobs_env_read_per_call(self, capsys, monkeypatch):
-        import circan.cli as cli_module
-
-        seen = []
-        real_verify_family = cli_module.verify_family
-
-        def spy(*args, jobs, **kwargs):
-            seen.append(jobs)
-            return real_verify_family(*args, jobs=1, **kwargs)
-
-        monkeypatch.setattr(cli_module, "verify_family", spy)
-        monkeypatch.setenv("CIRCAN_JOBS", "1")
-        assert main(["verify", "--family", "c7"]) == 0
-        monkeypatch.setenv("CIRCAN_JOBS", "3")
-        assert main(["verify", "--family", "c7"]) == 0
-        assert main(["verify", "--family", "c7", "--jobs", "2"]) == 0
-        assert seen == [1, 3, 2]
-
-    def test_jobs_env_default(self, monkeypatch):
-        from circan.cli import _default_jobs
-
-        monkeypatch.setenv("CIRCAN_JOBS", "3")
-        assert _default_jobs() == 3
-        monkeypatch.setenv("CIRCAN_JOBS", "zzz")
-        assert _default_jobs() == 1
-
     def test_jobs_two_output_equals_serial(self, capsys):
         argv = ["verify", "--family", "mc", "--max-order", "200", "--format", "csv"]
         assert run(capsys, *argv, "--jobs", "2") == run(capsys, *argv, "--jobs", "1")

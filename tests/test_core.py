@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from circan import (
     CirculantSpec,
-    GenericGraph,
     build_circulant,
     complement_graph,
     complement_spec,
@@ -21,6 +20,8 @@ from circan.errors import (
     FixtureParseError,
     VertexRangeError,
 )
+
+from conftest import from_edges
 
 
 class TestNormalizeJumps:
@@ -96,7 +97,7 @@ class TestBuildCirculant:
         except EmptyJumpSetError:
             return
         g = build_circulant(spec)
-        k = spec.k
+        k = len(spec.jumps)
         expected = 2 * k - 1 if (n % 2 == 0 and n // 2 in spec.jumps) else 2 * k
         assert (g.degrees() == expected).all()
 
@@ -144,7 +145,7 @@ class TestComplement:
         assert complement_graph(k4).edge_count == 0
 
     def test_graph_complement_of_edgeless(self):
-        empty = GenericGraph.from_edges(3, [])
+        empty = from_edges(3, [])
         assert complement_graph(empty).edge_count == 3
 
     def test_graph_complement_matches_spec_complement(self):

@@ -30,7 +30,7 @@ from circan.errors import (
     VertexRangeError,
 )
 
-from conftest import all_pairs_distances
+from conftest import all_pairs_distances, routing_paths
 
 # ---------------------------------------------------------------------------
 # Reference implementations (scalar loops)
@@ -173,7 +173,7 @@ def assert_same_routing(want, got):
     assert got[0] == "ok", got
     table, minimal, symmetric = want[1]
     routing = got[1]
-    assert list(routing.paths.items()) == list(table.items())
+    assert list(routing_paths(routing).items()) == list(table.items())
     assert len(routing) == len(table)
     assert routing.minimal is minimal and routing.symmetric is symmetric
     profile = load_profile(routing)
@@ -446,9 +446,3 @@ def test_from_paths_rejects_out_of_range_vertices(bad):
     paths = [(x, y) for x in range(3) for y in range(3) if x != y][:-1] + [bad]
     with pytest.raises(VertexRangeError, match=r"outside 0\.\.2"):
         Routing.from_paths(k3, paths)
-
-
-def test_paths_dict_built_on_read_only(fig1_text, r1_text):
-    routing = parse_routing_fixture(r1_text, parse_graph_fixture(fig1_text))
-    assert routing._paths is None and len(routing) == 30
-    assert routing.paths is routing.paths and len(routing.paths) == 30

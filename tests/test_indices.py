@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from circan import (
     CirculantSpec,
-    GenericGraph,
     build_circulant,
     complement_graph,
     complement_spec,
@@ -24,7 +23,7 @@ from circan.errors import (
 from circan.indices import INDEX_FIELDS, PAIR_FIELDS, _edge_indices, _pair_indices_from_stats
 from circan.metrics import reciprocal_sum
 
-from conftest import all_pairs_distances, has_property_star, random_connected_specs
+from conftest import all_pairs_distances, from_edges, has_property_star, random_connected_specs
 
 REL = 1e-9
 
@@ -340,12 +339,12 @@ def _random_connected_graph(rng, n, mean_degree):
         u, v = (int(x) for x in rng.integers(0, n, size=2))
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    return GenericGraph.from_edges(n, edges)
+    return from_edges(n, edges)
 
 
 def _path_like_graph(n, chords):
     edges = [(i, i + 1) for i in range(n - 1)] + list(chords)
-    return GenericGraph.from_edges(n, edges)
+    return from_edges(n, edges)
 
 
 def _oracle_corpus():

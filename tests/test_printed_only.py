@@ -23,7 +23,6 @@ import circan.cli as cli
 import circan.indices as indices
 from circan import (
     CirculantSpec,
-    GenericGraph,
     circulant_spectrum,
     distance_counts,
     distance_vector,
@@ -41,7 +40,7 @@ from circan.indices import (
 )
 from circan.verifier import _dumps_indent2, _int_array_items
 
-from conftest import FIXTURES, random_connected_specs
+from conftest import FIXTURES, from_edges, random_connected_specs
 
 
 def _eager_edge_indices(prefix, groups, denom):
@@ -104,7 +103,7 @@ def connected_graphs(draw):
         edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
         pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
         edges |= {(min(u, v), max(u, v)) for u, v in draw(st.lists(pairs, max_size=2 * n)) if u != v}
-    return GenericGraph.from_edges(n, sorted(edges))
+    return from_edges(n, sorted(edges))
 
 
 class TestDeferredExact:
@@ -144,7 +143,7 @@ class TestDeferredExact:
     def test_degenerate_edges_still_raise_when_built(self):
         # the gap check stays in the group loop, not in the deferred part
         with pytest.raises(DegenerateTransmissionError):
-            full_report(GenericGraph.from_edges(2, [(0, 1)]))
+            full_report(from_edges(2, [(0, 1)]))
 
     @pytest.fixture
     def exact_builds(self, monkeypatch):
