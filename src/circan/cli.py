@@ -7,11 +7,15 @@ library error (e.g. ``DegenerateTransmissionError`` for ``analyze --n 2
 --jumps 1``, ``OversizedRationalError`` when an exact rational has more
 digits than Python converts to text), 2 disconnected or edgeless graph,
 argparse usage errors (including ``verify --jobs`` below 1) and a sweep
-that selects no points, 3 parse error, or a file that cannot be read or
+that selects no points, 3 parse error, a graph order below 2 (``--n 1``,
+or ``--m``/``--h`` with m^h = 1), or a file that cannot be read or
 written, 4 verification failure. Exact rationals are serialized as "p/q"
-strings, floats as shortest round-trip decimals. ``--out`` files hold the
-stdout bytes as UTF-8; text and CSV values holding a line break are
-CSV-quoted.
+strings, floats as shortest round-trip decimals. An exact rational past
+Python's int-to-str digit limit is refused, not printed in another form:
+``analyze`` on C_n(1) reaches it at about diameter 1,700 (``--n 8192
+--jumps 1`` exits 1). ``verify`` compares at pinned tolerances; it has no
+option to change them. ``--out`` files hold the stdout bytes as UTF-8;
+text and CSV values holding a line break are CSV-quoted.
 """
 
 from __future__ import annotations
@@ -292,8 +296,6 @@ def cmd_routing(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if not 0 < args.tol <= 1e-3:
-        parser.error("--tol must lie in (0, 1e-3]")
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
     records = verify_family(
@@ -302,7 +304,6 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         n_range=args.n,
         max_order=args.max_order,
         jobs=args.jobs,
-        float_tol=args.tol,
     )
     if not records:
         parser.error(f"verify --family {args.family} with these bounds selects no points")
@@ -368,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--k", type=_parse_range, default=(2, 32), help="k range lo:hi")
     verify.add_argument("--n", type=_parse_range, default=(8, 40), help="n range lo:hi")
     verify.add_argument("--max-order", type=int, default=1024)
-    verify.add_argument("--tol", type=float, default=1e-9)
     verify.add_argument("--jobs", type=int, default=1, help="worker processes")
     _add_output_arguments(verify)
     verify.set_defaults(func=cmd_verify)

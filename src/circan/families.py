@@ -19,6 +19,12 @@ outside it (edgeless or disconnected complements, or orders the underlying
 arguments do not reach) are flagged instead of asserted. The one named
 exclusion is the 8-vertex double loop with jump 3, whose complement is
 disconnected.
+
+Each value is stated once, in the type its closed form gives: integers and
+``Fraction``s wherever the value is rational, a ``float`` only for the four
+square-root-valued indices (t/rt SC and ABC). The closed forms are an
+independent transcription: this module reads nothing of the engine that
+checks them beyond the graph types of ``core`` and ``metrics``.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ import numpy as np
 
 from .core import CirculantSpec
 from .errors import InconsistentPredictionError, KnownExceptionError, OutOfDomainError
-from .indices import IndexReport
 from .metrics import DistanceVector
 
 
@@ -194,68 +199,35 @@ def predicted_distance_vector(point: FamilyPoint) -> DistanceVector:
     return DistanceVector(n, vec)
 
 
+IndexValues = dict[str, Fraction | float]
+
+
 @dataclass(frozen=True)
 class Prediction:
-    """Every closed-form value for one in-domain parameter point."""
+    """Every closed-form value for one in-domain parameter point.
 
-    point: FamilyPoint
-    distance_vector: DistanceVector
+    ``indices`` maps each name of ``indices.INDEX_FIELDS`` to its value in
+    the type its closed form gives: a ``Fraction`` for the pair indices, the
+    GA/AG values and both AZ values, a ``float`` for the square-root-valued
+    SC and ABC values.
+    """
+
     degree: int
     rho: int
     rs: Fraction
     xi: int
     pi_lower: Fraction
     pi_upper: int
-    indices: IndexReport
+    indices: IndexValues
 
 
-def _report(
-    *,
-    wiener: Fraction,
-    hyper_wiener: Fraction,
-    harary: Fraction,
-    schultz: Fraction,
-    gutman: Fraction,
-    harary_additive: Fraction,
-    harary_multiplicative: Fraction,
-    ga_ag: Fraction,
-    t_sc: float,
-    t_abc: float,
-    t_az: Fraction,
-    rt_sc: float,
-    rt_abc: float,
-    rt_az: Fraction,
-) -> IndexReport:
-    return IndexReport(
-        wiener=wiener,
-        hyper_wiener=hyper_wiener,
-        harary=harary,
-        schultz=schultz,
-        gutman=gutman,
-        harary_additive=harary_additive,
-        harary_multiplicative=harary_multiplicative,
-        t_ga=float(ga_ag),
-        t_ag=float(ga_ag),
-        t_sc=t_sc,
-        t_abc=t_abc,
-        t_az=float(t_az),
-        rt_ga=float(ga_ag),
-        rt_ag=float(ga_ag),
-        rt_sc=rt_sc,
-        rt_abc=rt_abc,
-        rt_az=float(rt_az),
-        exact={
-            "t_ga": ga_ag,
-            "t_ag": ga_ag,
-            "rt_ga": ga_ag,
-            "rt_ag": ga_ag,
-            "t_az": t_az,
-            "rt_az": rt_az,
-        },
-    )
+def _report(*, ga_ag: Fraction, **values: Fraction | float) -> IndexValues:
+    """The index values by name; the four GA/AG values are all ``ga_ag``,
+    the edge count of the transmission-regular complement."""
+    return {**values, "t_ga": ga_ag, "t_ag": ga_ag, "rt_ga": ga_ag, "rt_ag": ga_ag}
 
 
-def _predict_double_loop_half(n: int) -> tuple[int, int, Fraction, Fraction, int, IndexReport]:
+def _predict_double_loop_half(n: int) -> tuple[int, int, Fraction, Fraction, int, IndexValues]:
     rho = n + 2
     rs = Fraction(2 * n - 5, 2)
     degree = n - 4
@@ -279,7 +251,7 @@ def _predict_double_loop_half(n: int) -> tuple[int, int, Fraction, Fraction, int
     return rho, degree, rs, pi[0], pi[1], report
 
 
-def _predict_double_loop_gen(n: int) -> tuple[int, int, Fraction, Fraction, int, IndexReport]:
+def _predict_double_loop_gen(n: int) -> tuple[int, int, Fraction, Fraction, int, IndexValues]:
     rho = n + 3
     rs = Fraction(n - 3)
     degree = n - 5
@@ -303,7 +275,7 @@ def _predict_double_loop_gen(n: int) -> tuple[int, int, Fraction, Fraction, int,
     return rho, degree, rs, pi[0], pi[1], report
 
 
-def _predict_c7() -> tuple[int, int, Fraction, Fraction, int, IndexReport]:
+def _predict_c7() -> tuple[int, int, Fraction, Fraction, int, IndexValues]:
     report = _report(
         wiener=Fraction(42),
         hyper_wiener=Fraction(70),
@@ -323,7 +295,7 @@ def _predict_c7() -> tuple[int, int, Fraction, Fraction, int, IndexReport]:
     return 12, 2, Fraction(11, 3), Fraction(12), 16, report
 
 
-def _predict_mc23() -> tuple[int, int, Fraction, Fraction, int, IndexReport]:
+def _predict_mc23() -> tuple[int, int, Fraction, Fraction, int, IndexValues]:
     report = _report(
         wiener=Fraction(64),
         hyper_wiener=Fraction(120),
@@ -343,7 +315,7 @@ def _predict_mc23() -> tuple[int, int, Fraction, Fraction, int, IndexReport]:
     return 16, 2, Fraction(47, 12), Fraction(16), 21, report
 
 
-def _predict_mc_2h(n: int, h: int) -> tuple[int, int, Fraction, Fraction, int, IndexReport]:
+def _predict_mc_2h(n: int, h: int) -> tuple[int, int, Fraction, Fraction, int, IndexValues]:
     rho = n + 2 * h - 2
     rs = Fraction(2 * n - 2 * h - 1, 2)
     degree = n - 2 * h
@@ -367,7 +339,7 @@ def _predict_mc_2h(n: int, h: int) -> tuple[int, int, Fraction, Fraction, int, I
     return rho, degree, rs, pi[0], pi[1], report
 
 
-def _predict_mc_gen(n: int, h: int) -> tuple[int, int, Fraction, Fraction, int, IndexReport]:
+def _predict_mc_gen(n: int, h: int) -> tuple[int, int, Fraction, Fraction, int, IndexValues]:
     q = n - 2 * h - 1
     rho = n + 2 * h - 1
     rs = Fraction(n - h - 1)
@@ -417,17 +389,15 @@ def predict(point: FamilyPoint) -> Prediction:
         ("rho", rho, vec.transmission),
         ("degree", degree, vec.degree),
         ("rs", rs, vec.reciprocal_transmission),
-        ("wiener", report.wiener, Fraction(n * rho, 2)),
-        ("harary", report.harary, Fraction(n, 2) * rs),
-        ("t_ga", report.exact["t_ga"], Fraction(n * degree, 2)),
+        ("wiener", report["wiener"], Fraction(n * rho, 2)),
+        ("harary", report["harary"], Fraction(n, 2) * rs),
+        ("t_ga", report["t_ga"], Fraction(n * degree, 2)),
     ):
         if scalar != vector:
             raise InconsistentPredictionError(
                 f"{point}: closed-form {name} {scalar} disagrees with {vector}"
             )
     return Prediction(
-        point=point,
-        distance_vector=vec,
         degree=degree,
         rho=rho,
         rs=rs,

@@ -110,12 +110,10 @@ def distance_counts(g: GenericGraph) -> tuple[np.ndarray, np.ndarray]:
     distance d from i, and W[i, d] the sum of their degrees.
 
     One level loop serves all sources at once. Level d's float32 product
-    with the adjacency, minus the pairs reached before, is level d + 1;
-    its row sums, added in float64 (exact below 2**53), are W[:, d] =
-    level @ deg. Level 0 is the identity, whose product is the adjacency.
-    Only sources with a non-empty frontier and vertices left to find are
-    multiplied, so the last level of a source never is: its weight is what
-    the degree total leaves. The result is kept on ``g``, whose adjacency
+    with the adjacency, minus the pairs reached before, is level d + 1,
+    and W[:, d] = level @ deg; level 0 is the identity, whose product is
+    the adjacency. Only sources with a non-empty frontier and vertices left
+    to find are multiplied. The result is kept on ``g``, whose adjacency
     is read-only. Raises :class:`DisconnectedGraphError` when some source
     misses a vertex.
     """
@@ -123,17 +121,18 @@ def distance_counts(g: GenericGraph) -> tuple[np.ndarray, np.ndarray]:
         return g._distance_counts
     n = g.n
     adj = g.adj.astype(np.float32)
+    deg = g.degrees()
     rows = np.arange(n)
     reached = np.eye(n, dtype=bool)
     product = adj
     counts = [np.ones(n, dtype=np.int64)]
-    weights = []
+    weights = [deg]
     while rows.size:
-        weights.append(_column(n, rows, product.sum(axis=1, dtype=np.float64)))
         new = (product > 0) & ~reached
         if not new.any():
             break
         counts.append(_column(n, rows, new.sum(axis=1)))
+        weights.append(_column(n, rows, new @ deg))
         reached |= new
         keep = np.flatnonzero(new.any(axis=1) & ~reached.all(axis=1))
         rows, reached = rows[keep], reached[keep]
@@ -141,12 +140,7 @@ def distance_counts(g: GenericGraph) -> tuple[np.ndarray, np.ndarray]:
     c = np.column_stack(counts)
     if (c.sum(axis=1) != n).any():
         raise DisconnectedGraphError("graph is disconnected")
-    w = np.zeros(c.shape, dtype=np.int64)
-    w[:, : len(weights)] = np.column_stack(weights)
-    # BFS levels are contiguous, so a source's last level is its count of
-    # non-empty ones, less one; its weight is still 0 here
-    last = (c > 0).sum(axis=1) - 1
-    w[np.arange(n), last] = 2 * g.edge_count - w.sum(axis=1)
+    w = np.column_stack(weights)
     c.setflags(write=False)
     w.setflags(write=False)
     g._distance_counts = (c, w)

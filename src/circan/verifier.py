@@ -7,9 +7,12 @@ all seventeen indices), and records per-field agreement. The ``xi_witness``
 field builds the rotation routing at every order and certifies its BFS tree:
 each tree step is a graph edge and each base path 0 -> v has length d(v).
 Uniform vertex load then follows from rotation alone, so the witness
-compares that one load with the predicted forwarding index. Integer and
-rational fields must match exactly; square-root-valued indices are compared
-at 1e-9 relative and the numeric spectrum at 1e-6 relative.
+compares that one load with the predicted forwarding index. Each field is
+compared by the type of its prediction: integer and ``Fraction`` values must
+match the computed exact value (a computed float never matches one), the
+four square-root-valued indices are compared at ``FLOAT_TOL`` (1e-9)
+relative and the numeric spectrum at ``SPECTRAL_TOL`` (1e-6) relative. The
+tolerances are module constants; no option changes them.
 
 Most fields are count-determined: ``degree``, ``rho``, ``rs``, ``xi``,
 ``pi_lower``, ``pi_upper`` and the seventeen indices. Their computed side
@@ -44,7 +47,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
-from functools import partial
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterable, Sequence
 
@@ -67,13 +70,13 @@ from .families import (
     predict,
     predicted_distance_vector,
 )
-from .indices import INDEX_FIELDS, PAIR_FIELDS, report_from_distance_vector
+from .indices import INDEX_FIELDS, report_from_distance_vector
 from .metrics import DistanceVector, distance_vector
 from .routing import build_rotation_routing, edge_forwarding_bounds, vertex_forwarding_index
 from .spectral import spectral_radius_numeric
 
-DEFAULT_FLOAT_TOL = 1e-9
-DEFAULT_SPECTRAL_TOL = 1e-6
+FLOAT_TOL = 1e-9
+SPECTRAL_TOL = 1e-6
 
 FIELD_ORDER = (
     "distance_vector",
@@ -132,13 +135,7 @@ def _vector_repr(d: np.ndarray) -> str:
     return f"n={d.shape[0]};ones=rest;{body}"
 
 
-def verify_point(
-    point: FamilyPoint,
-    *,
-    float_tol: float = DEFAULT_FLOAT_TOL,
-    spectral_tol: float = DEFAULT_SPECTRAL_TOL,
-    _table: dict | None = None,
-) -> VerificationRecord:
+def verify_point(point: FamilyPoint, *, _table: dict | None = None) -> VerificationRecord:
     """Compare every closed form for one parameter point against brute force.
 
     ``_table`` is the calling sweep's table of count-determined checks (see
@@ -168,11 +165,11 @@ def verify_point(
            predicted.distance_counts().tobytes())
     if key not in _table:
         pred = predict(point)
-        _table[key] = (_count_checks(pred, dv, float_tol), pred.xi)
+        _table[key] = (_count_checks(pred, dv), pred.xi)
     count_checks, xi = _table[key]
     checks = {
         **count_checks,
-        **_vector_checks(point, xi, predicted, base, comp, dv, spectral_tol),
+        **_vector_checks(point, xi, predicted, base, comp, dv),
     }
     fields = {name: checks[name] for name in FIELD_ORDER if name in checks}
     return VerificationRecord(point, DomainStatus.IN_DOMAIN, "", fields)
@@ -185,7 +182,6 @@ def _vector_checks(
     base: CirculantSpec,
     comp: CirculantSpec,
     dv: DistanceVector,
-    spectral_tol: float,
 ) -> dict[str, FieldCheck]:
     """The fields that read the distance vector itself, checked at every
     point against the point's own predicted vector and the predicted
@@ -200,7 +196,7 @@ def _vector_checks(
     rho = dv.transmission
     dft_max = spectral_radius_numeric(dv)
     fields["spectral_max"] = FieldCheck(
-        _rel_close(dft_max, float(rho), spectral_tol), str(rho), repr(dft_max)
+        _rel_close(dft_max, float(rho), SPECTRAL_TOL), str(rho), repr(dft_max)
     )
 
     routing = build_rotation_routing(comp, dv)
@@ -221,10 +217,12 @@ def _vector_checks(
     return fields
 
 
-def _count_checks(
-    pred: Prediction, dv: DistanceVector, float_tol: float
-) -> dict[str, FieldCheck]:
-    """The fields whose computed side reads only n and the distance counts."""
+def _count_checks(pred: Prediction, dv: DistanceVector) -> dict[str, FieldCheck]:
+    """The fields whose computed side reads only n and the distance counts.
+
+    An index predicted as a ``Fraction`` is compared exactly with the
+    computed exact value, and fails when the report has none; one predicted
+    as a ``float`` is compared at ``FLOAT_TOL`` relative."""
     degree = dv.degree
     rho = dv.transmission
     rs = dv.reciprocal_transmission
@@ -241,21 +239,14 @@ def _count_checks(
 
     computed = report_from_distance_vector(dv)
     for name in INDEX_FIELDS:
-        want = getattr(pred.indices, name)
-        if name in PAIR_FIELDS:
-            got = getattr(computed, name)
-            fields[name] = FieldCheck(got == want, str(want), str(got))
-        elif name in pred.indices.exact and name in computed.exact:
-            want_exact = pred.indices.exact[name]
-            got_exact = computed.exact[name]
-            fields[name] = FieldCheck(
-                got_exact == want_exact, str(want_exact), str(got_exact)
-            )
+        want = pred.indices[name]
+        if isinstance(want, Fraction):
+            got = computed.exact.get(name, getattr(computed, name))
+            match = isinstance(got, Fraction) and got == want
+            fields[name] = FieldCheck(match, str(want), str(got))
         else:
             got = getattr(computed, name)
-            fields[name] = FieldCheck(
-                _rel_close(got, want, float_tol), repr(want), repr(got)
-            )
+            fields[name] = FieldCheck(_rel_close(got, want, FLOAT_TOL), repr(want), repr(got))
     return fields
 
 
@@ -311,20 +302,13 @@ def multiplicative_points(
     return points
 
 
-def verify_sweep(
-    points: Sequence[FamilyPoint],
-    *,
-    jobs: int = 1,
-    float_tol: float = DEFAULT_FLOAT_TOL,
-    spectral_tol: float = DEFAULT_SPECTRAL_TOL,
-) -> list[VerificationRecord]:
+def verify_sweep(points: Sequence[FamilyPoint], *, jobs: int = 1) -> list[VerificationRecord]:
     """Verify every point, in order; ``jobs`` > 1 shards across at most
     ``jobs`` processes, and never more than the machine has cores."""
-    run = partial(_verify_chunk, float_tol=float_tol, spectral_tol=spectral_tol)
     # more workers than cores only add processes, and more than chunks idle
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(points) < 4:
-        return run(points)
+        return _verify_chunk(points)
     # imported here so that a process that never runs workers does not pay
     # for loading the pool
     from concurrent.futures import ProcessPoolExecutor
@@ -332,19 +316,14 @@ def verify_sweep(
     size = max(1, len(points) // (4 * jobs))
     chunks = [points[i : i + size] for i in range(0, len(points), size)]
     with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-        return [rec for recs in pool.map(run, chunks) for rec in recs]
+        return [rec for recs in pool.map(_verify_chunk, chunks) for rec in recs]
 
 
-def _verify_chunk(
-    points: Sequence[FamilyPoint], *, float_tol: float, spectral_tol: float
-) -> list[VerificationRecord]:
+def _verify_chunk(points: Sequence[FamilyPoint]) -> list[VerificationRecord]:
     """Verify points in order with one table of count-determined checks,
     dropped on return."""
     table: dict = {}
-    return [
-        verify_point(p, float_tol=float_tol, spectral_tol=spectral_tol, _table=table)
-        for p in points
-    ]
+    return [verify_point(p, _table=table) for p in points]
 
 
 def verify_family(
@@ -354,8 +333,6 @@ def verify_family(
     n_range: tuple[int, int] = (8, 40),
     max_order: int = 1024,
     jobs: int = 1,
-    float_tol: float = DEFAULT_FLOAT_TOL,
-    spectral_tol: float = DEFAULT_SPECTRAL_TOL,
 ) -> list[VerificationRecord]:
     """Sweep one family (or the whole multiplicative class via ``"mc"``)."""
     name = family.value if isinstance(family, Family) else family
@@ -371,9 +348,7 @@ def verify_family(
         points = multiplicative_points(max_order, Family(name))
     else:
         raise ValueError(f"unknown family {family!r}")
-    return verify_sweep(
-        points, jobs=jobs, float_tol=float_tol, spectral_tol=spectral_tol
-    )
+    return verify_sweep(points, jobs=jobs)
 
 
 def has_failures(records: Iterable[VerificationRecord]) -> bool:

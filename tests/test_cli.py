@@ -292,8 +292,11 @@ class TestVerify:
         assert "lo exceeds hi" in capsys.readouterr().err
 
     def test_bad_tol_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["verify", "--family", "c7", "--tol", "0.5"])
+        # the tolerances are pinned: there is no option to change them
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "c7", "--tol", "1e-4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, capsys, jobs):
@@ -384,6 +387,12 @@ EXIT_CASES = [
     (3, ["routing", "--fixture", str(FIXTURES / "fig1.graph"), "--routing", "{tmp}"], None),
     (3, ["analyze", "--n", "8", "--jumps", "1,4", "--out", "{tmp}"], None),
     (3, ["analyze", "--n", "8", "--jumps", "1,4", "--out", "{tmp}/no-such-dir/out.txt"], None),
+    # a graph order below 2
+    (3, ["analyze", "--n", "1", "--jumps", "1"], None),
+    (3, ["analyze", "--m", "1", "--h", "3"], None),
+    (3, ["analyze", "--m", "2", "--h", "0"], None),
+    # the exact rt_az of C_8192(1) is past the int-to-str digit limit
+    (1, ["analyze", "--n", "8192", "--jumps", "1"], None),
 ]
 
 

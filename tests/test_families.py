@@ -1,9 +1,12 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from circan import (
+    INDEX_FIELDS,
     CirculantSpec,
     DomainStatus,
     Family,
@@ -123,13 +126,13 @@ class TestPredictions:
         assert pred.rs == Fraction(19, 2)
         assert pred.xi == 3
         assert (pred.pi_lower, pred.pi_upper) == (Fraction(28, 8), 11)
-        assert pred.indices.wiener == 84
+        assert pred.indices["wiener"] == 84
 
     def test_c7(self):
         pred = predict(c7_point(2))
         assert (pred.rho, pred.xi) == (12, 6)
-        assert pred.indices.wiener == 42
-        assert pred.indices.exact["t_az"] == Fraction(2612736, 1331)
+        assert pred.indices["wiener"] == 42
+        assert pred.indices["t_az"] == Fraction(2612736, 1331)
 
     def test_mc_gen_five_squared(self):
         pred = predict(multiplicative_point(5, 2))
@@ -142,7 +145,7 @@ class TestPredictions:
         assert pred.rho == 22
         assert pred.rs == Fraction(23, 2)
         assert pred.xi == 7
-        assert pred.indices.exact["t_az"] == Fraction(907039232, 9261)
+        assert pred.indices["t_az"] == Fraction(907039232, 9261)
 
     def test_internal_consistency_over_sweeps(self):
         points = (
@@ -154,6 +157,16 @@ class TestPredictions:
         for point in points:
             pred = predict(point)  # raises if the scalar and vector forms disagree
             assert pred.xi == pred.rho - (point.n - 1)
+
+    def test_each_index_in_its_closed_form_type(self):
+        roots = {"t_sc", "t_abc", "rt_sc", "rt_abc"}
+        for point in (double_loop_half_point(6), double_loop_gen_point(12, 3), c7_point(2),
+                      multiplicative_point(2, 3), multiplicative_point(2, 5),
+                      multiplicative_point(3, 2)):
+            indices = predict(point).indices
+            assert set(indices) == set(INDEX_FIELDS), point
+            for name, value in indices.items():
+                assert type(value) is (float if name in roots else Fraction), (point, name)
 
     def test_inconsistent_closed_form_raises(self, monkeypatch):
         import circan.families as families_module
@@ -176,7 +189,7 @@ class TestAlternateForms:
         for point in points:
             alt = alternate_rt_az_form(point)
             assert alt is not None
-            assert alt == predict(point).indices.exact["rt_az"], point
+            assert alt == predict(point).indices["rt_az"], point
 
     def test_absent_for_double_loops(self):
         assert alternate_rt_az_form(double_loop_half_point(6)) is None
@@ -217,3 +230,18 @@ class TestDiameterClosedForms:
             spec = CirculantSpec.of(2 * k, [1, k])
             want = k // 2 if k % 2 == 0 else (k + 1) // 2
             assert distance_vector(spec).diameter == want, k
+
+
+def test_families_independent_of_the_engine():
+    """The closed forms read only the graph types, never the code that
+    checks them."""
+    import circan.families as families_module
+
+    tree = ast.parse(Path(families_module.__file__).read_text(encoding="utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("circan")):
+            package.add((node.module or "").removeprefix("circan").lstrip(".").split(".")[0])
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("circan") for alias in node.names)
+    assert package == {"core", "errors", "metrics"}

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circan import (
-    INDEX_FIELDS,
     DistanceVector,
     DomainStatus,
     Family,
@@ -78,6 +77,14 @@ class TestVerifyPoint:
         rec = verify_point(multiplicative_point(2, 4))
         assert not rec.fields["xi_witness"].match
         assert rec.fields["xi_witness"].computed.endswith(";not a shortest-path tree")
+        assert not rec.passed
+
+    def test_exact_prediction_fails_without_a_computed_exact_value(self, monkeypatch):
+        real = verifier.report_from_distance_vector
+        monkeypatch.setattr(verifier, "report_from_distance_vector",
+                            lambda dv: dataclasses.replace(real(dv), exact={}))
+        rec = verify_point(multiplicative_point(2, 4))
+        assert set(rec.mismatches()) == {"t_ga", "t_ag", "t_az", "rt_ga", "rt_ag", "rt_az"}
         assert not rec.passed
 
     def test_unchecked_in_domain_point_fails(self, monkeypatch):
@@ -209,9 +216,8 @@ class TestSweeps:
 
 def _count_determined(pred):
     """The predicted values a sweep shares among points with one table key."""
-    indices = tuple(getattr(pred.indices, name) for name in INDEX_FIELDS)
-    exact = sorted(pred.indices.exact.items())
-    return pred.degree, pred.rho, pred.rs, pred.xi, pred.pi_lower, pred.pi_upper, indices, exact
+    indices = sorted(pred.indices.items())
+    return pred.degree, pred.rho, pred.rs, pred.xi, pred.pi_lower, pred.pi_upper, indices
 
 
 class TestCountTable:
