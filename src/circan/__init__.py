@@ -27,6 +27,7 @@ from .errors import (
     FixtureParseError,
     InconsistentPredictionError,
     InvalidEdgeError,
+    InvariantError,
     KnownExceptionError,
     MissingPairError,
     NonElementaryPathError,

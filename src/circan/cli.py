@@ -5,7 +5,9 @@ sweep), ``spectrum`` (eigenvalue listing), ``routing`` (fixture load
 analysis). Exit codes are part of the interface: 0 success, 1 any other
 library error (e.g. ``DegenerateTransmissionError`` for ``analyze --n 2
 --jumps 1``, ``OversizedRationalError`` when an exact rational has more
-digits than Python converts to text), 2 disconnected or edgeless graph,
+digits than Python converts to text, ``InvariantError`` when a result
+breaks an internal invariant, such as a BFS distance vector that is no
+palindrome), 2 disconnected or edgeless graph,
 argparse usage errors (including ``verify --jobs`` below 1) and a sweep
 that selects no points, 3 parse error, a graph order below 2 (``--n 1``,
 or ``--m``/``--h`` with m^h = 1), or a file that cannot be read or
@@ -51,7 +53,7 @@ from .routing import load_profile, parse_routing_fixture, edge_forwarding_bounds
 from .spectral import circulant_spectrum, spectral_radius_numeric
 from .verifier import (
     _dumps_indent2,
-    _int_array_items,
+    _array_items,
     has_failures,
     records_to_csv,
     records_to_json,
@@ -106,7 +108,7 @@ def _flatten(doc, prefix: str = "") -> list[tuple[str, str]]:
         for key, value in doc.items():
             rows += _flatten(value, f"{prefix}{key}." if prefix else f"{key}.")
     elif isinstance(doc, np.ndarray):
-        rows.append((prefix.rstrip("."), " ".join(_int_array_items(doc))))
+        rows.append((prefix.rstrip("."), " ".join(_array_items(doc, json_floats=False))))
     elif isinstance(doc, (list, tuple)):
         rows.append((prefix.rstrip("."), " ".join(repr(v) if isinstance(v, float) else str(v) for v in doc)))
     else:
@@ -276,7 +278,7 @@ def cmd_spectrum(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     doc = {
         "n": spec.n,
         "jumps": list(spec.jumps),
-        "eigenvalues": spectrum.eigenvalues.tolist(),
+        "eigenvalues": spectrum.eigenvalues,
         "radius_exact": exact,
         "radius_float": spectrum.radius,
         "radius_abs_error": abs(spectrum.radius - exact),

@@ -10,6 +10,12 @@ class CirculantError(Exception):
     """Base class for all circan errors."""
 
 
+class InvariantError(CirculantError):
+    """A result broke an invariant the library relies on, such as the
+    palindrome of a circulant distance vector: a defect of the library, not
+    bad input."""
+
+
 class EmptyJumpSetError(CirculantError):
     """All raw jump values were congruent to 0 mod n."""
 

@@ -34,7 +34,7 @@ from operator import mul
 import numpy as np
 
 from .core import CirculantSpec, GenericGraph
-from .errors import DisconnectedGraphError
+from .errors import DisconnectedGraphError, InvariantError
 
 
 def reciprocal_weights(diameter: int) -> tuple[int, list[int]]:
@@ -64,13 +64,13 @@ class DistanceVector:
     def __post_init__(self) -> None:
         arr = np.asarray(self.d, dtype=np.int64)
         if arr.shape != (self.n,):
-            raise ValueError(f"expected {self.n} entries, got shape {arr.shape}")
+            raise InvariantError(f"expected {self.n} entries, got shape {arr.shape}")
         if arr[0] != 0:
-            raise ValueError("distance to vertex 0 must be 0")
+            raise InvariantError("distance to vertex 0 must be 0")
         if self.n > 1 and arr[1:].min() < 1:
-            raise ValueError("all distances from vertex 0 must be positive")
+            raise InvariantError("all distances from vertex 0 must be positive")
         if not np.array_equal(arr[1:], arr[1:][::-1]):
-            raise ValueError("circulant distance vector must satisfy d[v] == d[n-v]")
+            raise InvariantError("circulant distance vector must satisfy d[v] == d[n-v]")
         if arr.flags.writeable:
             arr = arr.copy()
             arr.setflags(write=False)
@@ -111,7 +111,8 @@ def distance_counts(g: GenericGraph) -> tuple[np.ndarray, np.ndarray]:
 
     One level loop serves all sources at once. Level d's float32 product
     with the adjacency, minus the pairs reached before, is level d + 1,
-    and W[:, d] = level @ deg; level 0 is the identity, whose product is
+    and W[:, d] = level @ deg, an einsum over the boolean level that casts
+    no n x n integer copy of it; level 0 is the identity, whose product is
     the adjacency. Only sources with a non-empty frontier and vertices left
     to find are multiplied. The result is kept on ``g``, whose adjacency
     is read-only. Raises :class:`DisconnectedGraphError` when some source
@@ -132,7 +133,7 @@ def distance_counts(g: GenericGraph) -> tuple[np.ndarray, np.ndarray]:
         if not new.any():
             break
         counts.append(_column(n, rows, new.sum(axis=1)))
-        weights.append(_column(n, rows, new @ deg))
+        weights.append(_column(n, rows, np.einsum("ij,j->i", new, deg)))
         reached |= new
         keep = np.flatnonzero(new.any(axis=1) & ~reached.all(axis=1))
         rows, reached = rows[keep], reached[keep]

@@ -41,6 +41,7 @@ from .core import (
 from .errors import (
     FixtureParseError,
     InvalidEdgeError,
+    InvariantError,
     MissingPairError,
     NonElementaryPathError,
     VertexRangeError,
@@ -255,7 +256,7 @@ def build_rotation_routing(spec: CirculantSpec, dv: DistanceVector) -> RotationR
     distance vector is ``dv``."""
     n = spec.n
     if dv.n != n:
-        raise ValueError(f"distance vector has order {dv.n}, spec has {n}")
+        raise InvariantError(f"distance vector has order {dv.n}, spec has {n}")
     dist = dv.d
     offs = np.flatnonzero(spec.connection_row)
     # Distance-1 vertices hang off 0; only farther ones search their neighbors.

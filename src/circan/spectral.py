@@ -1,13 +1,22 @@
 """Eigenvalues of circulant distance matrices.
 
 A circulant matrix with first row d has eigenvalues
-sum_k d[k] * exp(2*pi*i*j*k / n), the DFT of d; palindrome symmetry of
-distance vectors makes them real, so the real part of the FFT suffices. The
-exact spectral radius of a connected circulant's distance matrix is its
+lambda_j = sum_k d[k] * exp(2*pi*i*j*k / n), the DFT of d. A distance
+vector is a palindrome, d[k] == d[n - k] (``DistanceVector`` enforces it),
+so every lambda_j is real, and the spectrum is the real part of the
+transform. The input is real, so the transform's entry n - j is the complex
+conjugate of entry j and their real parts are equal: lambda_(n-j) ==
+lambda_j. The spectrum is therefore computed once, as the half transform
+(``np.fft.rfft``, entries 0..n // 2), and the other entries are its mirror,
+half[1 : n - len(half) + 1]. Each mirrored eigenvalue is the same float as
+its partner, bit for bit, where the full complex FFT would round the two
+apart.
+
+The exact spectral radius of a connected circulant's distance matrix is its
 (constant) row sum, the transmission of any vertex, which callers read as
 ``DistanceVector.transmission``: that integer is authoritative, the numeric
 spectrum is a cross-check oracle. Callers that need only the numeric radius
-read the FFT's maximum; only the full listing sorts.
+read the half transform's maximum; only the full listing mirrors and sorts.
 """
 
 from __future__ import annotations
@@ -45,16 +54,20 @@ class Spectrum:
         return float(self.eigenvalues.sum())
 
 
-def _eigenvalues(dv: DistanceVector) -> np.ndarray:
-    return np.fft.fft(dv.d.astype(np.float64)).real
+def _half_spectrum(dv: DistanceVector) -> np.ndarray:
+    """lambda_0..lambda_(n // 2), the real part of the half transform."""
+    return np.fft.rfft(dv.d.astype(np.float64)).real
 
 
 def circulant_spectrum(dv: DistanceVector) -> Spectrum:
     """Numeric eigenvalues of the distance matrix with first row ``dv``."""
-    return Spectrum(np.sort(_eigenvalues(dv))[::-1])
+    half = _half_spectrum(dv)
+    full = np.concatenate((half, half[1 : dv.n - len(half) + 1]))
+    return Spectrum(np.sort(full)[::-1])
 
 
 def spectral_radius_numeric(dv: DistanceVector) -> float:
-    """The largest numeric eigenvalue, the FFT's maximum: bit for bit
-    ``circulant_spectrum(dv).radius``, without sorting the spectrum."""
-    return float(_eigenvalues(dv).max())
+    """The largest numeric eigenvalue, the half transform's maximum: bit
+    for bit ``circulant_spectrum(dv).radius``, without mirroring or
+    sorting."""
+    return float(_half_spectrum(dv).max())

@@ -30,9 +30,9 @@ internal consistency check only those counts, so it is the same check at
 every point with the key. The table keeps the checks and the predicted
 forwarding index, not the prediction, and lives for one sweep (one worker
 chunk under ``jobs``). The predicted and computed distance vectors, the
-numeric spectral radius (the FFT's maximum; nothing sorts the spectrum),
-the routing witness and the base diameter still run at every point. A
-sub-family sweep builds only its own multiplicative points.
+numeric spectral radius (the half transform's maximum; nothing sorts the
+spectrum), the routing witness and the base diameter still run at every
+point. A sub-family sweep builds only its own multiplicative points.
 
 Out-of-domain parameters are still swept: they produce flagged records (the
 observed obstruction goes into the note) rather than assertions, so a sweep
@@ -380,16 +380,35 @@ def record_to_dict(rec: VerificationRecord) -> dict:
     }
 
 
-def _int_array_items(arr: np.ndarray) -> list[str]:
-    """The decimal text of each entry of a non-empty 1-D integer array with
-    entries in 0..len - 1, such as a distance vector, by one gather over the
-    texts of 0..max: the table is never longer than the array."""
-    if not (arr.ndim == 1 and arr.size and arr.dtype.kind in "iu"
-            and arr.min() >= 0 and arr.max() < arr.size):
-        raise TypeError("only a non-empty 1-D integer array with entries in "
-                        "0..len - 1 is serializable")
-    table = np.array([str(i) for i in range(int(arr.max()) + 1)], dtype=object)
-    return table.take(arr).tolist()
+def _array_items(arr: np.ndarray, *, json_floats: bool = True) -> list[str]:
+    """The text of each entry of a non-empty 1-D integer or float64 array,
+    by one gather over texts.
+
+    An integer array, such as a distance vector, must hold entries in
+    0..len - 1; it is gathered from the texts of 0..max, so the table is
+    never longer than the array. A float array, such as a sorted spectrum,
+    is cut into runs of neighbours with equal bit patterns (so -0.0 stays
+    apart from 0.0); each run's head is formatted once and its text
+    repeated by the run's length. Floats get JSON's texts (``NaN``,
+    ``Infinity``) from one C-encoder call, or ``repr`` texts when
+    ``json_floats`` is false.
+    """
+    if arr.ndim == 1 and arr.size:
+        if arr.dtype.kind in "iu" and arr.min() >= 0 and arr.max() < arr.size:
+            table = np.array([str(i) for i in range(int(arr.max()) + 1)], dtype=object)
+            return table.take(arr).tolist()
+        if arr.dtype == np.float64:
+            bits = arr.view(np.int64)
+            starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+            heads = arr[starts].tolist()
+            if json_floats:
+                texts = json.dumps(heads)[1:-1].split(", ")
+            else:
+                texts = [repr(v) for v in heads]
+            runs = np.diff(starts, append=arr.size)
+            return np.array(texts, dtype=object).repeat(runs).tolist()
+    raise TypeError("only a non-empty 1-D float64 array, or a 1-D integer array "
+                    "with entries in 0..len - 1, is serializable")
 
 
 _INF = float("inf")
@@ -398,13 +417,14 @@ _NOT_SCALAR = (str, dict, list, tuple)
 
 def _dumps_indent2(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for dicts with str keys,
-    lists, tuples, str, int, float, bool and None; an integer array of
-    :func:`_int_array_items` is written as the list of its entries.
+    lists, tuples, str, int, float, bool and None; an array of
+    :func:`_array_items` is written as the list of its entries.
 
     Any ``indent`` turns the stdlib's C encoder off, so this builds the layout
     by joins instead: strings go through the C string escaper, a list of
-    plain scalars through one C-encoder call and an array through one table
-    gather. ``pad`` is the newline plus the indentation of the enclosing level.
+    plain scalars through one C-encoder call and an array through one gather
+    over texts. ``pad`` is the newline plus the indentation of the enclosing
+    level.
     """
     if isinstance(value, str):
         return _encode_str(value)
@@ -424,7 +444,7 @@ def _dumps_indent2(value, pad: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(value, np.ndarray):
         inner = pad + "  "
-        return "[" + inner + ("," + inner).join(_int_array_items(value)) + pad + "]"
+        return "[" + inner + ("," + inner).join(_array_items(value)) + pad + "]"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from circan.cli import main
@@ -367,6 +368,12 @@ def _wrong_rho(monkeypatch):
                         lambda point: dataclasses.replace(real(point), rho=real(point).rho + 1))
 
 
+def _non_palindromic_bfs(monkeypatch):
+    import circan.metrics as metrics_module
+
+    monkeypatch.setattr(metrics_module, "_circulant_bfs", lambda spec: np.arange(spec.n))
+
+
 EXIT_CASES = [
     (0, ["analyze", "--n", "8", "--jumps", "1,4"], None),
     (0, ["routing", "--fixture", str(FIXTURES / "fig1.graph"),
@@ -393,6 +400,9 @@ EXIT_CASES = [
     (3, ["analyze", "--m", "2", "--h", "0"], None),
     # the exact rt_az of C_8192(1) is past the int-to-str digit limit
     (1, ["analyze", "--n", "8192", "--jumps", "1"], None),
+    # an internal invariant (a BFS vector that is no palindrome) is a
+    # library error, not bad input
+    (1, ["analyze", "--n", "8", "--jumps", "1,4"], _non_palindromic_bfs),
 ]
 
 

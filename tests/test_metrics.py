@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from circan.errors import (
     DisconnectedGraphError,
     EmptyComplementError,
     EmptyJumpSetError,
+    InvariantError,
 )
 
 from conftest import (
@@ -91,7 +93,7 @@ class TestDistanceVector:
         assert all(d[v] == d[n - v] for v in range(1, n))
 
     def test_validation_rejects_non_palindrome(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             DistanceVector(4, np.array([0, 1, 1, 2]))
 
 
@@ -250,6 +252,23 @@ class TestDistanceCounts:
     def test_single_vertex(self):
         counts, weights = distance_counts(GenericGraph(np.zeros((1, 1), dtype=bool)))
         assert counts.tolist() == [[1]] and weights.tolist() == [[0]]
+
+    def test_peak_memory_on_one_edge(self):
+        # The first level is n x n. Its degree sums must not cast it to an
+        # n x n int64 array (8 n^2 bytes on top of the float32 adjacency and
+        # the boolean levels).
+        n = 2000
+        adj = np.zeros((n, n), dtype=bool)
+        adj[0, 1] = adj[1, 0] = True
+        g = GenericGraph(adj)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedGraphError):
+                distance_counts(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * n * n
 
 
 class TestMetricsSummary:

@@ -2,11 +2,11 @@
 
 * Exact edge-index rationals are built when ``exact`` is first read; the
   eager ``_edge_indices`` they replaced is kept here as the oracle.
-* The numeric spectral radius is the FFT's maximum, bit for bit the first
-  element of the sorted spectrum.
-* A distance vector reaches the emitter as its array and is written by one
-  table gather, in the bytes of ``json.dumps(indent=2)`` and of the space
-  join of its list.
+* The numeric spectral radius is the half transform's maximum, bit for bit
+  the first element of the sorted spectrum.
+* A distance vector and a sorted spectrum reach the emitter as arrays and
+  are written by one gather over texts, in the bytes of
+  ``json.dumps(indent=2)`` and of the space join of their lists.
 """
 
 import json
@@ -38,7 +38,7 @@ from circan.indices import (
     _reciprocal_numerators,
     _sum_fractions,
 )
-from circan.verifier import _dumps_indent2, _int_array_items
+from circan.verifier import _array_items, _dumps_indent2
 
 from conftest import FIXTURES, from_edges, random_connected_specs
 
@@ -209,32 +209,56 @@ def _emitted(capsys, tmp_path, argv, fmt):
     return out, path.read_bytes().decode("utf-8")
 
 
+def _with(doc, keys, value):
+    """``doc`` with ``doc[keys[0]][keys[1]]...`` replaced by ``value``."""
+    head, *rest = keys
+    return {**doc, head: _with(doc[head], rest, value) if rest else value}
+
+
+def _array_emission(capsys, tmp_path, monkeypatch, argv, keys, text):
+    """Emit ``argv`` in each format and check that the array at ``keys``
+    gives the bytes of the same document holding its list, through the list
+    path (``text`` formats one list entry for csv and text); returns the
+    arrays."""
+    docs = []
+    real_emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda args, doc: (docs.append(doc), real_emit(args, doc)))
+    arrays = []
+    for fmt in ("json", "csv", "text"):
+        docs.clear()
+        out, written = _emitted(capsys, tmp_path, argv, fmt)
+        array = docs[0]
+        for key in keys:
+            array = array[key]
+        assert isinstance(array, np.ndarray)
+        arrays.append(array)
+        listed = _with(docs[0], keys, array.tolist())
+        real_emit(cli.build_parser().parse_args([*argv, "--format", fmt]), listed)
+        want = capsys.readouterr().out
+        assert out == written == want
+        if fmt == "json":
+            assert want == json.dumps(listed, indent=2) + "\n"
+        else:
+            key = ".".join(keys) + ("," if fmt == "csv" else ": ")
+            assert key + " ".join(map(text, array.tolist())) in out.splitlines()
+    return arrays
+
+
 class TestArrayEmitter:
     @pytest.mark.parametrize("n,jumps,complement", EMITTER_SPECS)
     def test_analyze_bytes_equal_list_emission(self, capsys, tmp_path, monkeypatch,
                                                n, jumps, complement):
-        docs = []
-        real_emit = cli._emit
-        monkeypatch.setattr(cli, "_emit", lambda args, doc: (docs.append(doc), real_emit(args, doc)))
         argv = ["analyze", "--n", str(n), "--jumps", jumps] + ["--complement"] * complement
-        diameters = set()
-        for fmt in ("json", "csv", "text"):
-            docs.clear()
-            out, written = _emitted(capsys, tmp_path, argv, fmt)
-            vector = docs[0]["metrics"]["distance_vector"]
-            assert isinstance(vector, np.ndarray)
-            diameters.add(int(vector.max()))
-            # the same document with the vector as a list, through the list path
-            listed = {**docs[0], "metrics": {**docs[0]["metrics"], "distance_vector": vector.tolist()}}
-            real_emit(cli.build_parser().parse_args([*argv, "--format", fmt]), listed)
-            want = capsys.readouterr().out
-            assert out == written == want
-            if fmt == "json":
-                assert want == json.dumps(listed, indent=2) + "\n"
-            else:
-                key = "metrics.distance_vector" + ("," if fmt == "csv" else ": ")
-                assert key + " ".join(map(str, vector.tolist())) in out.splitlines()
-        assert len(diameters) == 1
+        vectors = _array_emission(capsys, tmp_path, monkeypatch, argv,
+                                  ("metrics", "distance_vector"), str)
+        assert len({int(vector.max()) for vector in vectors}) == 1
+
+    @pytest.mark.parametrize("n,jumps,complement", EMITTER_SPECS)
+    def test_spectrum_bytes_equal_list_emission(self, capsys, tmp_path, monkeypatch,
+                                                n, jumps, complement):
+        argv = ["spectrum", "--n", str(n), "--jumps", jumps] + ["--complement"] * complement
+        spectra = _array_emission(capsys, tmp_path, monkeypatch, argv, ("eigenvalues",), repr)
+        assert all(len(eig) == n for eig in spectra)
 
     def test_spec_list_reaches_multi_digit_distances(self):
         diameters = [distance_vector(CirculantSpec.of(n, map(int, j.split(",")))).diameter
@@ -253,15 +277,38 @@ class TestArrayEmitter:
         assert _dumps_indent2(doc) == json.dumps(listed, indent=2)
         assert cli._flatten(doc) == cli._flatten(listed)
 
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 0.1, -2.5, 1e300, 5e-324,
+                                     math.inf, -math.inf, math.nan]) | st.floats(),
+                    min_size=1, max_size=60),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_float_array_equals_list_emission(self, values, reverse):
+        # runs of equal values, -0.0 beside 0.0, inf and nan; a reversed
+        # view is what a sorted spectrum reaches the emitter as
+        arr = np.array(values, dtype=np.float64)
+        if reverse:
+            arr = arr[::-1]
+        doc = {"a": arr}
+        listed = {"a": arr.tolist()}
+        assert _dumps_indent2(doc) == json.dumps(listed, indent=2)
+        assert cli._flatten(doc) == cli._flatten(listed)
+
+    def test_float_runs_keep_their_texts(self):
+        arr = np.array([2.0, 2.0, 0.0, -0.0, -0.0, 0.0, math.inf, math.inf,
+                        -math.inf, math.nan, math.nan, 0.1])
+        assert _array_items(arr) == ["2.0", "2.0", "0.0", "-0.0", "-0.0", "0.0",
+                                     "Infinity", "Infinity", "-Infinity", "NaN", "NaN", "0.1"]
+        assert _array_items(arr, json_floats=False) == [
+            "2.0", "2.0", "0.0", "-0.0", "-0.0", "0.0", "inf", "inf", "-inf", "nan", "nan", "0.1"]
+
     @pytest.mark.parametrize("bad", [
         np.array([], dtype=np.int64),
         np.array([0, -1, 1]),
         np.array([0, 3, 1]),          # an entry past len - 1
         np.array([[0, 1], [1, 0]]),
-        np.array([0.0, 1.0]),
     ])
     def test_other_arrays_are_rejected(self, bad):
         with pytest.raises(TypeError):
-            _int_array_items(bad)
+            _array_items(bad)
         with pytest.raises(TypeError):
             _dumps_indent2({"a": bad})

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from circan import (
     CirculantSpec,
@@ -49,13 +51,47 @@ class TestSpectrum:
         assert (np.diff(eig) <= 1e-12).all()
 
     def test_direct_and_fft_agree(self):
-        for n, jumps in [(2, [1]), (7, [1, 2]), (700, [1, 9]), (1000, [3, 14, 20]),
-                         (1500, [1])]:
+        # 997 is prime and 1322 = 2 * 661: orders whose transform takes the
+        # large-prime (Bluestein) path
+        for n, jumps in [(2, [1]), (7, [1, 2]), (700, [1, 9]), (997, [1, 30]),
+                         (1000, [3, 14, 20]), (1322, [1, 9, 200]), (1500, [1])]:
             dv = distance_vector(CirculantSpec.of(n, jumps))
             direct = np.sort(_dft_direct(dv.d.astype(np.float64)))[::-1]
             fft = circulant_spectrum(dv).eigenvalues
             scale = max(1.0, float(np.abs(direct).max()))
             assert np.abs(direct - fft).max() <= 1e-9 * scale
+
+
+class TestMirror:
+    """lambda_(n-j) == lambda_j bit for bit: every eigenvalue comes in a
+    bitwise-equal pair, except lambda_0 (the radius) and, for even n,
+    lambda_(n/2)."""
+
+    @given(st.integers(2, 600), st.lists(st.integers(1, 300), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_mirrored_eigenvalues_are_bitwise_equal(self, n, jumps):
+        jumps = [j % n for j in jumps if j % n]
+        assume(jumps)
+        try:
+            dv = distance_vector(CirculantSpec.of(n, jumps))
+        except DisconnectedGraphError:
+            assume(False)
+        eig = circulant_spectrum(dv).eigenvalues
+        bits, counts = np.unique(eig.view(np.int64), return_counts=True)
+        assert len(bits) <= n // 2 + 1
+        single = set(bits[counts % 2 == 1].tolist())
+        radius = int(eig[:1].view(np.int64)[0])
+        assert radius in single
+        single.discard(radius)
+        if n % 2:
+            assert not single
+        else:
+            # lambda_(n/2) is the alternating sum of the distances, an
+            # integer strictly below the radius
+            (middle,) = single
+            alternating = int(dv.d[::2].sum() - dv.d[1::2].sum())
+            value = float(np.int64(middle).view(np.float64))
+            assert abs(value - alternating) <= 1e-9 * dv.transmission
 
 
 class TestExactRadius:
