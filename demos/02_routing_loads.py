@@ -3,13 +3,17 @@
 A routing fixes one elementary path per ordered vertex pair; the load of a
 vertex counts the routed paths that cross it strictly inside. The demo
 walks a 6-vertex graph with two routings (one minimal and symmetric, one
-neither), then shows the rotation-invariant routing that attains the exact
-vertex-forwarding index on a circulant complement.
+neither), then certifies a circulant complement's distance vector as its
+BFS layering: that certificate witnesses the rotation-invariant routing
+whose uniform load is the exact vertex-forwarding index.
 """
+
+import numpy as np
 
 from circan import (
     CirculantSpec,
-    build_rotation_routing,
+    DistanceVector,
+    bfs_layering_fault,
     complement_spec,
     distance_vector,
     edge_forwarding_bounds,
@@ -111,13 +115,17 @@ for name, text in (("minimal", MINIMAL_ROUTING), ("detour", DETOUR_ROUTING)):
 # --- circulant complements admit a perfectly balanced routing ----------------
 comp = complement_spec(CirculantSpec.of(8, [1, 2, 4]))
 dv = distance_vector(comp)
-rotation = build_rotation_routing(comp, dv)
 print(f"\nrotation routing on {comp}:")
-print("  BFS tree parents:", rotation.parent.tolist(),
-      "shortest-path tree:", rotation.minimal)
-print("  loads:", rotation.vertex_loads().tolist(),
-      "(uniform by rotation symmetry: sum of depth - 1 over the tree)")
+print("  distance vector:", dv.d.tolist())
+print("  certified as the BFS layering from 0:", bfs_layering_fault(comp, dv) is None)
+print("  (d == 1 exactly on the connection row, every vertex at d >= 2 has a")
+print("   neighbour at d - 1, and no edge skips a level)")
+load = dv.transmission - (dv.n - 1)
+print(f"  uniform load rho - (n - 1) = {dv.transmission} - {dv.n - 1} = {load}",
+      "(every vertex, by rotation symmetry)")
 print("  exact vertex-forwarding index:", vertex_forwarding_index(dv))
+overestimate = DistanceVector(dv.n, np.where(dv.d == 2, 3, dv.d))
+print("  an overestimated vector is refused:", bfs_layering_fault(comp, overestimate))
 
 lower, upper = edge_forwarding_bounds(dv)
 print(f"  edge-forwarding index bounds: {lower} <= pi <= {upper}")

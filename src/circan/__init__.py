@@ -65,9 +65,8 @@ from .metrics import (
 )
 from .routing import (
     LoadProfile,
-    RotationRouting,
     Routing,
-    build_rotation_routing,
+    bfs_layering_fault,
     edge_forwarding_bounds,
     load_profile,
     parse_routing_fixture,

@@ -37,7 +37,12 @@ from fractions import Fraction
 import numpy as np
 
 from .core import CirculantSpec
-from .errors import InconsistentPredictionError, KnownExceptionError, OutOfDomainError
+from .errors import (
+    InconsistentPredictionError,
+    InvariantError,
+    KnownExceptionError,
+    OutOfDomainError,
+)
 from .metrics import DistanceVector
 
 
@@ -106,12 +111,21 @@ def multiplicative_point(m: int, h: int) -> FamilyPoint:
     return FamilyPoint(family, n=m**h, m=m, h=h)
 
 
+def _param(point: FamilyPoint, name: str) -> int:
+    """The parameter ``name`` (a, m or h) of ``point``, which its family
+    requires; a point built without it is a defect of the caller."""
+    value = getattr(point, name)
+    if value is None:
+        raise InvariantError(f"{point.family.value} point has no {name}: {point}")
+    return value
+
+
 def base_spec(point: FamilyPoint) -> CirculantSpec:
     """Spec of the base graph whose complement the family describes."""
     if point.family in (Family.DOUBLE_LOOP_HALF, Family.DOUBLE_LOOP_GEN, Family.C7_SPECIAL):
         return CirculantSpec.of(point.n, (1, point.a))
-    assert point.m is not None and point.h is not None
-    return CirculantSpec.of(point.n, tuple(point.m**i for i in range(point.h)))
+    m, h = _param(point, "m"), _param(point, "h")
+    return CirculantSpec.of(point.n, tuple(m**i for i in range(h)))
 
 
 def domain_status(point: FamilyPoint) -> tuple[DomainStatus, str]:
@@ -140,17 +154,16 @@ def domain_status(point: FamilyPoint) -> tuple[DomainStatus, str]:
     if f is Family.MC_23:
         return DomainStatus.IN_DOMAIN, ""
     if f is Family.MC_2H:
-        assert point.h is not None
-        if point.h >= 4:
+        if _param(point, "h") >= 4:
             return DomainStatus.IN_DOMAIN, ""
         return DomainStatus.OUT_OF_DOMAIN, "complement is edgeless"
     if f is Family.MC_GEN:
-        assert point.m is not None and point.h is not None
-        if point.m >= 5:
+        m, h = _param(point, "m"), _param(point, "h")
+        if m >= 5:
             return DomainStatus.IN_DOMAIN, ""
-        if point.h >= 2:
+        if h >= 2:
             return DomainStatus.IN_DOMAIN, ""
-        if point.m == 3:
+        if m == 3:
             return DomainStatus.OUT_OF_DOMAIN, "complement of the complete graph K3 is edgeless"
         return DomainStatus.OUT_OF_DOMAIN, "complement is a perfect matching (disconnected)"
     raise ValueError(f"unknown family {f}")
@@ -177,8 +190,7 @@ def predicted_distance_vector(point: FamilyPoint) -> DistanceVector:
     n = point.n
     f = point.family
     if f is Family.C7_SPECIAL:
-        assert point.a is not None
-        return DistanceVector(7, np.array(_C7_VECTORS[point.a], dtype=np.int64))
+        return DistanceVector(7, np.array(_C7_VECTORS[_param(point, "a")], dtype=np.int64))
     if f is Family.MC_23:
         return DistanceVector(8, np.array(_MC23_VECTOR, dtype=np.int64))
     vec = np.ones(n, dtype=np.int64)
@@ -190,11 +202,11 @@ def predicted_distance_vector(point: FamilyPoint) -> DistanceVector:
         a = point.a
         vec[[1, a, n - a, n - 1]] = 2
     else:  # MC_2H or MC_GEN: distance 2 exactly at the base jumps' offsets
-        assert point.m is not None and point.h is not None
+        m, h = _param(point, "m"), _param(point, "h")
         twos = set()
-        for i in range(point.h):
-            twos.add(point.m**i)
-            twos.add(n - point.m**i)
+        for i in range(h):
+            twos.add(m**i)
+            twos.add(n - m**i)
         vec[sorted(twos)] = 2
     return DistanceVector(n, vec)
 
@@ -378,11 +390,9 @@ def predict(point: FamilyPoint) -> Prediction:
     elif f is Family.MC_23:
         rho, degree, rs, pi_lo, pi_hi, report = _predict_mc23()
     elif f is Family.MC_2H:
-        assert point.h is not None
-        rho, degree, rs, pi_lo, pi_hi, report = _predict_mc_2h(n, point.h)
+        rho, degree, rs, pi_lo, pi_hi, report = _predict_mc_2h(n, _param(point, "h"))
     else:
-        assert point.h is not None
-        rho, degree, rs, pi_lo, pi_hi, report = _predict_mc_gen(n, point.h)
+        rho, degree, rs, pi_lo, pi_hi, report = _predict_mc_gen(n, _param(point, "h"))
     xi = rho - (n - 1)
     # Internal consistency: the scalar forms must agree with the vector form.
     for name, scalar, vector in (

@@ -27,7 +27,7 @@ That BFS has two sides, chosen by the spec alone:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -55,11 +55,15 @@ def reciprocal_sum(counts: np.ndarray | list[int]) -> Fraction:
 class DistanceVector:
     """Distances from vertex 0 of a connected circulant graph.
 
-    This is the first row of the (circulant) distance matrix.
+    This is the first row of the (circulant) distance matrix. Its distance
+    counts and transmission are computed once, on construction; the
+    degree, diameter and reciprocal transmission read the counts.
     """
 
     n: int
     d: np.ndarray
+    transmission: int = field(init=False, repr=False)
+    _counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.d, dtype=np.int64)
@@ -67,14 +71,23 @@ class DistanceVector:
             raise InvariantError(f"expected {self.n} entries, got shape {arr.shape}")
         if arr[0] != 0:
             raise InvariantError("distance to vertex 0 must be 0")
-        if self.n > 1 and arr[1:].min() < 1:
+        rest = arr[1:]
+        if self.n > 1 and rest.min() < 1:
             raise InvariantError("all distances from vertex 0 must be positive")
-        if not np.array_equal(arr[1:], arr[1:][::-1]):
+        if not (rest == rest[::-1]).all():
             raise InvariantError("circulant distance vector must satisfy d[v] == d[n-v]")
+        if arr.max() >= self.n:
+            # checked before the counts are taken: they are max + 1 long
+            raise InvariantError("every distance from vertex 0 must be below n")
         if arr.flags.writeable:
             arr = arr.copy()
             arr.setflags(write=False)
+        counts = np.bincount(arr)
+        counts.setflags(write=False)
         object.__setattr__(self, "d", arr)
+        object.__setattr__(self, "_counts", counts)
+        # sum of distances from vertex 0 to all others, from the few counts
+        object.__setattr__(self, "transmission", sum(map(mul, counts.tolist(), range(counts.size))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DistanceVector):
@@ -82,27 +95,23 @@ class DistanceVector:
         return self.n == other.n and np.array_equal(self.d, other.d)
 
     @property
-    def transmission(self) -> int:
-        """Sum of distances from vertex 0 to all others."""
-        return int(self.d.sum())
-
-    @property
     def reciprocal_transmission(self) -> Fraction:
         """Exact sum of reciprocal distances from vertex 0."""
-        return reciprocal_sum(self.distance_counts())
+        return reciprocal_sum(self._counts)
 
     @property
     def diameter(self) -> int:
-        return int(self.d.max())
+        return self._counts.size - 1
 
     @property
     def degree(self) -> int:
         """Number of distance-1 vertices, i.e. the (common) vertex degree."""
-        return int((self.d == 1).sum())
+        return int(self._counts[1]) if self._counts.size > 1 else 0
 
     def distance_counts(self) -> np.ndarray:
-        """counts[d] = number of vertices at distance d from vertex 0."""
-        return np.bincount(self.d)
+        """counts[d] = number of vertices at distance d from vertex 0
+        (read-only)."""
+        return self._counts
 
 
 def distance_counts(g: GenericGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -186,28 +195,34 @@ def _circulant_bfs(spec: CirculantSpec) -> np.ndarray:
     unreached = ((1 << n) - 2) ^ row
     while frontier and unreached:
         level += 1
-        if unreached.bit_count() < degree:
-            # Pull: v joins when its neighbours, the row rotated by v, meet
-            # the frontier; the frontier is doubled so the rotation can wrap.
-            wrapped = frontier | (frontier << n)
-            new = 0
-            rest = unreached
-            while rest:
-                low = rest & -rest
-                if (row << (low.bit_length() - 1)) & wrapped:
-                    new |= low
-                rest ^= low
-        else:
-            # Push the frontier through every offset; bits shifted past n
-            # fold back to the bottom.
-            reach = 0
-            for off in offsets:
-                reach |= frontier << off
-            new = (reach | (reach >> n)) & unreached
+        new = _next_level(n, row, offsets, frontier, unreached)
         dist[_mask(new, n)] = level
         unreached ^= new
         frontier = new
     return dist
+
+
+def _next_level(n: int, row: int, offsets: tuple[int, ...], frontier: int, unreached: int) -> int:
+    """The vertices of ``unreached`` adjacent to ``frontier``: n-bit sets of
+    the circulant with connection row ``row`` (as bits) and ``offsets``."""
+    if unreached.bit_count() < len(offsets):
+        # Pull: v joins when its neighbours, the row rotated by v, meet the
+        # frontier; the frontier is doubled so the rotation can wrap.
+        wrapped = frontier | (frontier << n)
+        new = 0
+        rest = unreached
+        while rest:
+            low = rest & -rest
+            if (row << (low.bit_length() - 1)) & wrapped:
+                new |= low
+            rest ^= low
+        return new
+    # Push the frontier through every offset; bits shifted past n fold back
+    # to the bottom.
+    reach = 0
+    for off in offsets:
+        reach |= frontier << off
+    return (reach | (reach >> n)) & unreached
 
 
 def distance_vector(spec: CirculantSpec) -> DistanceVector:

@@ -1,13 +1,16 @@
-"""Explicit routings, load profiles, the rotation witness, and forwarding
-bounds.
+"""Explicit routings, load profiles, the BFS-layering certificate, and
+forwarding bounds.
 
 A routing fixes one elementary path for every ordered vertex pair. The
 vertex load counts paths that cross a vertex strictly inside; the
 vertex-forwarding index of a connected circulant equals the transmission
 minus (n - 1), and a rotation-invariant shortest-path routing attains it
-with all vertex loads equal. That routing is kept only as its witness: a
-BFS tree from vertex 0 and the one load every vertex carries. For the
-edge-forwarding index only bounds are produced, from the distance vector.
+with all vertex loads equal: the paths of a BFS tree from vertex 0, each
+shifted by every x, load every vertex with sum(d(v) - 1). No such routing
+is built. Its witness is a certificate that the distance vector is the BFS
+layering from vertex 0 (``bfs_layering_fault``); the uniform load is then
+rho - (n - 1). For the edge-forwarding index only bounds are produced,
+from the distance vector.
 
 An explicit routing is validated in whole-array passes over its paths laid
 end to end (one vertex array plus one length per path): vertex range,
@@ -23,7 +26,6 @@ over the inner positions and one ``np.unique`` over the steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping
@@ -46,7 +48,7 @@ from .errors import (
     NonElementaryPathError,
     VertexRangeError,
 )
-from .metrics import DistanceVector, distance_counts
+from .metrics import DistanceVector, _bitset, _next_level, distance_counts
 
 @dataclass(frozen=True)
 class LoadProfile:
@@ -203,76 +205,52 @@ def parse_routing_fixture(text: str, g: GenericGraph) -> Routing:
     return _validated(g, vertices, lengths)
 
 
-class RotationRouting:
-    """The uniform-load witness of a circulant's rotation-invariant
-    shortest-path routing.
+def bfs_layering_fault(spec: CirculantSpec, dv: DistanceVector) -> str | None:
+    """Certify ``dv`` as the BFS layering of ``spec`` from vertex 0: None
+    when it is one, else the first condition that fails, naming a vertex.
 
-    A BFS tree from vertex 0, stored as a parent array (parent = smallest
-    neighbor one level closer, or the vertex itself when ``dv`` gives it
-    none; such a tree is not ``minimal``), fixes the paths 0 -> v; the path
-    for (x, x + v) is that base path shifted by x. Rotation makes every
-    vertex carry the same load, sum over v of (depth(v) - 1), so no path is
-    ever laid out.
+    The conditions are (a) d == 1 exactly on the connection row, (b) every
+    vertex at d >= 2 has a neighbour at d - 1 and (c) no edge joins levels
+    more than one apart. By (b) a walk of length d(v) reaches 0, so d(v) is
+    at least the distance; by (c) d grows by at most one along each step of
+    a shortest path, so d(v) is at most the distance. By rotation the
+    root's layering fixes every pair.
+
+    Level by level on n-bit levels, with the push or pull step of
+    ``_circulant_bfs``, the vertices at d >= L adjacent to level L - 1 must
+    be exactly level L: one of level L left out fails (b), one beyond it
+    fails (c). When max d <= 2, (c) follows from (a), since only edges out
+    of vertex 0 could skip a level, so a diameter-2 complement costs one
+    comparison and one pull per vertex at distance 2.
     """
-
-    def __init__(self, spec: CirculantSpec, parent: np.ndarray, dv: DistanceVector):
-        self.spec = spec
-        self.n = spec.n
-        self.parent = parent  # parent[v] is the vertex before v on the path 0 -> v
-        self.dv = dv
-        self.depth = _tree_depths(parent)
-
-    @cached_property
-    def minimal(self) -> bool:
-        """Every tree step is an edge and every base path 0 -> v has length d(v)."""
-        n = self.n
-        steps = (np.arange(1, n) - self.parent[1:]) % n
-        return bool(self.spec.connection_row[steps].all()) and np.array_equal(
-            self.depth, self.dv.d
-        )
-
-    def vertex_loads(self) -> np.ndarray:
-        """Inner-vertex counts: every vertex carries sum(depth - 1) over the
-        base paths that reach 0."""
-        rooted = self.depth[self.depth > 0]
-        return np.full(self.n, int((rooted - 1).sum()), dtype=np.int64)
-
-
-def _tree_depths(parent: np.ndarray) -> np.ndarray:
-    """Steps from each vertex to 0 along ``parent`` (pointer doubling);
-    -1 where the walk never reaches 0."""
-    n = parent.shape[0]
-    depth = (np.arange(n) != 0).astype(np.int64)
-    anc = parent.copy()
-    anc[0] = 0
-    for _ in range(max(1, (n - 1).bit_length())):
-        depth, anc = depth + depth[anc], anc[anc]
-    depth[anc != 0] = -1
-    return depth
-
-
-def build_rotation_routing(spec: CirculantSpec, dv: DistanceVector) -> RotationRouting:
-    """The rotation-invariant shortest-path routing of ``spec``, whose BFS
-    distance vector is ``dv``."""
     n = spec.n
     if dv.n != n:
         raise InvariantError(f"distance vector has order {dv.n}, spec has {n}")
-    dist = dv.d
-    offs = np.flatnonzero(spec.connection_row)
-    # Distance-1 vertices hang off 0; only farther ones search their neighbors.
-    parent = np.zeros(n, dtype=np.int64)
-    far = np.flatnonzero(dist >= 2)
-    chunk = max(1, 4_000_000 // offs.size)
-    for start in range(0, far.size, chunk):
-        vs = far[start : start + chunk]
-        nbrs = (vs[:, None] + offs[None, :]) % n
-        closer = dist[nbrs] == dist[vs][:, None] - 1
-        found = np.where(closer, nbrs, n).min(axis=1)
-        # no neighbour one level closer (``dv`` is not the BFS vector): the
-        # vertex is its own parent, so its walk never reaches 0 and the
-        # routing is not minimal
-        parent[vs] = np.where(found < n, found, vs)
-    return RotationRouting(spec, parent, dv)
+    d = dv.d
+    row_mask = spec.connection_row
+    v = _first_true((d == 1) != row_mask)
+    if v < n:
+        if row_mask[v]:
+            return f"(a) vertex {v} is adjacent to 0 at d={d[v]}"
+        return f"(a) vertex {v} at d=1 is not adjacent to 0"
+    offsets = spec.offsets()
+    row = frontier = _bitset(row_mask)
+    unreached = ((1 << n) - 2) ^ row
+    for level in range(2, dv.diameter + 1):
+        # every vertex left is at the last level
+        layer = unreached if level == dv.diameter else _bitset(d == level)
+        reached = _next_level(n, row, offsets, frontier, unreached)
+        missing = layer & ~reached
+        if missing:
+            v = (missing & -missing).bit_length() - 1
+            return f"(b) vertex {v} at d={level} has no neighbour at d={level - 1}"
+        if reached != layer:
+            skip = reached ^ layer
+            v = (skip & -skip).bit_length() - 1
+            return f"(c) vertex {v} at d={d[v]} has a neighbour at d={level - 1}"
+        unreached ^= layer
+        frontier = layer
+    return None
 
 
 def load_profile(routing: Routing) -> LoadProfile:

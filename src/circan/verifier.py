@@ -4,10 +4,14 @@ For every parameter point the verifier rebuilds the complement, runs BFS,
 recomputes every predicted quantity from scratch (spectral radius both as
 the exact transmission and as the numeric DFT maximum, forwarding values,
 all seventeen indices), and records per-field agreement. The ``xi_witness``
-field builds the rotation routing at every order and certifies its BFS tree:
-each tree step is a graph edge and each base path 0 -> v has length d(v).
-Uniform vertex load then follows from rotation alone, so the witness
-compares that one load with the predicted forwarding index. Each field is
+field certifies the computed distance vector as the BFS layering of the
+complement at every order (``routing.bfs_layering_fault``: d == 1 exactly on
+the connection row, every farther vertex has a neighbour one level closer,
+no edge skips a level). The certified layering is the BFS tree of the
+rotation-invariant shortest-path routing, whose uniform vertex load is
+rho - (n - 1), so the witness compares that one load with the predicted
+forwarding index; a refused layering fails the field and names the
+condition that failed. Each field is
 compared by the type of its prediction: integer and ``Fraction`` values must
 match the computed exact value (a computed float never matches one), the
 four square-root-valued indices are compared at ``FLOAT_TOL`` (1e-9)
@@ -31,8 +35,13 @@ every point with the key. The table keeps the checks and the predicted
 forwarding index, not the prediction, and lives for one sweep (one worker
 chunk under ``jobs``). The predicted and computed distance vectors, the
 numeric spectral radius (the half transform's maximum; nothing sorts the
-spectrum), the routing witness and the base diameter still run at every
+spectrum), the witness certificate and the base diameter still run at every
 point. A sub-family sweep builds only its own multiplicative points.
+
+Each piece of a point is built once: a distance vector's counts and
+transmission on construction, one text for a matching exact value or an
+equal pair of vectors, a record's ``passed`` when first read, and each
+record's JSON from one template.
 
 Out-of-domain parameters are still swept: they produce flagged records (the
 observed obstruction goes into the note) rather than assertions, so a sweep
@@ -47,6 +56,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterable, Sequence
@@ -54,7 +64,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import CirculantSpec, complement_spec
-from .errors import DisconnectedGraphError, EmptyComplementError
+from .errors import DisconnectedGraphError, EmptyComplementError, InvariantError
 from .families import (
     DomainStatus,
     Family,
@@ -72,7 +82,7 @@ from .families import (
 )
 from .indices import INDEX_FIELDS, report_from_distance_vector
 from .metrics import DistanceVector, distance_vector
-from .routing import build_rotation_routing, edge_forwarding_bounds, vertex_forwarding_index
+from .routing import bfs_layering_fault, edge_forwarding_bounds, vertex_forwarding_index
 from .spectral import spectral_radius_numeric
 
 FLOAT_TOL = 1e-9
@@ -106,10 +116,10 @@ class VerificationRecord:
     note: str
     fields: dict[str, FieldCheck]
 
-    @property
+    @cached_property
     def passed(self) -> bool:
         """True unless an in-domain point failed a field comparison or was
-        not checked at all."""
+        not checked at all; computed once per record."""
         if self.domain_status is not DomainStatus.IN_DOMAIN:
             return True
         return bool(self.fields) and all(check.match for check in self.fields.values())
@@ -186,29 +196,30 @@ def _vector_checks(
     """The fields that read the distance vector itself, checked at every
     point against the point's own predicted vector and the predicted
     forwarding index ``xi``."""
-    fields = {
-        "distance_vector": FieldCheck(
-            match=bool(np.array_equal(dv.d, predicted.d)),
-            predicted=_vector_repr(predicted.d),
-            computed=_vector_repr(dv.d),
-        )
-    }
+    if np.array_equal(dv.d, predicted.d):
+        text = _vector_repr(dv.d)
+        vector = FieldCheck(True, text, text)
+    else:
+        vector = FieldCheck(False, _vector_repr(predicted.d), _vector_repr(dv.d))
+    fields = {"distance_vector": vector}
     rho = dv.transmission
     dft_max = spectral_radius_numeric(dv)
     fields["spectral_max"] = FieldCheck(
         _rel_close(dft_max, float(rho), SPECTRAL_TOL), str(rho), repr(dft_max)
     )
 
-    routing = build_rotation_routing(comp, dv)
-    loads = routing.vertex_loads()
-    lo, hi = int(loads.min()), int(loads.max())
-    witness = f"min={lo},max={hi}"
-    if not routing.minimal:
-        witness += ";not a shortest-path tree"
-    fields["xi_witness"] = FieldCheck(routing.minimal and lo == hi == xi, str(xi), witness)
+    # A certified BFS layering is the witness of the rotation routing, whose
+    # every vertex carries rho - (n - 1).
+    fault = bfs_layering_fault(comp, dv)
+    if fault is None:
+        load = vertex_forwarding_index(dv)
+        fields["xi_witness"] = FieldCheck(load == xi, str(xi), f"min={load},max={load}")
+    else:
+        fields["xi_witness"] = FieldCheck(False, str(xi), f"not the BFS layering: {fault}")
 
     if point.family in (Family.MC_2H, Family.MC_GEN, Family.MC_23):
-        assert point.m is not None and point.h is not None
+        if point.m is None or point.h is None:
+            raise InvariantError(f"{point.family.value} point needs m and h, got {point}")
         base_diam = distance_vector(base).diameter
         predicted_diam = multiplicative_base_diameter(point.m, point.h)
         fields["base_diameter"] = FieldCheck(
@@ -223,18 +234,17 @@ def _count_checks(pred: Prediction, dv: DistanceVector) -> dict[str, FieldCheck]
     An index predicted as a ``Fraction`` is compared exactly with the
     computed exact value, and fails when the report has none; one predicted
     as a ``float`` is compared at ``FLOAT_TOL`` relative."""
-    degree = dv.degree
-    rho = dv.transmission
-    rs = dv.reciprocal_transmission
-    xi = vertex_forwarding_index(dv)
     pi_lower, pi_upper = edge_forwarding_bounds(dv)
     fields = {
-        "degree": FieldCheck(degree == pred.degree, str(pred.degree), str(degree)),
-        "rho": FieldCheck(rho == pred.rho, str(pred.rho), str(rho)),
-        "rs": FieldCheck(rs == pred.rs, str(pred.rs), str(rs)),
-        "xi": FieldCheck(xi == pred.xi, str(pred.xi), str(xi)),
-        "pi_lower": FieldCheck(pi_lower == pred.pi_lower, str(pred.pi_lower), str(pi_lower)),
-        "pi_upper": FieldCheck(pi_upper == pred.pi_upper, str(pred.pi_upper), str(pi_upper)),
+        name: _exact_check(want == got, want, got)
+        for name, want, got in (
+            ("degree", pred.degree, dv.degree),
+            ("rho", pred.rho, dv.transmission),
+            ("rs", pred.rs, dv.reciprocal_transmission),
+            ("xi", pred.xi, vertex_forwarding_index(dv)),
+            ("pi_lower", pred.pi_lower, pi_lower),
+            ("pi_upper", pred.pi_upper, pi_upper),
+        )
     }
 
     computed = report_from_distance_vector(dv)
@@ -242,12 +252,20 @@ def _count_checks(pred: Prediction, dv: DistanceVector) -> dict[str, FieldCheck]
         want = pred.indices[name]
         if isinstance(want, Fraction):
             got = computed.exact.get(name, getattr(computed, name))
-            match = isinstance(got, Fraction) and got == want
-            fields[name] = FieldCheck(match, str(want), str(got))
+            fields[name] = _exact_check(isinstance(got, Fraction) and got == want, want, got)
         else:
             got = getattr(computed, name)
             fields[name] = FieldCheck(_rel_close(got, want, FLOAT_TOL), repr(want), repr(got))
     return fields
+
+
+def _exact_check(match: bool, want, got) -> FieldCheck:
+    """The check of an exact prediction; a matching value of the
+    prediction's own type is formatted once for both texts."""
+    if match and type(want) is type(got):
+        text = str(want)
+        return FieldCheck(True, text, text)
+    return FieldCheck(match, str(want), str(got))
 
 
 def _domain_note(status: DomainStatus, reason: str, observed: str) -> str:
@@ -469,7 +487,37 @@ def _dumps_indent2(value, pad: str = "\n") -> str:
 
 
 def records_to_json(records: Sequence[VerificationRecord]) -> str:
-    return _dumps_indent2([record_to_dict(r) for r in records])
+    """``json.dumps([record_to_dict(r) for r in records], indent=2)``, byte
+    for byte, written from one template per record and one per field, with
+    the strings through the C string escaper."""
+    if not records:
+        return "[]"
+    return "[" + ",".join(map(_record_json, records)) + "\n]"
+
+
+def _json_int(value: int | None) -> str:
+    return "null" if value is None else int.__repr__(value)
+
+
+def _record_json(rec: VerificationRecord) -> str:
+    p = rec.point
+    if rec.fields:
+        blocks = [
+            f'\n      {_encode_str(name)}: {{\n        "match": {"true" if c.match else "false"},'
+            f'\n        "predicted": {_encode_str(c.predicted)},'
+            f'\n        "computed": {_encode_str(c.computed)}\n      }}'
+            for name, c in rec.fields.items()
+        ]
+        fields = "{" + ",".join(blocks) + "\n    }"
+    else:
+        fields = "{}"
+    return (
+        f'\n  {{\n    "family": {_encode_str(p.family.value)},\n    "n": {_json_int(p.n)},'
+        f'\n    "a": {_json_int(p.a)},\n    "m": {_json_int(p.m)},\n    "h": {_json_int(p.h)},'
+        f'\n    "status": {_encode_str(rec.domain_status.value)},'
+        f'\n    "note": {_encode_str(rec.note)},'
+        f'\n    "passed": {"true" if rec.passed else "false"},\n    "fields": {fields}\n  }}'
+    )
 
 
 def records_to_csv(records: Sequence[VerificationRecord]) -> str:

@@ -53,16 +53,33 @@ def from_edges(n: int, edges) -> GenericGraph:
     return GenericGraph(adj)
 
 
-def rotation_paths(rr) -> list[tuple[int, ...]]:
-    """Every path of a rotation routing: the tree path 0 -> v of each v != 0,
-    read up the parent array, shifted by each x. The tree must reach 0 from
-    every vertex."""
-    n = rr.n
+def rotation_parents(spec: CirculantSpec, dv) -> np.ndarray:
+    """A BFS tree of the circulant ``spec`` from vertex 0 by the distance
+    vector ``dv``: the parent of each vertex is its smallest neighbour one
+    level closer, or the vertex itself when it has none (vertex 0 too)."""
+    n = spec.n
+    offsets = np.flatnonzero(spec.connection_row)
+    parent = np.arange(n)
+    for v in range(1, n):
+        neighbours = (v + offsets) % n
+        closer = neighbours[dv.d[neighbours] == dv.d[v] - 1]
+        if closer.size:
+            parent[v] = closer.min()
+    return parent
+
+
+def rotation_paths(parent: np.ndarray) -> list[tuple[int, ...]]:
+    """Every path of the rotation routing of a BFS tree: the tree path
+    0 -> v of each v != 0, read up the parent array, shifted by each x.
+    Raises ValueError when the walk from some vertex never reaches 0."""
+    n = len(parent)
     bases = []
     for v in range(1, n):
         path = [v]
         while path[-1] != 0:
-            path.append(int(rr.parent[path[-1]]))
+            if len(path) > n:
+                raise ValueError(f"the tree walk from {v} never reaches 0")
+            path.append(int(parent[path[-1]]))
         bases.append(path[::-1])
     return [tuple((u + x) % n for u in base) for x in range(n) for base in bases]
 

@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from circan import (
     CirculantSpec,
     DomainStatus,
     Family,
+    FamilyPoint,
     base_spec,
     c7_point,
     distance_vector,
@@ -21,7 +25,12 @@ from circan import (
     predict,
     predicted_distance_vector,
 )
-from circan.errors import InconsistentPredictionError, KnownExceptionError, OutOfDomainError
+from circan.errors import (
+    InconsistentPredictionError,
+    InvariantError,
+    KnownExceptionError,
+    OutOfDomainError,
+)
 
 
 def alternate_rt_az_form(point):
@@ -70,6 +79,27 @@ class TestPointConstruction:
     def test_multiplicative_base_spec_folds_jumps(self):
         p = multiplicative_point(2, 4)
         assert base_spec(p) == CirculantSpec.of(16, [1, 2, 4, 8])
+
+    @pytest.mark.parametrize("family", [Family.MC_2H, Family.MC_GEN])
+    def test_multiplicative_point_without_m_is_an_invariant_error(self, family):
+        point = FamilyPoint(family, n=16, m=None, h=4)
+        with pytest.raises(InvariantError):
+            base_spec(point)
+        with pytest.raises(InvariantError):
+            predicted_distance_vector(point)
+
+    def test_parameter_checks_survive_python_O(self):
+        # python -O strips assert statements, not these checks
+        code = ("from circan import Family, FamilyPoint, base_spec\n"
+                "from circan.errors import InvariantError\n"
+                "try:\n"
+                "    base_spec(FamilyPoint(Family.MC_GEN, n=9, h=2))\n"
+                "except InvariantError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
 class TestDomains:

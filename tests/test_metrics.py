@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circan import (
@@ -168,6 +168,41 @@ def kernel_specs(draw):
         except EmptyComplementError:
             pass
     return spec
+
+
+class TestDistanceVectorCounts:
+    """The counts and transmission a DistanceVector stores on construction."""
+
+    @given(spec=kernel_specs())
+    @example(spec=CirculantSpec.of(2, [1]))
+    @example(spec=CirculantSpec.of(9, [2]))
+    @settings(max_examples=80, deadline=None)
+    def test_stored_counts_equal_the_array_reductions(self, spec):
+        try:
+            dv = distance_vector(spec)
+        except DisconnectedGraphError:
+            return
+        d = dv.d
+        assert dv.degree == int((d == 1).sum())
+        assert dv.diameter == int(d.max())
+        assert dv.transmission == int(d.sum()) and type(dv.transmission) is int
+        assert np.array_equal(dv.distance_counts(), np.bincount(d))
+        assert dv.reciprocal_transmission == sum(Fraction(1, int(x)) for x in d[1:])
+
+    def test_stored_counts_are_read_only(self):
+        dv = distance_vector(CirculantSpec.of(8, [1, 2]))
+        counts = dv.distance_counts()
+        assert counts is dv.distance_counts() and not counts.flags.writeable
+        with pytest.raises(ValueError):
+            counts[1] = 0
+        assert counts.tolist() == [1, 4, 3]
+
+    def test_distance_beyond_the_order_is_refused_before_counting(self):
+        # a count array of 10**12 + 1 entries is never allocated
+        with pytest.raises(InvariantError):
+            DistanceVector(3, np.array([0, 10**12, 10**12]))
+        with pytest.raises(InvariantError):
+            DistanceVector(4, np.array([0, 1, 4, 1]))
 
 
 class TestCirculantBfsKernel:

@@ -1,16 +1,16 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circan import (
     CirculantSpec,
-    RotationRouting,
     Routing,
+    bfs_layering_fault,
     build_circulant,
-    build_rotation_routing,
     complement_spec,
     distance_vector,
     edge_forwarding_bounds,
@@ -24,11 +24,12 @@ from circan.errors import (
     DisconnectedGraphError,
     EmptyJumpSetError,
     InvalidEdgeError,
+    InvariantError,
     MissingPairError,
     NonElementaryPathError,
 )
 
-from conftest import rotation_paths, routing_paths
+from conftest import rotation_parents, rotation_paths, routing_paths
 
 
 @pytest.fixture(scope="module")
@@ -100,24 +101,32 @@ class TestRoutingFixture:
             Routing.from_paths(fig1, [(0, 1, 0)])
 
 
-def rotation(spec: CirculantSpec):
-    return build_rotation_routing(spec, distance_vector(spec))
+def rotation(spec: CirculantSpec) -> tuple[Routing, DistanceVector]:
+    """The rotation routing of ``spec``'s BFS tree, laid out and validated
+    as an explicit routing, with the distance vector it was built from."""
+    dv = distance_vector(spec)
+    paths = rotation_paths(rotation_parents(spec, dv))
+    return Routing.from_paths(build_circulant(spec), paths), dv
 
 
 class TestRotationRouting:
+    """The witness certifies the BFS layering; these tests lay out the
+    rotation routing it stands for and re-check it as an explicit routing."""
+
     def test_uniform_loads_on_half_jump_complement(self):
         comp = complement_spec(CirculantSpec.of(8, [1, 4]))
-        loads = rotation(comp).vertex_loads()
-        assert loads.tolist() == [3] * 8
+        routing, dv = rotation(comp)
+        assert bfs_layering_fault(comp, dv) is None
+        assert load_profile(routing).vertex_loads.tolist() == [3] * 8
 
     def test_complete_graph_loads(self):
-        loads = rotation(CirculantSpec.of(4, [1, 2])).vertex_loads()
-        assert loads.tolist() == [0, 0, 0, 0]
+        routing, dv = rotation(CirculantSpec.of(4, [1, 2]))
+        assert bfs_layering_fault(CirculantSpec.of(4, [1, 2]), dv) is None
+        assert load_profile(routing).vertex_loads.tolist() == [0, 0, 0, 0]
 
     def test_multiplicative_eight_complement(self):
-        comp = complement_spec(CirculantSpec.of(8, [1, 2, 4]))
-        loads = rotation(comp).vertex_loads()
-        assert loads.tolist() == [9] * 8
+        routing, _ = rotation(complement_spec(CirculantSpec.of(8, [1, 2, 4])))
+        assert load_profile(routing).vertex_loads.tolist() == [9] * 8
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
@@ -134,14 +143,12 @@ class TestRotationRouting:
             complement_spec(CirculantSpec.of(32, [1, 2, 4, 8, 16])),
             complement_spec(CirculantSpec.of(13, [1, 5])),
         ]:
-            dv = distance_vector(spec)
-            rr = build_rotation_routing(spec, dv)
-            # every rotated path, re-validated as an explicit routing
-            explicit = Routing.from_paths(build_circulant(spec), rotation_paths(rr))
-            assert rr.minimal and explicit.minimal  # every rotated path is shortest
+            explicit, dv = rotation(spec)
+            assert bfs_layering_fault(spec, dv) is None
+            assert explicit.minimal  # every rotated path is shortest
             profile = load_profile(explicit)
-            assert profile.vertex_loads.tolist() == rr.vertex_loads().tolist()
-            assert profile.max_vertex_load == vertex_forwarding_index(dv)
+            # the load the witness reports on success, on every vertex
+            assert profile.vertex_loads.tolist() == [vertex_forwarding_index(dv)] * spec.n
             # rotation spreads each offset orbit's load evenly over its edges
             n = spec.n
             orbit_loads = {}
@@ -151,29 +158,38 @@ class TestRotationRouting:
 
     def test_minimal_certifies_the_tree(self):
         spec = complement_spec(CirculantSpec.of(12, [1, 6]))  # C12(2,3,4,5)
-        good = rotation(spec)
-        assert good.minimal and good.parent[1] == 3
-        # 2 -> 1 is no edge; 6 -> 1 is an edge one level too far; 1 -> 1 never reaches 0
-        for bad_parent in (2, 6, 1):
-            parent = good.parent.copy()
-            parent[1] = bad_parent
-            assert not RotationRouting(spec, parent, good.dv).minimal, bad_parent
+        dv = distance_vector(spec)
+        parent = rotation_parents(spec, dv)
+        assert parent[1] == 3
+        g = build_circulant(spec)
+        # 6 -> 1 is an edge one level too far: valid paths, not all shortest
+        bad = parent.copy()
+        bad[1] = 6
+        assert Routing.from_paths(g, rotation_paths(parent)).minimal
+        assert not Routing.from_paths(g, rotation_paths(bad)).minimal
+        # 2 -> 1 is no edge
+        bad[1] = 2
+        with pytest.raises(InvalidEdgeError):
+            Routing.from_paths(g, rotation_paths(bad))
+        # 1 -> 1 never reaches 0
+        bad[1] = 1
+        with pytest.raises(ValueError):
+            rotation_paths(bad)
 
     def test_vector_without_closer_neighbour_is_not_minimal(self):
         # C_10(1): vertex 3 sits at 4 with neighbours at 2 and 4, none at 3,
-        # so the tree cannot reach it (this raised a bare IndexError)
+        # so no tree reaches it, and the edge 2-3 skips level 3
         spec = CirculantSpec.of(10, [1])
         dv = DistanceVector(10, np.array([0, 1, 2, 4, 4, 5, 4, 4, 2, 1]))
-        routing = build_rotation_routing(spec, dv)
-        assert not routing.minimal
-        assert routing.depth.tolist() == [0, 1, 2, -1, -1, -1, -1, -1, 2, 1]
-        # the four base paths that reach 0 (to 1, 2, 8, 9) cross 2 inner vertices
-        assert routing.vertex_loads().tolist() == [2] * 10
+        assert bfs_layering_fault(spec, dv) == "(c) vertex 3 at d=4 has a neighbour at d=2"
+        parent = rotation_parents(spec, dv)
+        assert parent.tolist() == [0, 0, 1, 3, 4, 4, 6, 7, 9, 0]
+        with pytest.raises(ValueError):
+            rotation_paths(parent)
 
     def test_symmetric_flag_is_computed(self):
         # identity-path routing on a complete graph is symmetric
-        spec = CirculantSpec.of(5, [1, 2])
-        assert Routing.from_paths(build_circulant(spec), rotation_paths(rotation(spec))).symmetric
+        assert rotation(CirculantSpec.of(5, [1, 2]))[0].symmetric
 
     @given(st.sampled_from([(10, (1,)), (12, (1, 5)), (13, (2, 3)), (16, (1, 3)),
                             (21, (1, 2, 3)), (24, (5, 7))]))
@@ -181,15 +197,69 @@ class TestRotationRouting:
     def test_uniform_load_property(self, params):
         n, jumps = params
         spec = CirculantSpec.of(n, jumps)
-        dv = distance_vector(spec)
-        loads = build_rotation_routing(spec, dv).vertex_loads()
+        routing, dv = rotation(spec)
+        assert bfs_layering_fault(spec, dv) is None
+        loads = load_profile(routing).vertex_loads
         expected = dv.transmission - (n - 1)
         assert loads.min() == loads.max() == expected
 
     def test_load_conservation_against_paths(self):
-        rr = rotation(complement_spec(CirculantSpec.of(14, [1, 7])))
-        total = sum(len(p) - 2 for p in rotation_paths(rr))
-        assert int(rr.vertex_loads().sum()) == total
+        spec = complement_spec(CirculantSpec.of(14, [1, 7]))
+        paths = rotation_paths(rotation_parents(spec, distance_vector(spec)))
+        total = sum(len(p) - 2 for p in paths)
+        routing, _ = rotation(spec)
+        assert int(load_profile(routing).vertex_loads.sum()) == total
+
+
+@st.composite
+def connected_specs(draw) -> CirculantSpec:
+    """A connected circulant of order 3..400 with one to six jumps."""
+    n = draw(st.integers(3, 400))
+    jumps = draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=6, unique=True))
+    assume(math.gcd(n, *jumps) == 1)
+    return CirculantSpec.of(n, jumps)
+
+
+class TestBfsCertificate:
+    C12 = CirculantSpec.of(12, [1, 2])
+
+    def fault(self, d: list[int]) -> str | None:
+        return bfs_layering_fault(self.C12, DistanceVector(12, np.array(d)))
+
+    def test_overestimate_fails(self):
+        # a walk of length d(v) exists to every vertex, but the edge 2-4
+        # skips a level; the true vector is [0,1,1,2,2,3,3,3,2,2,1,1]
+        assert distance_vector(self.C12).d.tolist() == [0, 1, 1, 2, 2, 3, 3, 3, 2, 2, 1, 1]
+        assert self.fault([0, 1, 1, 2, 2, 3, 3, 3, 2, 2, 1, 1]) is None
+        assert self.fault([0, 1, 1, 2, 3, 3, 4, 3, 3, 2, 1, 1]) == (
+            "(c) vertex 4 at d=3 has a neighbour at d=1")
+
+    def test_each_condition_is_named(self):
+        assert self.fault([0, 1, 1, 1, 2, 3, 3, 3, 2, 1, 1, 1]) == (
+            "(a) vertex 3 at d=1 is not adjacent to 0")
+        assert self.fault([0, 2, 1, 2, 2, 3, 3, 3, 2, 2, 1, 2]) == (
+            "(a) vertex 1 is adjacent to 0 at d=2")
+        # an underestimate: vertex 6 is at distance 3
+        assert self.fault([0, 1, 1, 2, 2, 3, 2, 3, 2, 2, 1, 1]) == (
+            "(b) vertex 6 at d=2 has no neighbour at d=1")
+
+    def test_order_mismatch_is_an_invariant_error(self):
+        with pytest.raises(InvariantError):
+            bfs_layering_fault(CirculantSpec.of(13, [1, 2]), distance_vector(self.C12))
+
+    @given(connected_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_bfs_vector_certified_and_every_pair_change_rejected(self, spec):
+        dv = distance_vector(spec)
+        assert bfs_layering_fault(spec, dv) is None
+        n = spec.n
+        for v in range(1, n // 2 + 1):
+            for delta in (-1, 1):
+                d = dv.d.copy()
+                d[[v, n - v]] += delta
+                if d[v] < 1:
+                    continue
+                assert bfs_layering_fault(spec, DistanceVector(n, d)) is not None, (v, delta)
 
 
 def xi(spec: CirculantSpec) -> int:
@@ -229,6 +299,6 @@ class TestForwardingValues:
             except (EmptyJumpSetError, DisconnectedGraphError):
                 continue
             lower, _upper = edge_forwarding_bounds(dv)
-            paths = rotation_paths(build_rotation_routing(comp, dv))
+            paths = rotation_paths(rotation_parents(comp, dv))
             profile = load_profile(Routing.from_paths(build_circulant(comp), paths))
             assert profile.max_edge_load >= lower

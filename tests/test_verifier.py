@@ -14,7 +14,6 @@ from circan import (
     DistanceVector,
     DomainStatus,
     Family,
-    RotationRouting,
     base_spec,
     c7_point,
     complement_spec,
@@ -27,6 +26,7 @@ from circan import (
 from circan import verifier
 from circan.verifier import (
     FIELD_ORDER,
+    FieldCheck,
     _dumps_indent2,
     c7_points,
     double_loop_gen_points,
@@ -63,20 +63,23 @@ class TestVerifyPoint:
         assert rec.passed
 
     def test_witness_fails_on_a_broken_tree(self, monkeypatch):
-        import circan.verifier as verifier_module
-
-        real = verifier_module.build_rotation_routing
-
-        def broken(spec, dv):
-            routing = real(spec, dv)
-            parent = routing.parent.copy()
-            parent[int(np.flatnonzero(dv.d == 2)[0])] = 1  # vertex 1 is not one level closer
-            return RotationRouting(spec, parent, dv)
-
-        monkeypatch.setattr(verifier_module, "build_rotation_routing", broken)
-        rec = verify_point(multiplicative_point(2, 4))
-        assert not rec.fields["xi_witness"].match
-        assert rec.fields["xi_witness"].computed.endswith(";not a shortest-path tree")
+        # every vertex keeps a neighbour one level closer, so a walk of
+        # length d(v) exists, but vertex v is one level too far: its edge to
+        # the connection row skips level 2
+        point = multiplicative_point(2, 4)
+        comp = complement_spec(base_spec(point))
+        true = verifier.distance_vector(comp)
+        v = int(np.flatnonzero(true.d == 2)[0])
+        d = true.d.copy()
+        d[[v, point.n - v]] = 3
+        real = verifier.distance_vector
+        monkeypatch.setattr(verifier, "distance_vector",
+                            lambda spec: DistanceVector(spec.n, d) if spec == comp else real(spec))
+        rec = verify_point(point)
+        witness = rec.fields["xi_witness"]
+        assert not witness.match
+        assert witness.computed == (
+            f"not the BFS layering: (c) vertex {v} at d=3 has a neighbour at d=1")
         assert not rec.passed
 
     def test_exact_prediction_fails_without_a_computed_exact_value(self, monkeypatch):
@@ -199,8 +202,8 @@ class TestSweeps:
         assert multiplicative_points(max_order, family) == whole
 
     def test_failed_xi_witness_on_vector_without_tree(self, monkeypatch):
-        # a distance vector of the right counts on which vertex 3 has no
-        # neighbour one level closer: the witness fails instead of raising
+        # a distance vector that is not the complement's BFS layering: the
+        # witness fails instead of raising
         point = double_loop_gen_point(10, 2)
         bad = DistanceVector(10, np.array([0, 1, 2, 4, 4, 5, 4, 4, 2, 1]))
         real = verifier.distance_vector
@@ -211,7 +214,8 @@ class TestSweeps:
         rec = verify_point(point)
         witness = rec.fields["xi_witness"]
         assert not witness.match and not rec.passed
-        assert witness.computed.endswith(";not a shortest-path tree")
+        # the complement C10(3,4,5) is not adjacent to 1, which sits at d = 1
+        assert witness.computed == "not the BFS layering: (a) vertex 1 at d=1 is not adjacent to 0"
 
 
 def _count_determined(pred):
@@ -344,6 +348,30 @@ class TestIndent2Json:
     def test_matches_stdlib(self, value):
         assert _dumps_indent2(value) == json.dumps(value, indent=2)
 
-    def test_multiplicative_records_match_stdlib(self):
-        recs = verify_family("mc-2h", max_order=1024)
-        assert records_to_json(recs) == json.dumps([record_to_dict(r) for r in recs], indent=2)
+    def test_multiplicative_records_match_stdlib(self, monkeypatch):
+        def stdlib(recs):
+            return json.dumps([record_to_dict(r) for r in recs], indent=2)
+
+        sweeps = [
+            verify_family("mc", max_order=1024),
+            verify_family("double-loop-gen", n_range=(8, 40)),
+            verify_family("double-loop-half", k_range=(2, 60)),
+            verify_family("c7"),
+        ]
+        # out-of-domain and excepted records have no fields
+        assert all(any(not r.fields for r in recs) for recs in sweeps[:3])
+        for recs in sweeps:
+            assert records_to_json(recs) == stdlib(recs)
+        assert records_to_json([]) == stdlib([]) == "[]"
+
+        # a failing record whose texts hold quotes, backslashes, control and
+        # non-ASCII characters
+        odd = 'q"\\ \u00e9\U0001f600\x1f'
+        monkeypatch.setattr(verifier, "_vector_repr", lambda d: f"{odd}{d.size}")
+        real = verifier.predict
+        monkeypatch.setattr(verifier, "predict",
+                            lambda p: dataclasses.replace(real(p), rs=real(p).rs + 1))
+        rec = dataclasses.replace(verify_point(multiplicative_point(2, 4)), note=odd)
+        assert not rec.passed and rec.fields["distance_vector"].computed == odd + "16"
+        assert rec.fields["rs"] == FieldCheck(False, "25/2", "23/2")
+        assert records_to_json([rec, *sweeps[3]]) == stdlib([rec, *sweeps[3]])
