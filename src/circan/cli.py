@@ -2,22 +2,34 @@
 
 Four subcommands: ``analyze`` (single-graph report), ``verify`` (family
 sweep), ``spectrum`` (eigenvalue listing), ``routing`` (fixture load
-analysis). Exit codes are part of the interface: 0 success, 1 any other
-library error (e.g. ``DegenerateTransmissionError`` for ``analyze --n 2
---jumps 1``, ``OversizedRationalError`` when an exact rational has more
-digits than Python converts to text, ``InvariantError`` when a result
-breaks an internal invariant, such as a BFS distance vector that is no
-palindrome), 2 disconnected or edgeless graph,
-argparse usage errors (including ``verify --jobs`` below 1) and a sweep
-that selects no points, 3 parse error, a graph order below 2 (``--n 1``,
-or ``--m``/``--h`` with m^h = 1), or a file that cannot be read or
-written, 4 verification failure. Exact rationals are serialized as "p/q"
-strings, floats as shortest round-trip decimals. An exact rational past
-Python's int-to-str digit limit is refused, not printed in another form:
-``analyze`` on C_n(1) reaches it at about diameter 1,700 (``--n 8192
---jumps 1`` exits 1). ``verify`` compares at pinned tolerances; it has no
-option to change them. ``--out`` files hold the stdout bytes as UTF-8;
-text and CSV values holding a line break are CSV-quoted.
+analysis). Exit codes are part of the interface:
+
+- 0 success;
+- 1 any other library error (``CirculantError``), e.g.
+  ``DegenerateTransmissionError`` for ``analyze --n 2 --jumps 1``,
+  ``OversizedRationalError`` when an exact rational has more digits than
+  Python converts to text, ``InvariantError`` when a result breaks an
+  internal invariant, such as a BFS distance vector that is no palindrome;
+- 2 disconnected or edgeless graph, argparse usage errors (including
+  ``verify --jobs`` below 1) and a sweep that selects no points;
+- 3 bad input (``InputError``): a malformed jump list, fixture or routing
+  (a non-ASCII byte, or a vertex count numpy cannot hold, among them), a
+  graph order below 2 (``--n 1``), ``--m`` below 2 or ``--h`` below 1; or
+  a file that cannot be read or written (``OSError``);
+- 4 verification failure.
+
+``main`` picks codes 1-3 from the error's class through one table,
+``_EXIT_CODES``, and prints one ``error:`` line. Any other exception, a
+bare ``ValueError`` included, is a defect and propagates with its
+traceback.
+
+Exact rationals are serialized as "p/q" strings, floats as shortest
+round-trip decimals. An exact rational past Python's int-to-str digit
+limit is refused, not printed in another form: ``analyze`` on C_n(1)
+reaches it at about diameter 1,700 (``--n 8192 --jumps 1`` exits 1).
+``verify`` compares at pinned tolerances; it has no option to change them.
+``--out`` files hold the stdout bytes as UTF-8; text and CSV values holding
+a line break are CSV-quoted.
 """
 
 from __future__ import annotations
@@ -40,13 +52,11 @@ from .errors import (
     CirculantError,
     DisconnectedGraphError,
     EmptyComplementError,
-    EmptyJumpSetError,
     FixtureParseError,
-    InvalidEdgeError,
-    MissingPairError,
-    NonElementaryPathError,
+    InputError,
     OversizedRationalError,
 )
+from .families import base_spec, multiplicative_point
 from .indices import INDEX_FIELDS, full_report, report_from_distance_vector
 from .metrics import distance_vector, metrics_summary
 from .routing import load_profile, parse_routing_fixture, edge_forwarding_bounds, vertex_forwarding_index
@@ -61,25 +71,22 @@ from .verifier import (
 )
 
 EXIT_OK = 0
-EXIT_DISCONNECTED = 2
-EXIT_PARSE = 3
 EXIT_VERIFY_FAILED = 4
 
-_PARSE_ERRORS = (
-    FixtureParseError,
-    MissingPairError,
-    InvalidEdgeError,
-    NonElementaryPathError,
-    EmptyJumpSetError,
+# The exit code of each failure, by the first row whose classes it is an
+# instance of; a CirculantError of no earlier row is a library error.
+_EXIT_CODES = (
+    ((InputError, OSError), 3),
+    ((DisconnectedGraphError, EmptyComplementError), 2),
+    ((CirculantError,), 1),
 )
-_DISCONNECTED_ERRORS = (DisconnectedGraphError, EmptyComplementError)
 
 
 def _parse_jumps(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
-        raise FixtureParseError(f"bad jump list {text!r}; expected comma-separated integers")
+        raise InputError(f"bad jump list {text!r}; expected comma-separated integers")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -150,10 +157,10 @@ def _emit_raw(args: argparse.Namespace, text: str) -> None:
 def _circulant_source(args: argparse.Namespace) -> CirculantSpec:
     if args.n is not None:
         if not args.jumps:
-            raise FixtureParseError("--n requires --jumps")
+            raise InputError("--n requires --jumps")
         spec = CirculantSpec.of(args.n, _parse_jumps(args.jumps))
-    else:
-        spec = CirculantSpec.of(args.m**args.h, tuple(args.m**i for i in range(args.h)))
+    else:  # multiplicative_point refuses m < 2 or h < 1 before computing m**h
+        spec = base_spec(multiplicative_point(args.m, args.h))
     if args.complement:
         spec = spec.complement()
     return spec
@@ -194,9 +201,19 @@ def _indices_doc(report) -> dict:
     return indices
 
 
+def _read_fixture(path: str) -> str:
+    """The text of an ASCII fixture file; any other byte is a parse error."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FixtureParseError(
+            f"{path}: non-ASCII byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from exc
+
+
 def _routing_doc(g: GenericGraph, routing_path: str) -> dict:
-    text = Path(routing_path).read_text(encoding="ascii")
-    routing = parse_routing_fixture(text, g)
+    routing = parse_routing_fixture(_read_fixture(routing_path), g)
     profile = load_profile(routing)
     return {
         "paths": len(routing),
@@ -212,7 +229,7 @@ def _routing_doc(g: GenericGraph, routing_path: str) -> dict:
 def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     kind = _check_one_source(parser, args)
     if kind == "fixture":
-        g = parse_graph_fixture(Path(args.fixture).read_text(encoding="ascii"))
+        g = parse_graph_fixture(_read_fixture(args.fixture))
         if args.complement:
             g = complement_graph(g)
         summary = metrics_summary(g)
@@ -288,7 +305,7 @@ def cmd_spectrum(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 
 
 def cmd_routing(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    g = parse_graph_fixture(Path(args.fixture).read_text(encoding="ascii"))
+    g = parse_graph_fixture(_read_fixture(args.fixture))
     doc = {
         "graph": {"source": args.fixture, "n": g.n, "edge_count": g.edge_count},
         "routing": _routing_doc(g, args.routing),
@@ -382,18 +399,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except _PARSE_ERRORS as exc:
+    except (CirculantError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _DISCONNECTED_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CirculantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 def console_main() -> None:

@@ -29,6 +29,7 @@ from .errors import (
     EmptyComplementError,
     EmptyJumpSetError,
     FixtureParseError,
+    InputError,
     VertexRangeError,
 )
 
@@ -40,7 +41,7 @@ def normalize_jumps(n: int, raw: Iterable[int]) -> tuple[int, ...]:
     n - s, and the result is deduplicated and sorted.
     """
     if n < 2:
-        raise ValueError(f"graph order must be at least 2, got {n}")
+        raise InputError(f"graph order must be at least 2, got {n}")
     folded = set()
     for s in raw:
         s = int(s) % n
@@ -61,7 +62,7 @@ class CirculantSpec:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError(f"graph order must be at least 2, got {self.n}")
+            raise InputError(f"graph order must be at least 2, got {self.n}")
         if not self.jumps:
             raise EmptyJumpSetError("jump set is empty")
         object.__setattr__(self, "jumps", tuple(int(j) for j in self.jumps))
@@ -69,7 +70,7 @@ class CirculantSpec:
         prev = 0
         for j in self.jumps:
             if not prev < j <= half:
-                raise ValueError(
+                raise InputError(
                     f"jump set {self.jumps} is not normalized for n={self.n}; "
                     f"use CirculantSpec.of()"
                 )
@@ -157,12 +158,12 @@ class GenericGraph:
     ) -> None:
         adj = np.asarray(adj, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError("adjacency must be a square matrix")
+            raise InputError("adjacency must be a square matrix")
         if validate:
             if adj.diagonal().any():
-                raise ValueError("self-loops are not allowed")
+                raise InputError("self-loops are not allowed")
             if not np.array_equal(adj, adj.T):
-                raise ValueError("adjacency must be symmetric")
+                raise InputError("adjacency must be symmetric")
         if adj.flags.writeable:
             adj = adj.copy()
             adj.setflags(write=False)
@@ -278,7 +279,10 @@ def parse_graph_fixture(text: str) -> GenericGraph:
     if n < 1:
         raise FixtureParseError(f"line {lineno}: vertex count must be positive")
     base = 1 if len(parts) == 2 else 0
-    adj = np.zeros((n, n), dtype=bool)
+    try:
+        adj = np.zeros((n, n), dtype=bool)
+    except (ValueError, MemoryError):  # numpy refuses an array it cannot hold
+        raise FixtureParseError(f"line {lineno}: vertex count {n} is too large")
 
     keep, rows = keep[1:], rows[1:]
     # Each stage runs on the lines before the previous stage's first fault,

@@ -2,7 +2,21 @@
 
 Every error raised by the library derives from :class:`CirculantError`, so
 callers (notably the CLI) can map failure modes to exit codes without
-catching bare exceptions.
+catching bare exceptions. The hierarchy says what kind of failure each is::
+
+    CirculantError
+      InputError (also a ValueError): an argument or input file is bad
+        FixtureParseError (VertexRangeError, DuplicateEdgeError)
+        EmptyJumpSetError
+        MissingPairError, InvalidEdgeError, NonElementaryPathError
+      DisconnectedGraphError, EmptyComplementError: the graph has no
+        finite distances
+      InvariantError: a result broke an invariant (a library defect)
+      DegenerateTransmissionError, DegenerateReciprocalTransmissionError,
+      OversizedRationalError, InconsistentPredictionError, FamilyDomainError
+        (OutOfDomainError, KnownExceptionError): the remaining failures
+
+The library knows no exit code; the CLI maps these classes to its own.
 """
 
 
@@ -16,7 +30,13 @@ class InvariantError(CirculantError):
     bad input."""
 
 
-class EmptyJumpSetError(CirculantError):
+class InputError(CirculantError, ValueError):
+    """An argument or input file the library cannot accept, such as a graph
+    order below 2 or a malformed fixture. It is a ``ValueError`` too, so
+    ``except ValueError`` still catches it."""
+
+
+class EmptyJumpSetError(InputError):
     """All raw jump values were congruent to 0 mod n."""
 
 
@@ -28,7 +48,7 @@ class DisconnectedGraphError(CirculantError):
     """An operation that requires a connected graph met a disconnected one."""
 
 
-class FixtureParseError(CirculantError):
+class FixtureParseError(InputError):
     """A fixture file line could not be parsed."""
 
 
@@ -40,15 +60,15 @@ class DuplicateEdgeError(FixtureParseError):
     """A graph fixture listed the same edge twice."""
 
 
-class MissingPairError(CirculantError):
+class MissingPairError(InputError):
     """A routing fixture does not cover every ordered vertex pair exactly once."""
 
 
-class InvalidEdgeError(CirculantError):
+class InvalidEdgeError(InputError):
     """A routing path used a vertex pair that is not an edge of the graph."""
 
 
-class NonElementaryPathError(CirculantError):
+class NonElementaryPathError(InputError):
     """A routing path repeats a vertex."""
 
 

@@ -39,6 +39,7 @@ import numpy as np
 from .core import CirculantSpec
 from .errors import (
     InconsistentPredictionError,
+    InputError,
     InvariantError,
     KnownExceptionError,
     OutOfDomainError,
@@ -80,28 +81,28 @@ class FamilyPoint:
 def double_loop_half_point(k: int) -> FamilyPoint:
     """The double loop C_{2k}(1, k)."""
     if k < 2:
-        raise ValueError(f"half-jump parameter must be at least 2, got {k}")
+        raise InputError(f"half-jump parameter must be at least 2, got {k}")
     return FamilyPoint(Family.DOUBLE_LOOP_HALF, n=2 * k, a=k)
 
 
 def double_loop_gen_point(n: int, a: int) -> FamilyPoint:
     """The double loop C_n(1, a) with 2 <= a < n/2."""
     if not 2 <= a or not 2 * a < n:
-        raise ValueError(f"need 2 <= a < n/2, got n={n}, a={a}")
+        raise InputError(f"need 2 <= a < n/2, got n={n}, a={a}")
     return FamilyPoint(Family.DOUBLE_LOOP_GEN, n=n, a=a)
 
 
 def c7_point(a: int) -> FamilyPoint:
     """One of the two 7-vertex double loops (a = 2 or 3)."""
     if a not in (2, 3):
-        raise ValueError(f"the 7-vertex family has a in {{2, 3}}, got {a}")
+        raise InputError(f"the 7-vertex family has a in {{2, 3}}, got {a}")
     return FamilyPoint(Family.C7_SPECIAL, n=7, a=a)
 
 
 def multiplicative_point(m: int, h: int) -> FamilyPoint:
     """The multiplicative circulant C_{m^h}(1, m, m^2, ..., m^(h-1))."""
     if m < 2 or h < 1:
-        raise ValueError(f"need m >= 2 and h >= 1, got m={m}, h={h}")
+        raise InputError(f"need m >= 2 and h >= 1, got m={m}, h={h}")
     if (m, h) == (2, 3):
         family = Family.MC_23
     elif m == 2:
@@ -166,7 +167,7 @@ def domain_status(point: FamilyPoint) -> tuple[DomainStatus, str]:
         if m == 3:
             return DomainStatus.OUT_OF_DOMAIN, "complement of the complete graph K3 is edgeless"
         return DomainStatus.OUT_OF_DOMAIN, "complement is a perfect matching (disconnected)"
-    raise ValueError(f"unknown family {f}")
+    raise InvariantError(f"unknown family {f}")
 
 
 def _require_in_domain(point: FamilyPoint) -> None:
@@ -423,7 +424,7 @@ def multiplicative_base_diameter(m: int, h: int) -> int:
     C_{m^h}(1, m, ..., m^(h-1)): (h(m-1)+1)/2 when m is even and h odd,
     else h(m-1)/2."""
     if m < 2 or h < 1:
-        raise ValueError(f"need m >= 2 and h >= 1, got m={m}, h={h}")
+        raise InputError(f"need m >= 2 and h >= 1, got m={m}, h={h}")
     if m % 2 == 0 and h % 2 == 1:
         return (h * (m - 1) + 1) // 2
     return h * (m - 1) // 2

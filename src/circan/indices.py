@@ -34,12 +34,10 @@ the fields pays for no exact AZ rational.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property
 from operator import mul
-from typing import Callable
 
 import numpy as np
 
@@ -64,34 +62,6 @@ RECIPROCAL_FIELDS = ("rt_ga", "rt_ag", "rt_sc", "rt_abc", "rt_az")
 INDEX_FIELDS = PAIR_FIELDS + TRANSMISSION_FIELDS + RECIPROCAL_FIELDS
 
 
-class _Deferred(Mapping):
-    """A read-only mapping whose dict ``build()`` makes when it is first
-    read; it compares, iterates and prints as that dict."""
-
-    __slots__ = ("_build", "_dict")
-
-    def __init__(self, build: Callable[[], dict]) -> None:
-        self._build = build
-        self._dict: dict | None = None
-
-    def _built(self) -> dict:
-        if self._dict is None:
-            self._dict = self._build()
-        return self._dict
-
-    def __getitem__(self, key):
-        return self._built()[key]
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def __len__(self) -> int:
-        return len(self._built())
-
-    def __repr__(self) -> str:
-        return repr(self._built())
-
-
 @dataclass(frozen=True)
 class IndexReport:
     """All seventeen index values plus the provably-exact subset, built when
@@ -114,7 +84,16 @@ class IndexReport:
     rt_sc: float
     rt_abc: float
     rt_az: float
-    exact: Mapping[str, Fraction]
+    # the arguments of _exact_edge_values for the t and rt kinds, as
+    # _edge_indices returned them
+    _exact_parts: tuple[tuple, tuple] = field(compare=False, repr=False)
+
+    @cached_property
+    def exact(self) -> dict[str, Fraction]:
+        """The values known exactly: both AZ sums, and the GA/AG sums of a
+        transmission-regular graph."""
+        trans, recip = self._exact_parts
+        return {**_exact_edge_values(*trans), **_exact_edge_values(*recip)}
 
 
 def _pair_indices_from_stats(
@@ -237,12 +216,6 @@ def _reciprocal_numerators(counts: np.ndarray) -> tuple[int, list[int]]:
     return denom, (counts.astype(object) @ np.array(weights, dtype=object)).tolist()
 
 
-def _exact_values(trans: tuple, recip: tuple) -> dict[str, Fraction]:
-    """The exact values of both edge-sum kinds, from the arguments
-    :func:`_edge_indices` returned for each."""
-    return {**_exact_edge_values(*trans), **_exact_edge_values(*recip)}
-
-
 def full_report(g: GenericGraph) -> IndexReport:
     """All seventeen indices of a connected graph from its distance counts
     and their degree-weighted twin (:func:`metrics.distance_counts`)."""
@@ -260,8 +233,7 @@ def full_report(g: GenericGraph) -> IndexReport:
     t_fields, t_exact = _edge_indices("t", _edge_groups(sigma.tolist(), edges), 1)
     denom, numerators = _reciprocal_numerators(counts)
     rt_fields, rt_exact = _edge_indices("rt", _edge_groups(numerators, edges), denom)
-    exact = _Deferred(partial(_exact_values, t_exact, rt_exact))
-    return IndexReport(**pair, **t_fields, **rt_fields, exact=exact)
+    return IndexReport(**pair, **t_fields, **rt_fields, _exact_parts=(t_exact, rt_exact))
 
 
 def report_from_distance_vector(dv: DistanceVector) -> IndexReport:
@@ -284,5 +256,4 @@ def report_from_distance_vector(dv: DistanceVector) -> IndexReport:
     t_fields, t_exact = _edge_indices("t", {(sigma, sigma): edge_total}, 1)
     denom, (rs,) = _reciprocal_numerators(counts[None, :])
     rt_fields, rt_exact = _edge_indices("rt", {(rs, rs): edge_total}, denom)
-    exact = _Deferred(partial(_exact_values, t_exact, rt_exact))
-    return IndexReport(**pair, **t_fields, **rt_fields, exact=exact)
+    return IndexReport(**pair, **t_fields, **rt_fields, _exact_parts=(t_exact, rt_exact))

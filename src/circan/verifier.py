@@ -64,7 +64,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import CirculantSpec, complement_spec
-from .errors import DisconnectedGraphError, EmptyComplementError, InvariantError
+from .errors import DisconnectedGraphError, EmptyComplementError, InputError, InvariantError
 from .families import (
     DomainStatus,
     Family,
@@ -365,7 +365,7 @@ def verify_family(
     elif name in (Family.MC_2H.value, Family.MC_GEN.value, Family.MC_23.value):
         points = multiplicative_points(max_order, Family(name))
     else:
-        raise ValueError(f"unknown family {family!r}")
+        raise InputError(f"unknown family {family!r}")
     return verify_sweep(points, jobs=jobs)
 
 
@@ -375,27 +375,6 @@ def has_failures(records: Iterable[VerificationRecord]) -> bool:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def record_to_dict(rec: VerificationRecord) -> dict:
-    return {
-        "family": rec.point.family.value,
-        "n": rec.point.n,
-        "a": rec.point.a,
-        "m": rec.point.m,
-        "h": rec.point.h,
-        "status": rec.domain_status.value,
-        "note": rec.note,
-        "passed": rec.passed,
-        "fields": {
-            name: {
-                "match": check.match,
-                "predicted": check.predicted,
-                "computed": check.computed,
-            }
-            for name, check in rec.fields.items()
-        },
-    }
 
 
 def _array_items(arr: np.ndarray, *, json_floats: bool = True) -> list[str]:
@@ -487,9 +466,11 @@ def _dumps_indent2(value, pad: str = "\n") -> str:
 
 
 def records_to_json(records: Sequence[VerificationRecord]) -> str:
-    """``json.dumps([record_to_dict(r) for r in records], indent=2)``, byte
-    for byte, written from one template per record and one per field, with
-    the strings through the C string escaper."""
+    """``json.dumps(docs, indent=2)`` of the records, byte for byte, where
+    each doc holds the point (family, n, a, m, h), status, note, passed and
+    {field: {match, predicted, computed}}; written from one template per
+    record and one per field, with the strings through the C string
+    escaper."""
     if not records:
         return "[]"
     return "[" + ",".join(map(_record_json, records)) + "\n]"

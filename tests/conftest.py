@@ -164,3 +164,26 @@ def all_pairs_distances(g: GenericGraph) -> np.ndarray:
         reached |= new
         frontier = new
     return dist
+
+
+def record_to_dict(rec) -> dict:
+    """The JSON document of one verification record: the oracle that
+    ``records_to_json`` must equal under ``json.dumps(..., indent=2)``."""
+    return {
+        "family": rec.point.family.value,
+        "n": rec.point.n,
+        "a": rec.point.a,
+        "m": rec.point.m,
+        "h": rec.point.h,
+        "status": rec.domain_status.value,
+        "note": rec.note,
+        "passed": rec.passed,
+        "fields": {
+            name: {
+                "match": check.match,
+                "predicted": check.predicted,
+                "computed": check.computed,
+            }
+            for name, check in rec.fields.items()
+        },
+    }

@@ -1,3 +1,5 @@
+import ast
+import contextlib
 import csv
 import dataclasses
 import io
@@ -5,11 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circan.cli import main
 
@@ -425,4 +430,187 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert (err == "") == (code in (0, 4))
         if code in (1, 3):  # library and file errors: one error line
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestInputErrors:
+    """Bad input is an ``InputError`` (exit 3); only the error hierarchy
+    decides the exit code."""
+
+    @pytest.mark.parametrize("header", ["1000000000", "10000000000", str(10**20)])
+    def test_header_numpy_cannot_hold_exits_3(self, tmp_path, capsys, header):
+        # numpy refuses each n x n adjacency without allocating it
+        path = tmp_path / "huge.graph"
+        path.write_text(f"{header}\n0 1\n")
+        assert main(["analyze", "--fixture", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: line 1: vertex count {header} is too large\n"
+
+    def test_non_ascii_fixture_and_routing_exit_3(self, tmp_path, capsys):
+        fixture = tmp_path / "bad.graph"
+        fixture.write_bytes(b"3\n0 1\n1 2\xc3\xa9\n")
+        assert main(["analyze", "--fixture", str(fixture)]) == 3
+        assert capsys.readouterr().err == f"error: {fixture}: non-ASCII byte 0xc3 at offset 9\n"
+        routes = tmp_path / "bad.routes"
+        routes.write_bytes(b"0 1 2\n\xff\n")
+        for command in ("analyze", "routing"):
+            code = main([command, "--fixture", str(FIXTURES / "fig1.graph"),
+                         "--routing", str(routes)])
+            assert code == 3
+            assert capsys.readouterr().err == f"error: {routes}: non-ASCII byte 0xff at offset 6\n"
+
+    @pytest.mark.parametrize("m,h", [("2", "-1"), ("-2", "2"), ("1", "3"), ("2", "0"), ("0", "0")])
+    def test_multiplicative_parameters_checked_before_the_order(self, capsys, m, h):
+        assert main(["analyze", "--m", m, "--h", h]) == 3
+        assert capsys.readouterr().err == f"error: need m >= 2 and h >= 1, got m={m}, h={h}\n"
+
+    def test_input_error_is_a_value_error(self):
+        from circan.errors import (
+            CirculantError, DuplicateEdgeError, EmptyJumpSetError, FixtureParseError,
+            InputError, InvalidEdgeError, MissingPairError, NonElementaryPathError,
+            VertexRangeError,
+        )
+
+        assert issubclass(InputError, CirculantError) and issubclass(InputError, ValueError)
+        for kind in (FixtureParseError, VertexRangeError, DuplicateEdgeError, EmptyJumpSetError,
+                     MissingPairError, InvalidEdgeError, NonElementaryPathError):
+            assert issubclass(kind, InputError), kind
+
+    def test_bare_value_error_propagates(self, monkeypatch):
+        # a ValueError that is no InputError is a defect, not bad input
+        import circan.cli as cli_module
+
+        def broken(dv):
+            raise ValueError("not an input error")
+
+        monkeypatch.setattr(cli_module, "circulant_spectrum", broken)
+        with pytest.raises(ValueError, match="not an input error"):
+            main(["spectrum", "--n", "8", "--jumps", "1"])
+
+    def test_no_value_error_raised_or_caught_by_name(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "circan"
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    assert not (isinstance(call, ast.Name) and call.id == "ValueError"), (
+                        f"{path.name}:{node.lineno} raises ValueError")
+        tree = ast.parse((src / "cli.py").read_text())
+        main_def = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+        handlers = [n for n in ast.walk(main_def) if isinstance(n, ast.ExceptHandler)]
+        assert len(handlers) == 1
+        names = {n.id for n in ast.walk(handlers[0].type) if isinstance(n, ast.Name)}
+        assert names == {"CirculantError", "OSError"}
+        module_names = {t.id for n in tree.body if isinstance(n, ast.Assign) for t in n.targets
+                        if isinstance(t, ast.Name)}
+        assert not module_names & {"_PARSE_ERRORS", "_DISCONNECTED_ERRORS"}
+
+
+# Bytes spliced into fixtures; none is a digit, so a splice never makes a
+# number larger than the tokens it lands in, and every declared order stays
+# below 100.
+_SPLICES = [b"\xff", b"\xc3\xa9", b"\r", b"\n", b"#", b" ", b"\t", b"\x00", b"-", b"x",
+            b"\x0b", b"\x0c", b"\x1c", b"\x85", b" one-indexed"]
+
+
+@st.composite
+def _fixture_bytes(draw, base: bytes) -> bytes:
+    """A fixture made of short lines of small integers and junk tokens, or
+    ``base``, with up to three non-digit splices."""
+    if draw(st.booleans()):
+        data = base
+    else:
+        tokens = st.one_of(st.integers(-2, 70).map(str),
+                           st.sampled_from(["x", "1.5", "#", "one-indexed", "", "0x1"]))
+        lines = st.lists(tokens, max_size=4).map(" ".join)
+        data = "\n".join(draw(st.lists(lines, max_size=8))).encode()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_SPLICES)) + data[at:]
+    return data
+
+
+def _range(draw, lo: int, hi: int, width: int) -> str:
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["x", "3", "1:2:3", ":"]))
+    start = draw(st.integers(lo, hi))
+    return f"{start}:{min(hi, start + draw(st.integers(-1, width)))}"
+
+
+@st.composite
+def _cli_calls(draw):
+    """(argv, files): a call of one of the four subcommands, with the bytes
+    of each file it names as ``{tmp}/name``. Every size is bounded: m^h <=
+    4096, --n <= 64, --max-order <= 64, --jobs <= 2. Repeated entries weight
+    the choices towards calls that get past argparse."""
+    command = draw(st.sampled_from(["analyze", "spectrum", "routing", "verify"]))
+    argv, files = [command], {}
+    graph = draw(st.sampled_from(["{tmp}/graph"] * 4 + ["{tmp}/missing.graph", "{tmp}"]))
+    routes = draw(st.sampled_from(["{tmp}/routes"] * 4 + ["{tmp}/missing.routes"]))
+    files["graph"] = draw(_fixture_bytes((FIXTURES / "fig1.graph").read_bytes()))
+    files["routes"] = draw(_fixture_bytes((FIXTURES / "fig1_r1.routes").read_bytes()))
+    if command == "verify":
+        argv += ["--family", draw(st.sampled_from(
+            ["double-loop-half", "double-loop-gen", "c7", "mc", "mc-2h", "mc-gen", "mc-23"]))]
+        argv += ["--k", _range(draw, -4, 32, 4), "--n", _range(draw, -4, 64, 6)]
+        argv += ["--max-order", str(draw(st.integers(-2, 64)))]
+        argv += ["--jobs", str(draw(st.sampled_from([1, 1, 1, 1, 2, 0, -1])))]
+    elif command == "routing":
+        argv += ["--fixture", graph, "--routing", routes]
+    else:
+        kinds = ["n", "mc"] + (["fixture"] if command == "analyze" else [])
+        sources = draw(st.sampled_from([[kind] for kind in kinds] * 3
+                                       + [[], ["m"], ["n", "mc"], ["fixture", "n"]]))
+        for source in sources:
+            if source == "n":
+                argv += ["--n", str(draw(st.one_of(st.integers(5, 64), st.integers(-2, 64))))]
+                if draw(st.integers(0, 5)):
+                    jumps = st.one_of(
+                        st.lists(st.integers(-70, 70), min_size=1, max_size=4).map(
+                            lambda js: ",".join(map(str, js))),
+                        st.text("0123456789,x -", max_size=8))
+                    argv += ["--jumps", draw(jumps)]
+            elif source in ("mc", "m"):
+                m = draw(st.one_of(st.integers(2, 9), st.integers(-3, 64)))
+                h = draw(st.one_of(st.integers(1, 4), st.integers(-2, 12)).filter(
+                    lambda h: not (m >= 2 and h >= 1 and m**h > 4096)))
+                argv += ["--m", str(m)] + (["--h", str(h)] if source == "mc" else [])
+            else:
+                argv += ["--fixture", graph]
+                if draw(st.booleans()):
+                    argv += ["--routing", routes]
+        if draw(st.booleans()):
+            argv.append("--complement")
+    argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    argv += draw(st.sampled_from([[]] * 3 + [["--out", "{tmp}/out.txt"], ["--out", "{tmp}"]]))
+    return argv, files
+
+
+def _fixture_call(data: bytes, *argv: str):
+    return ["analyze", "--fixture", "{tmp}/graph", *argv], {"graph": data, "routes": b""}
+
+
+class TestRandomCalls:
+    @settings(max_examples=300, deadline=None)
+    @given(_cli_calls())
+    @example(_fixture_call(b"1000000000\n"))
+    @example(_fixture_call(b"10000000000\n0 1\n"))
+    @example(_fixture_call(str(10**20).encode() + b"\n"))
+    @example(_fixture_call(b"3\n0 1\n1 2\xc3\xa9\n"))
+    @example((["analyze", "--m", "2", "--h", "-1"], {}))
+    def test_exit_codes_and_one_error_line(self, call):
+        argv, files = call
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in files.items():
+                Path(tmp, name).write_bytes(data)
+            argv = [arg.replace("{tmp}", tmp) for arg in argv]
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+        err = stderr.getvalue()
+        assert code in (0, 1, 2, 3, 4), (code, err)
+        assert "Traceback" not in err
+        if code in (1, 3):
             assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -33,11 +33,12 @@ from circan.verifier import (
     double_loop_half_points,
     has_failures,
     multiplicative_points,
-    record_to_dict,
     records_to_csv,
     records_to_json,
     verify_sweep,
 )
+
+from conftest import record_to_dict
 
 
 class TestVerifyPoint:
@@ -84,8 +85,12 @@ class TestVerifyPoint:
 
     def test_exact_prediction_fails_without_a_computed_exact_value(self, monkeypatch):
         real = verifier.report_from_distance_vector
-        monkeypatch.setattr(verifier, "report_from_distance_vector",
-                            lambda dv: dataclasses.replace(real(dv), exact={}))
+        def without_exact(dv):
+            report = real(dv)
+            report.__dict__["exact"] = {}  # the cached value, read before any build
+            return report
+
+        monkeypatch.setattr(verifier, "report_from_distance_vector", without_exact)
         rec = verify_point(multiplicative_point(2, 4))
         assert set(rec.mismatches()) == {"t_ga", "t_ag", "t_az", "rt_ga", "rt_ag", "rt_az"}
         assert not rec.passed
