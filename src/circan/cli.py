@@ -30,14 +30,20 @@ reaches it at about diameter 1,700 (``--n 8192 --jumps 1`` exits 1).
 ``verify`` compares at pinned tolerances; it has no option to change them.
 ``--out`` files hold the stdout bytes as UTF-8; text and CSV values holding
 a line break are CSV-quoted.
+
+The writer of the documents of ``analyze``, ``spectrum`` and ``routing``
+lives here (``_dumps_indent2``, ``_flatten``); ``verify`` prints its
+records through ``verifier``'s record writers.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import numpy as np
@@ -61,14 +67,7 @@ from .indices import INDEX_FIELDS, full_report, report_from_distance_vector
 from .metrics import distance_vector, metrics_summary
 from .routing import load_profile, parse_routing_fixture, edge_forwarding_bounds, vertex_forwarding_index
 from .spectral import circulant_spectrum, spectral_radius_numeric
-from .verifier import (
-    _dumps_indent2,
-    _array_items,
-    has_failures,
-    records_to_csv,
-    records_to_json,
-    verify_family,
-)
+from .verifier import has_failures, records_to_csv, records_to_json, verify_family
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 4
@@ -109,40 +108,113 @@ def _fraction_str(name: str, value: Fraction) -> str:
         ) from exc
 
 
+def _array_items(arr: np.ndarray, *, json_floats: bool = True) -> list[str]:
+    """The text of each entry of a non-empty 1-D integer or float64 array,
+    by one gather over texts.
+
+    An integer array, such as a distance vector, must hold entries in
+    0..len - 1; it is gathered from the texts of 0..max, so the table is
+    never longer than the array. A float array, such as a sorted spectrum,
+    is cut into runs of neighbours with equal bit patterns (so -0.0 stays
+    apart from 0.0); each run's head is formatted once and its text
+    repeated by the run's length. Floats get JSON's texts (``NaN``,
+    ``Infinity``) from one C-encoder call, or ``repr`` texts when
+    ``json_floats`` is false.
+    """
+    if arr.ndim == 1 and arr.size:
+        if arr.dtype.kind in "iu" and arr.min() >= 0 and arr.max() < arr.size:
+            table = np.array([str(i) for i in range(int(arr.max()) + 1)], dtype=object)
+            return table.take(arr).tolist()
+        if arr.dtype == np.float64:
+            bits = arr.view(np.int64)
+            starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+            heads = arr[starts].tolist()
+            if json_floats:
+                texts = json.dumps(heads)[1:-1].split(", ")
+            else:
+                texts = [repr(v) for v in heads]
+            runs = np.diff(starts, append=arr.size)
+            return np.array(texts, dtype=object).repeat(runs).tolist()
+    raise TypeError("only a non-empty 1-D float64 array, or a 1-D integer array "
+                    "with entries in 0..len - 1, is serializable")
+
+
+_INF = float("inf")
+
+
+def _dumps_indent2(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for the documents the
+    commands build: dicts with str keys, arrays of :func:`_array_items`
+    (written as the list of their entries), non-empty lists of ints, and
+    str, int, float, bool and None.
+
+    Any ``indent`` turns the stdlib's C encoder off, so this builds the layout
+    by joins instead: strings go through the C string escaper, a list of ints
+    through one C-encoder call and an array through one gather over texts.
+    ``pad`` is the newline plus the indentation of the enclosing level.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [_encode_str(k) + ": " + _dumps_indent2(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, np.ndarray):
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join(_array_items(value)) + pad + "]"
+    if isinstance(value, list):
+        inner = pad + "  "
+        return "[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + pad + "]"
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _flatten(doc, prefix: str = "") -> list[tuple[str, str]]:
-    rows: list[tuple[str, str]] = []
+    """The (dotted key, text) rows of a document of :func:`_dumps_indent2`'s
+    shapes; an array or a list of ints is one row of space-separated texts."""
     if isinstance(doc, dict):
+        rows = []
         for key, value in doc.items():
-            rows += _flatten(value, f"{prefix}{key}." if prefix else f"{key}.")
-    elif isinstance(doc, np.ndarray):
-        rows.append((prefix.rstrip("."), " ".join(_array_items(doc, json_floats=False))))
-    elif isinstance(doc, (list, tuple)):
-        rows.append((prefix.rstrip("."), " ".join(repr(v) if isinstance(v, float) else str(v) for v in doc)))
+            rows += _flatten(value, f"{prefix}{key}.")
+        return rows
+    if isinstance(doc, np.ndarray):
+        value = " ".join(_array_items(doc, json_floats=False))
+    elif isinstance(doc, list):
+        value = " ".join(map(str, doc))
     else:
         value = repr(doc) if isinstance(doc, float) else str(doc)
-        rows.append((prefix.rstrip("."), value))
-    return rows
-
-
-def _quoted(value: str) -> str:
-    return '"' + value.replace('"', '""') + '"'
+    return [(prefix[:-1], value)]
 
 
 def _emit(args: argparse.Namespace, doc) -> None:
-    fmt = args.format
-    if fmt == "json":
+    if args.format == "json":
         text = _dumps_indent2(doc) + "\n"
-    elif fmt == "csv":
-        lines = ["key,value"]
-        for key, value in _flatten(doc):
-            special = any(c in value for c in ',"\r\n')
-            lines.append(f"{key},{_quoted(value) if special else value}")
-        text = "\n".join(lines) + "\n"
     else:
-        lines = []
+        if args.format == "csv":
+            lines, sep, special = ["key,value"], ",", ',"\r\n'
+        else:
+            lines, sep, special = [], ": ", "\r\n"
         for key, value in _flatten(doc):
-            broken = "\r" in value or "\n" in value
-            lines.append(f"{key}: {_quoted(value) if broken else value}")
+            if any(c in value for c in special):
+                value = '"' + value.replace('"', '""') + '"'
+            lines.append(key + sep + value)
         text = "\n".join(lines) + "\n"
     _emit_raw(args, text)
 
@@ -394,9 +466,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_jump_lists(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--jumps LIST`` whose list starts with a minus sign
+    written as ``--jumps=LIST``: argparse takes ``-1,3`` for an option."""
+    joined: list[str] = []
+    for tok in argv:
+        if joined and joined[-1] == "--jumps" and tok[:1] == "-" and tok[1:2].isdigit():
+            joined[-1] = "--jumps=" + tok
+        else:
+            joined.append(tok)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_jump_lists(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(parser, args)
     except (CirculantError, OSError) as exc:

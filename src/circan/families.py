@@ -222,7 +222,9 @@ class Prediction:
     ``indices`` maps each name of ``indices.INDEX_FIELDS`` to its value in
     the type its closed form gives: a ``Fraction`` for the pair indices, the
     GA/AG values and both AZ values, a ``float`` for the square-root-valued
-    SC and ABC values.
+    SC and ABC values. ``distance_vector`` is the predicted vector that the
+    scalar forms are checked against; ``base_diameter`` is the base graph's
+    diameter for the three multiplicative families, ``None`` for the others.
     """
 
     degree: int
@@ -232,6 +234,8 @@ class Prediction:
     pi_lower: Fraction
     pi_upper: int
     indices: IndexValues
+    distance_vector: DistanceVector
+    base_diameter: int | None
 
 
 def _report(*, ga_ag: Fraction, **values: Fraction | float) -> IndexValues:
@@ -394,6 +398,9 @@ def predict(point: FamilyPoint) -> Prediction:
         rho, degree, rs, pi_lo, pi_hi, report = _predict_mc_2h(n, _param(point, "h"))
     else:
         rho, degree, rs, pi_lo, pi_hi, report = _predict_mc_gen(n, _param(point, "h"))
+    base_diameter = None
+    if f in (Family.MC_2H, Family.MC_GEN, Family.MC_23):
+        base_diameter = multiplicative_base_diameter(_param(point, "m"), _param(point, "h"))
     xi = rho - (n - 1)
     # Internal consistency: the scalar forms must agree with the vector form.
     for name, scalar, vector in (
@@ -416,6 +423,8 @@ def predict(point: FamilyPoint) -> Prediction:
         pi_lower=pi_lo,
         pi_upper=pi_hi,
         indices=report,
+        distance_vector=vec,
+        base_diameter=base_diameter,
     )
 
 

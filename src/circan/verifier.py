@@ -28,15 +28,17 @@ jump ``a``. Two points with equal (family, n, h) and equal counts therefore
 get equal checks, so a sweep builds them once per key and shares the frozen
 ``FieldCheck`` objects; the complement of C_n(1, a) has the same counts for
 every a, so a double-loop sweep builds them once per order. ``predict``
-runs only when a key is first met, and the key also holds the counts of the
-point's predicted vector: the closed forms read only (family, n, h) and the
-internal consistency check only those counts, so it is the same check at
-every point with the key. The table keeps the checks and the predicted
-forwarding index, not the prediction, and lives for one sweep (one worker
-chunk under ``jobs``). The predicted and computed distance vectors, the
-numeric spectral radius (the half transform's maximum; nothing sorts the
-spectrum), the witness certificate and the base diameter still run at every
-point. A sub-family sweep builds only its own multiplicative points.
+runs only when a key is first met and hands over that point's predicted
+vector; every later point builds its own, so a sweep builds one per
+in-domain point. The key leaves out the predicted vector's counts, which
+depend on (family, n, h) alone like every closed form; a point whose own
+vector is wrong still fails its ``distance_vector`` field. The table keeps
+the checks, the predicted forwarding index and base diameter, never the
+prediction with its n-long vector, and lives for one sweep (one worker
+chunk under ``jobs``). The computed vector, the numeric spectral radius
+(the half transform's maximum; nothing sorts the spectrum), the witness
+certificate and the base graph's diameter still run at every point. A
+sub-family sweep builds only its own multiplicative points.
 
 Each piece of a point is built once: a distance vector's counts and
 transmission on construction, one text for a matching exact value or an
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,7 +65,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import CirculantSpec, complement_spec
-from .errors import DisconnectedGraphError, EmptyComplementError, InputError, InvariantError
+from .errors import DisconnectedGraphError, EmptyComplementError, InputError
 from .families import (
     DomainStatus,
     Family,
@@ -75,7 +76,6 @@ from .families import (
     domain_status,
     double_loop_gen_point,
     double_loop_half_point,
-    multiplicative_base_diameter,
     multiplicative_point,
     predict,
     predicted_distance_vector,
@@ -170,32 +170,26 @@ def verify_point(point: FamilyPoint, *, _table: dict | None = None) -> Verificat
 
     if _table is None:
         _table = {}
-    predicted = predicted_distance_vector(point)
-    key = (point.family, point.n, point.h, dv.distance_counts().tobytes(),
-           predicted.distance_counts().tobytes())
-    if key not in _table:
+    key = (point.family, point.n, point.h, dv.distance_counts().tobytes())
+    if key in _table:
+        predicted = predicted_distance_vector(point)
+    else:
         pred = predict(point)
-        _table[key] = (_count_checks(pred, dv), pred.xi)
-    count_checks, xi = _table[key]
-    checks = {
-        **count_checks,
-        **_vector_checks(point, xi, predicted, base, comp, dv),
-    }
+        predicted = pred.distance_vector
+        _table[key] = (_count_checks(pred, dv), pred.xi, pred.base_diameter)
+    count_checks, xi, base_diameter = _table[key]
+    checks = {**count_checks, **_vector_checks(xi, base_diameter, predicted, base, comp, dv)}
     fields = {name: checks[name] for name in FIELD_ORDER if name in checks}
     return VerificationRecord(point, DomainStatus.IN_DOMAIN, "", fields)
 
 
-def _vector_checks(
-    point: FamilyPoint,
-    xi: int,
-    predicted: DistanceVector,
-    base: CirculantSpec,
-    comp: CirculantSpec,
-    dv: DistanceVector,
-) -> dict[str, FieldCheck]:
+def _vector_checks(xi: int, base_diameter: int | None, predicted: DistanceVector,
+                   base: CirculantSpec, comp: CirculantSpec, dv: DistanceVector,
+                   ) -> dict[str, FieldCheck]:
     """The fields that read the distance vector itself, checked at every
-    point against the point's own predicted vector and the predicted
-    forwarding index ``xi``."""
+    point against the point's own predicted vector, the predicted
+    forwarding index ``xi`` and, for a family that predicts one, the base
+    graph's predicted ``base_diameter``."""
     if np.array_equal(dv.d, predicted.d):
         text = _vector_repr(dv.d)
         vector = FieldCheck(True, text, text)
@@ -217,13 +211,10 @@ def _vector_checks(
     else:
         fields["xi_witness"] = FieldCheck(False, str(xi), f"not the BFS layering: {fault}")
 
-    if point.family in (Family.MC_2H, Family.MC_GEN, Family.MC_23):
-        if point.m is None or point.h is None:
-            raise InvariantError(f"{point.family.value} point needs m and h, got {point}")
+    if base_diameter is not None:
         base_diam = distance_vector(base).diameter
-        predicted_diam = multiplicative_base_diameter(point.m, point.h)
         fields["base_diameter"] = FieldCheck(
-            base_diam == predicted_diam, str(predicted_diam), str(base_diam)
+            base_diam == base_diameter, str(base_diameter), str(base_diam)
         )
     return fields
 
@@ -375,94 +366,6 @@ def has_failures(records: Iterable[VerificationRecord]) -> bool:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def _array_items(arr: np.ndarray, *, json_floats: bool = True) -> list[str]:
-    """The text of each entry of a non-empty 1-D integer or float64 array,
-    by one gather over texts.
-
-    An integer array, such as a distance vector, must hold entries in
-    0..len - 1; it is gathered from the texts of 0..max, so the table is
-    never longer than the array. A float array, such as a sorted spectrum,
-    is cut into runs of neighbours with equal bit patterns (so -0.0 stays
-    apart from 0.0); each run's head is formatted once and its text
-    repeated by the run's length. Floats get JSON's texts (``NaN``,
-    ``Infinity``) from one C-encoder call, or ``repr`` texts when
-    ``json_floats`` is false.
-    """
-    if arr.ndim == 1 and arr.size:
-        if arr.dtype.kind in "iu" and arr.min() >= 0 and arr.max() < arr.size:
-            table = np.array([str(i) for i in range(int(arr.max()) + 1)], dtype=object)
-            return table.take(arr).tolist()
-        if arr.dtype == np.float64:
-            bits = arr.view(np.int64)
-            starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-            heads = arr[starts].tolist()
-            if json_floats:
-                texts = json.dumps(heads)[1:-1].split(", ")
-            else:
-                texts = [repr(v) for v in heads]
-            runs = np.diff(starts, append=arr.size)
-            return np.array(texts, dtype=object).repeat(runs).tolist()
-    raise TypeError("only a non-empty 1-D float64 array, or a 1-D integer array "
-                    "with entries in 0..len - 1, is serializable")
-
-
-_INF = float("inf")
-_NOT_SCALAR = (str, dict, list, tuple)
-
-
-def _dumps_indent2(value, pad: str = "\n") -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for dicts with str keys,
-    lists, tuples, str, int, float, bool and None; an array of
-    :func:`_array_items` is written as the list of its entries.
-
-    Any ``indent`` turns the stdlib's C encoder off, so this builds the layout
-    by joins instead: strings go through the C string escaper, a list of
-    plain scalars through one C-encoder call and an array through one gather
-    over texts. ``pad`` is the newline plus the indentation of the enclosing
-    level.
-    """
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        items = [_encode_str(k) + ": " + _dumps_indent2(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(value, np.ndarray):
-        inner = pad + "  "
-        return "[" + inner + ("," + inner).join(_array_items(value)) + pad + "]"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        if not isinstance(value[0], _NOT_SCALAR):
-            flat = json.dumps(value)
-            # the text of a non-str scalar holds no '"', '[' or '{', so these
-            # mark a list that is not all plain scalars after all
-            if '"' not in flat and "{" not in flat and flat.find("[", 1) < 0:
-                return "[" + inner + flat[1:-1].replace(", ", "," + inner) + pad + "]"
-        items = [_dumps_indent2(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INF:
-            return "Infinity"
-        if value == -_INF:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def records_to_json(records: Sequence[VerificationRecord]) -> str:

@@ -190,6 +190,28 @@ class TestSpectrum:
         assert code == 2
 
 
+class TestNegativeJumpLists:
+    """argparse takes ``-1,3`` for an option; ``--jumps -1,3`` must still
+    read it as the jump list that ``--jumps=-1,3`` gives."""
+
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    @pytest.mark.parametrize("jumps,plain", [("-1,3", "1,3"), ("-1", "1")])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_both_spellings_print_the_same_bytes(self, capsys, command, jumps, plain, fmt):
+        spaced = run(capsys, command, "--n", "8", "--jumps", jumps, "--format", fmt)
+        joined = run(capsys, command, "--n", "8", f"--jumps={jumps}", "--format", fmt)
+        assert spaced == joined
+        # -1 is the jump 1 of C8
+        assert spaced == run(capsys, command, "--n", "8", "--jumps", plain, "--format", fmt)
+        assert spaced[0] == 0
+
+    def test_missing_jump_list_is_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--n", "8", "--jumps", "--complement"])
+        assert exc.value.code == 2
+        assert "argument --jumps: expected one argument" in capsys.readouterr().err
+
+
 class TestRoutingCommand:
     def test_load_analysis(self, capsys):
         code, out = run(capsys, "routing",
@@ -503,6 +525,16 @@ class TestInputErrors:
         module_names = {t.id for n in tree.body if isinstance(n, ast.Assign) for t in n.targets
                         if isinstance(t, ast.Name)}
         assert not module_names & {"_PARSE_ERRORS", "_DISCONNECTED_ERRORS"}
+
+
+def test_cli_imports_no_private_name_from_circan():
+    # the CLI reaches the library through its public names only
+    path = Path(__file__).resolve().parent.parent / "src" / "circan" / "cli.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "circan"):
+            private = [alias.name for alias in node.names if alias.name.startswith("_")]
+            assert not private, f"cli.py:{node.lineno} imports {private}"
 
 
 # Bytes spliced into fixtures; none is a digit, so a splice never makes a

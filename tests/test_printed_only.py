@@ -30,6 +30,7 @@ from circan import (
     report_from_distance_vector,
     spectral_radius_numeric,
 )
+from circan.cli import _array_items, _dumps_indent2
 from circan.errors import DegenerateTransmissionError, DisconnectedGraphError
 from circan.indices import (
     INDEX_FIELDS,
@@ -38,7 +39,6 @@ from circan.indices import (
     _reciprocal_numerators,
     _sum_fractions,
 )
-from circan.verifier import _array_items, _dumps_indent2
 
 from conftest import FIXTURES, from_edges, random_connected_specs
 

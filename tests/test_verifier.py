@@ -15,8 +15,8 @@ from circan import (
     DomainStatus,
     Family,
     base_spec,
-    c7_point,
     complement_spec,
+    domain_status,
     double_loop_gen_point,
     multiplicative_point,
     predict,
@@ -24,10 +24,10 @@ from circan import (
     verify_point,
 )
 from circan import verifier
+from circan.cli import _dumps_indent2
 from circan.verifier import (
     FIELD_ORDER,
     FieldCheck,
-    _dumps_indent2,
     c7_points,
     double_loop_gen_points,
     double_loop_half_points,
@@ -224,9 +224,12 @@ class TestSweeps:
 
 
 def _count_determined(pred):
-    """The predicted values a sweep shares among points with one table key."""
+    """The predicted values a sweep shares among points with one table key,
+    with the counts of the predicted vector, which the key leaves out."""
     indices = sorted(pred.indices.items())
-    return pred.degree, pred.rho, pred.rs, pred.xi, pred.pi_lower, pred.pi_upper, indices
+    return (pred.degree, pred.rho, pred.rs, pred.xi, pred.pi_lower, pred.pi_upper, indices,
+            pred.base_diameter, pred.distance_vector.distance_counts().tolist())
+
 
 
 class TestCountTable:
@@ -234,12 +237,46 @@ class TestCountTable:
     distance counts); these tests pin that this changes no record."""
 
     def test_table_key_holds_every_prediction(self):
-        # The key leaves out the double-loop jump a: no closed form may read it.
-        for n in range(8, 65):
-            preds = [_count_determined(predict(double_loop_gen_point(n, a)))
-                     for a in range(2, (n - 1) // 2 + 1) if (n, a) != (8, 3)]
-            assert all(p == preds[0] for p in preds), n
-        assert _count_determined(predict(c7_point(2))) == _count_determined(predict(c7_point(3)))
+        # The key leaves out the double-loop jump a and the counts of the
+        # predicted vector: no closed form may read a, and every point with
+        # one (family, n, h) has one predicted count vector.
+        groups = {}
+        for point in (double_loop_gen_points(8, 64) + double_loop_half_points(2, 64)
+                      + c7_points() + multiplicative_points(1024)):
+            if domain_status(point)[0] is DomainStatus.IN_DOMAIN:
+                key = (point.family, point.n, point.h)
+                groups.setdefault(key, []).append(_count_determined(predict(point)))
+        assert {family for family, _, _ in groups} == set(Family)
+        for key, preds in groups.items():
+            assert all(p == preds[0] for p in preds), key
+        assert len(groups[(Family.C7_SPECIAL, 7, None)]) == 2
+
+    def test_sweep_builds_one_predicted_vector_per_point(self, monkeypatch):
+        import circan.families as families_module
+
+        built = []
+        real = families_module.predicted_distance_vector
+
+        def counted(point):
+            built.append(point)
+            return real(point)
+
+        monkeypatch.setattr(families_module, "predicted_distance_vector", counted)
+        monkeypatch.setattr(verifier, "predicted_distance_vector", counted)
+        points = (double_loop_gen_points(8, 30) + double_loop_half_points(2, 30)
+                  + c7_points() + multiplicative_points(256))
+        recs = verify_sweep(points)
+        assert built == [r.point for r in recs if r.domain_status is DomainStatus.IN_DOMAIN]
+
+    def test_base_diameter_only_for_multiplicative_families(self):
+        recs = verify_sweep(double_loop_gen_points(8, 16) + double_loop_half_points(2, 12)
+                            + c7_points() + multiplicative_points(256))
+        in_domain = [r for r in recs if r.domain_status is DomainStatus.IN_DOMAIN]
+        assert {r.point.family for r in in_domain} == set(Family)
+        for rec in in_domain:
+            multiplicative = rec.point.family in (Family.MC_2H, Family.MC_GEN, Family.MC_23)
+            assert ("base_diameter" in rec.fields) is multiplicative, rec.point
+            assert (predict(rec.point).base_diameter is not None) is multiplicative, rec.point
 
     def test_sweep_equals_points_verified_alone(self, monkeypatch):
         import circan.verifier as verifier_module
@@ -327,18 +364,13 @@ _scalars = st.one_of(
     st.text(),
     st.sampled_from(_SPECIAL_STRINGS),
 )
-# lists of plain scalars take the emitter's one-call C-encoder path
-_number_lists = st.lists(st.one_of(
-    st.integers(), st.floats(), st.booleans(), st.none(), st.sampled_from(_SPECIAL_FLOATS),
-))
+# the shapes the commands build: dicts with str keys over scalars and
+# non-empty lists of ints, which take the emitter's one-call C-encoder path
+_int_lists = st.lists(st.integers(), min_size=1)
 _keys = st.one_of(st.text(), st.sampled_from(_SPECIAL_STRINGS))
 _documents = st.recursive(
-    st.one_of(_scalars, _number_lists),
-    lambda children: st.one_of(
-        st.lists(children, max_size=5),
-        st.lists(children, max_size=5).map(tuple),
-        st.dictionaries(_keys, children, max_size=5),
-    ),
+    st.one_of(_scalars, _int_lists),
+    lambda children: st.dictionaries(_keys, children, max_size=5),
     max_leaves=30,
 )
 
@@ -346,10 +378,8 @@ _documents = st.recursive(
 class TestIndent2Json:
     @settings(max_examples=300, deadline=None)
     @given(_documents)
-    @example([1, "a, b"])
-    @example([1.5, [2, 3]])
-    @example((True, {"k": ()}, None))
-    @example({"": [], "x": {}, "y": [[], ()]})
+    @example({"a, b": "a, b", "x": [1, -2, 2**70]})
+    @example({"": {}, "x": {"y": [0]}, "z": None})
     def test_matches_stdlib(self, value):
         assert _dumps_indent2(value) == json.dumps(value, indent=2)
 
