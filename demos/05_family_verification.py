@@ -8,12 +8,14 @@ rather than asserted, so the sweep also documents exactly where the
 formulas stop applying.
 """
 
-from circan import DomainStatus, verify_point, multiplicative_point
-from circan.verifier import (
+from circan import (
+    DomainStatus,
     double_loop_gen_points,
     double_loop_half_points,
+    multiplicative_point,
     multiplicative_points,
     records_to_csv,
+    verify_point,
     verify_sweep,
 )
 

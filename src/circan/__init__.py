@@ -42,11 +42,15 @@ from .families import (
     Prediction,
     base_spec,
     c7_point,
+    c7_points,
     domain_status,
     double_loop_gen_point,
+    double_loop_gen_points,
     double_loop_half_point,
+    double_loop_half_points,
     multiplicative_base_diameter,
     multiplicative_point,
+    multiplicative_points,
     predict,
     predicted_distance_vector,
 )
@@ -80,7 +84,6 @@ from .spectral import (
 from .verifier import (
     VerificationRecord,
     has_failures,
-    multiplicative_points,
     records_to_csv,
     records_to_json,
     verify_family,

@@ -62,7 +62,7 @@ from .errors import (
     InputError,
     OversizedRationalError,
 )
-from .families import base_spec, multiplicative_point
+from .families import SWEEPS, base_spec, multiplicative_point
 from .indices import INDEX_FIELDS, full_report, report_from_distance_vector
 from .metrics import distance_vector, metrics_summary
 from .routing import load_profile, parse_routing_fixture, edge_forwarding_bounds, vertex_forwarding_index
@@ -452,11 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     routing.set_defaults(func=cmd_routing)
 
     verify = sub.add_parser("verify", help="family verification sweep")
-    verify.add_argument(
-        "--family",
-        required=True,
-        choices=("double-loop-half", "double-loop-gen", "c7", "mc", "mc-2h", "mc-gen", "mc-23"),
-    )
+    verify.add_argument("--family", required=True, choices=tuple(SWEEPS))
     verify.add_argument("--k", type=_parse_range, default=(2, 32), help="k range lo:hi")
     verify.add_argument("--n", type=_parse_range, default=(8, 40), help="n range lo:hi")
     verify.add_argument("--max-order", type=int, default=1024)
@@ -467,12 +463,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _joined_jump_lists(argv: list[str]) -> list[str]:
-    """``argv`` with each ``--jumps LIST`` whose list starts with a minus sign
-    written as ``--jumps=LIST``: argparse takes ``-1,3`` for an option."""
+    """``argv`` with each jump list that starts with a minus sign joined by
+    ``=`` to the option before it when the subcommand reads that as
+    ``--jumps``, in full or abbreviated: argparse takes ``-1,3`` for an option."""
+    (subs,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subs.choices.get(argv[0]) if argv else None
+    options = sub._option_string_actions if sub else {}
     joined: list[str] = []
     for tok in argv:
-        if joined and joined[-1] == "--jumps" and tok[:1] == "-" and tok[1:2].isdigit():
-            joined[-1] = "--jumps=" + tok
+        if (tok[:1] == "-" and tok[1:2].isdigit() and joined
+                and [o for o in options if o.startswith(joined[-1])] == ["--jumps"]):
+            joined[-1] += "=" + tok
         else:
             joined.append(tok)
     return joined

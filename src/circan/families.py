@@ -1,9 +1,8 @@
 """Closed-form predictions for complements of structured circulant families.
 
-Five parametric families are covered, each with a predicted complement
-distance vector and closed forms for the spectral radius, reciprocal
-transmission, vertex-forwarding index, edge-forwarding bounds, and all
-seventeen topological indices:
+The double loops C_n(1, a) and the multiplicative circulants
+C_{m^h}(1, m, ..., m^(h-1)) form six families, one row each of the table
+``_RULES``:
 
 * ``DOUBLE_LOOP_HALF``  -- complements of C_n(1, n/2), n = 2k
 * ``DOUBLE_LOOP_GEN``   -- complements of C_n(1, a), 2 <= a < n/2
@@ -13,6 +12,11 @@ seventeen topological indices:
 * ``MC_GEN``            -- complements of C_{m^h}(1, m, ..., m^(h-1)), m >= 3
 * ``MC_23``             -- the single 8-vertex multiplicative circulant,
   whose complement is an 8-cycle with diameter 4
+
+A row holds the family's base jumps, effective domain, predicted complement
+distance vector, closed forms for the spectral radius, reciprocal
+transmission, vertex-forwarding index, edge-forwarding bounds and all
+seventeen topological indices, base-diameter flag and sweep.
 
 Every closed form is established only on an *effective domain*; parameters
 outside it (edgeless or disconnected complements, or orders the underlying
@@ -33,6 +37,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -73,9 +78,9 @@ class FamilyPoint:
     h: int | None = None
 
     def label(self) -> str:
-        if self.family in (Family.DOUBLE_LOOP_HALF, Family.DOUBLE_LOOP_GEN, Family.C7_SPECIAL):
-            return f"complement of C{self.n}(1,{self.a})"
-        return f"complement of C{self.n}(1,{self.m},...)^[m={self.m},h={self.h}]"
+        if _RULES[self.family].multiplicative:
+            return f"complement of C{self.n}(1,{self.m},...)^[m={self.m},h={self.h}]"
+        return f"complement of C{self.n}(1,{self.a})"
 
 
 def double_loop_half_point(k: int) -> FamilyPoint:
@@ -123,10 +128,7 @@ def _param(point: FamilyPoint, name: str) -> int:
 
 def base_spec(point: FamilyPoint) -> CirculantSpec:
     """Spec of the base graph whose complement the family describes."""
-    if point.family in (Family.DOUBLE_LOOP_HALF, Family.DOUBLE_LOOP_GEN, Family.C7_SPECIAL):
-        return CirculantSpec.of(point.n, (1, point.a))
-    m, h = _param(point, "m"), _param(point, "h")
-    return CirculantSpec.of(point.n, tuple(m**i for i in range(h)))
+    return CirculantSpec.of(point.n, _RULES[point.family].jumps(point))
 
 
 def domain_status(point: FamilyPoint) -> tuple[DomainStatus, str]:
@@ -136,80 +138,26 @@ def domain_status(point: FamilyPoint) -> tuple[DomainStatus, str]:
     than the arguments supporting them; the effective domain keeps only
     parameters the verification can stand behind, and flags the rest.
     """
-    f = point.family
-    if f is Family.DOUBLE_LOOP_HALF:
-        k = point.a or 0
-        if k >= 4:
-            return DomainStatus.IN_DOMAIN, ""
-        if k == 2:
-            return DomainStatus.OUT_OF_DOMAIN, "complement of the complete graph K4 is edgeless"
-        return DomainStatus.OUT_OF_DOMAIN, "complement splits into two triangles"
-    if f is Family.DOUBLE_LOOP_GEN:
-        if (point.n, point.a) == (8, 3):
-            return DomainStatus.KNOWN_EXCEPTION, "complement is disconnected"
-        if point.n >= 8:
-            return DomainStatus.IN_DOMAIN, ""
-        return DomainStatus.OUT_OF_DOMAIN, "order below the formulas' domain (n >= 8)"
-    if f is Family.C7_SPECIAL:
-        return DomainStatus.IN_DOMAIN, ""
-    if f is Family.MC_23:
-        return DomainStatus.IN_DOMAIN, ""
-    if f is Family.MC_2H:
-        if _param(point, "h") >= 4:
-            return DomainStatus.IN_DOMAIN, ""
-        return DomainStatus.OUT_OF_DOMAIN, "complement is edgeless"
-    if f is Family.MC_GEN:
-        m, h = _param(point, "m"), _param(point, "h")
-        if m >= 5:
-            return DomainStatus.IN_DOMAIN, ""
-        if h >= 2:
-            return DomainStatus.IN_DOMAIN, ""
-        if m == 3:
-            return DomainStatus.OUT_OF_DOMAIN, "complement of the complete graph K3 is edgeless"
-        return DomainStatus.OUT_OF_DOMAIN, "complement is a perfect matching (disconnected)"
-    raise InvariantError(f"unknown family {f}")
-
-
-def _require_in_domain(point: FamilyPoint) -> None:
-    status, reason = domain_status(point)
-    if status is DomainStatus.KNOWN_EXCEPTION:
-        raise KnownExceptionError(f"{point.label()}: {reason}")
-    if status is DomainStatus.OUT_OF_DOMAIN:
-        raise OutOfDomainError(f"{point.label()}: {reason}")
-
-
-_C7_VECTORS = {
-    2: (0, 2, 3, 1, 1, 3, 2),
-    3: (0, 3, 1, 2, 2, 1, 3),
-}
-_MC23_VECTOR = (0, 3, 2, 1, 4, 1, 2, 3)
+    return _RULES[point.family].domain(point)
 
 
 def predicted_distance_vector(point: FamilyPoint) -> DistanceVector:
-    """Closed-form complement distance vector of an in-domain point."""
-    _require_in_domain(point)
-    n = point.n
-    f = point.family
-    if f is Family.C7_SPECIAL:
-        return DistanceVector(7, np.array(_C7_VECTORS[_param(point, "a")], dtype=np.int64))
-    if f is Family.MC_23:
-        return DistanceVector(8, np.array(_MC23_VECTOR, dtype=np.int64))
-    vec = np.ones(n, dtype=np.int64)
-    vec[0] = 0
-    if f is Family.DOUBLE_LOOP_HALF:
-        k = point.a
-        vec[[1, k, n - 1]] = 2
-    elif f is Family.DOUBLE_LOOP_GEN:
-        a = point.a
-        vec[[1, a, n - a, n - 1]] = 2
-    else:  # MC_2H or MC_GEN: distance 2 exactly at the base jumps' offsets
-        m, h = _param(point, "m"), _param(point, "h")
-        twos = set()
-        for i in range(h):
-            twos.add(m**i)
-            twos.add(n - m**i)
-        vec[sorted(twos)] = 2
-    return DistanceVector(n, vec)
+    """Closed-form complement distance vector of an in-domain point: the
+    family's stated vector, or distance 2 exactly at the base jumps and
+    their negatives mod n and 1 elsewhere."""
+    status, reason = domain_status(point)
+    if status is not DomainStatus.IN_DOMAIN:
+        known = status is DomainStatus.KNOWN_EXCEPTION
+        raise (KnownExceptionError if known else OutOfDomainError)(f"{point.label()}: {reason}")
+    rule = _RULES[point.family]
+    if rule.vector is not None:
+        vec = np.array(rule.vector(point), dtype=np.int64)
+    else:
+        twos = np.array(rule.jumps(point), dtype=np.int64)
+        vec = np.ones(point.n, dtype=np.int64)
+        vec[0] = 0
+        vec[np.concatenate((twos, point.n - twos))] = 2
+    return DistanceVector(vec.size, vec)
 
 
 IndexValues = dict[str, Fraction | float]
@@ -382,25 +330,12 @@ def _predict_mc_gen(n: int, h: int) -> tuple[int, int, Fraction, Fraction, int, 
 
 def predict(point: FamilyPoint) -> Prediction:
     """Full closed-form prediction for an in-domain parameter point."""
-    _require_in_domain(point)
     vec = predicted_distance_vector(point)
     n = point.n
-    f = point.family
-    if f is Family.DOUBLE_LOOP_HALF:
-        rho, degree, rs, pi_lo, pi_hi, report = _predict_double_loop_half(n)
-    elif f is Family.DOUBLE_LOOP_GEN:
-        rho, degree, rs, pi_lo, pi_hi, report = _predict_double_loop_gen(n)
-    elif f is Family.C7_SPECIAL:
-        rho, degree, rs, pi_lo, pi_hi, report = _predict_c7()
-    elif f is Family.MC_23:
-        rho, degree, rs, pi_lo, pi_hi, report = _predict_mc23()
-    elif f is Family.MC_2H:
-        rho, degree, rs, pi_lo, pi_hi, report = _predict_mc_2h(n, _param(point, "h"))
-    else:
-        rho, degree, rs, pi_lo, pi_hi, report = _predict_mc_gen(n, _param(point, "h"))
-    base_diameter = None
-    if f in (Family.MC_2H, Family.MC_GEN, Family.MC_23):
-        base_diameter = multiplicative_base_diameter(_param(point, "m"), _param(point, "h"))
+    rule = _RULES[point.family]
+    rho, degree, rs, pi_lo, pi_hi, report = rule.predictor(point)
+    base_diameter = (multiplicative_base_diameter(_param(point, "m"), _param(point, "h"))
+                     if rule.multiplicative else None)
     xi = rho - (n - 1)
     # Internal consistency: the scalar forms must agree with the vector form.
     for name, scalar, vector in (
@@ -438,3 +373,128 @@ def multiplicative_base_diameter(m: int, h: int) -> int:
         return (h * (m - 1) + 1) // 2
     return h * (m - 1) // 2
 
+
+_IN_DOMAIN = (DomainStatus.IN_DOMAIN, "")
+_OUT = DomainStatus.OUT_OF_DOMAIN
+
+
+def _double_loop_jumps(point: FamilyPoint) -> tuple[int, ...]:
+    return 1, _param(point, "a")
+
+
+def _multiplicative_jumps(point: FamilyPoint) -> tuple[int, ...]:
+    return tuple(_param(point, "m") ** i for i in range(_param(point, "h")))
+
+
+def _half_domain(point: FamilyPoint) -> tuple[DomainStatus, str]:
+    k = _param(point, "a")
+    if k >= 4:
+        return _IN_DOMAIN
+    return _OUT, ("complement of the complete graph K4 is edgeless" if k == 2
+                  else "complement splits into two triangles")
+
+
+def _gen_domain(point: FamilyPoint) -> tuple[DomainStatus, str]:
+    if (point.n, _param(point, "a")) == (8, 3):
+        return DomainStatus.KNOWN_EXCEPTION, "complement is disconnected"
+    return _IN_DOMAIN if point.n >= 8 else (_OUT, "order below the formulas' domain (n >= 8)")
+
+
+def _mc_gen_domain(point: FamilyPoint) -> tuple[DomainStatus, str]:
+    m, h = _param(point, "m"), _param(point, "h")
+    if m >= 5 or h >= 2:
+        return _IN_DOMAIN
+    return _OUT, ("complement of the complete graph K3 is edgeless" if m == 3
+                  else "complement is a perfect matching (disconnected)")
+
+
+# The stated complement vectors, by the point's parameters.
+_C7_VECTORS = {2: (0, 2, 3, 1, 1, 3, 2), 3: (0, 3, 1, 2, 2, 1, 3)}
+_MC23_VECTORS = {(2, 3): (0, 3, 2, 1, 4, 1, 2, 3)}
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """What one family states, each fact a function of a point. A ``vector`` of
+    ``None`` is distance 2 exactly at the base jumps and their negatives; a
+    ``multiplicative`` point is labelled by (m, h), its base diameter predicted."""
+
+    jumps: Callable[[FamilyPoint], tuple[int, ...]]
+    domain: Callable[[FamilyPoint], tuple[DomainStatus, str]]
+    predictor: Callable[[FamilyPoint], tuple[int, int, Fraction, Fraction, int, IndexValues]]
+    sweep: Callable[..., list[FamilyPoint]]
+    multiplicative: bool = False
+    vector: Callable[[FamilyPoint], tuple[int, ...]] | None = None
+
+
+# A predictor looks its _predict_* up at call time, so a patched one runs.
+_RULES = {
+    Family.DOUBLE_LOOP_HALF: _Rule(
+        jumps=_double_loop_jumps, domain=_half_domain,
+        predictor=lambda p: _predict_double_loop_half(p.n),
+        sweep=lambda k_range, **_: double_loop_half_points(*k_range)),
+    Family.DOUBLE_LOOP_GEN: _Rule(
+        jumps=_double_loop_jumps, domain=_gen_domain,
+        predictor=lambda p: _predict_double_loop_gen(p.n),
+        sweep=lambda n_range, **_: double_loop_gen_points(*n_range)),
+    Family.C7_SPECIAL: _Rule(
+        jumps=_double_loop_jumps, domain=lambda p: _IN_DOMAIN,
+        predictor=lambda p: _predict_c7(), sweep=lambda **_: c7_points(),
+        vector=lambda p: _C7_VECTORS[_param(p, "a")]),
+    Family.MC_2H: _Rule(
+        jumps=_multiplicative_jumps, multiplicative=True,
+        domain=lambda p: _IN_DOMAIN if _param(p, "h") >= 4 else (_OUT, "complement is edgeless"),
+        predictor=lambda p: _predict_mc_2h(p.n, _param(p, "h")),
+        sweep=lambda max_order, **_: _multiplicative_sweep(max_order, Family.MC_2H, (2,))),
+    Family.MC_GEN: _Rule(
+        jumps=_multiplicative_jumps, multiplicative=True, domain=_mc_gen_domain,
+        predictor=lambda p: _predict_mc_gen(p.n, _param(p, "h")),
+        sweep=lambda max_order, **_: _multiplicative_sweep(
+            max_order, Family.MC_GEN, range(3, max_order + 1))),
+    Family.MC_23: _Rule(
+        jumps=_multiplicative_jumps, multiplicative=True, domain=lambda p: _IN_DOMAIN,
+        predictor=lambda p: _predict_mc23(),
+        sweep=lambda max_order, **_: _multiplicative_sweep(max_order, Family.MC_23, (2,)),
+        vector=lambda p: _MC23_VECTORS[_param(p, "m"), _param(p, "h")]),
+}
+
+
+def double_loop_half_points(k_lo: int, k_hi: int) -> list[FamilyPoint]:
+    return [double_loop_half_point(k) for k in range(max(2, k_lo), k_hi + 1)]
+
+
+def double_loop_gen_points(n_lo: int, n_hi: int) -> list[FamilyPoint]:
+    return [double_loop_gen_point(n, a)
+            for n in range(max(5, n_lo), n_hi + 1) for a in range(2, (n - 1) // 2 + 1)]
+
+
+def c7_points() -> list[FamilyPoint]:
+    return [c7_point(2), c7_point(3)]
+
+
+def multiplicative_points(max_order: int, family: Family | None = None) -> list[FamilyPoint]:
+    """The multiplicative points with m^h <= ``max_order`` by m, then h; only
+    those of the sub-family ``family`` when given, built from its own m."""
+    if family is None:
+        return _multiplicative_sweep(max_order, None, range(2, max_order + 1))
+    rule = _RULES[family]
+    return rule.sweep(max_order=max_order) if rule.multiplicative else []
+
+
+def _multiplicative_sweep(max_order: int, family: Family | None, ms) -> list[FamilyPoint]:
+    points = []
+    for m in ms:
+        h = 1
+        while m**h <= max_order:
+            points.append(multiplicative_point(m, h))
+            h += 1
+    return [point for point in points if family is None or point.family is family]
+
+
+# Each sweep by name, called with the bounds k_range, n_range and max_order;
+# "mc", the whole multiplicative class, precedes its three rows.
+SWEEPS = {
+    **{f.value: rule.sweep for f, rule in _RULES.items() if not rule.multiplicative},
+    "mc": lambda max_order, **_: multiplicative_points(max_order),
+    **{f.value: rule.sweep for f, rule in _RULES.items() if rule.multiplicative},
+}

@@ -1,49 +1,37 @@
 """Field-by-field verification of closed forms against brute force.
 
-For every parameter point the verifier rebuilds the complement, runs BFS,
-recomputes every predicted quantity from scratch (spectral radius both as
-the exact transmission and as the numeric DFT maximum, forwarding values,
-all seventeen indices), and records per-field agreement. The ``xi_witness``
-field certifies the computed distance vector as the BFS layering of the
-complement at every order (``routing.bfs_layering_fault``: d == 1 exactly on
-the connection row, every farther vertex has a neighbour one level closer,
-no edge skips a level). The certified layering is the BFS tree of the
-rotation-invariant shortest-path routing, whose uniform vertex load is
-rho - (n - 1), so the witness compares that one load with the predicted
-forwarding index; a refused layering fails the field and names the
-condition that failed. Each field is
-compared by the type of its prediction: integer and ``Fraction`` values must
-match the computed exact value (a computed float never matches one), the
-four square-root-valued indices are compared at ``FLOAT_TOL`` (1e-9)
-relative and the numeric spectrum at ``SPECTRAL_TOL`` (1e-6) relative. The
-tolerances are module constants; no option changes them.
+This module only compares: a sweep's points and every predicted value come
+from ``families``. For every point the verifier rebuilds the complement,
+runs BFS, recomputes every predicted quantity from scratch (spectral radius
+both as the exact transmission and as the numeric DFT maximum, forwarding
+values, all seventeen indices), and records per-field agreement. Each field
+is compared by the type of its prediction: integer and ``Fraction`` values
+must match the computed exact value (a computed float never matches one),
+the four square-root-valued indices are compared at ``FLOAT_TOL`` (1e-9)
+relative and the numeric spectrum at ``SPECTRAL_TOL`` (1e-6) relative; no
+option changes these module constants. The ``xi_witness`` field certifies
+the computed vector as the complement's BFS layering
+(``routing.bfs_layering_fault``), the BFS tree of the rotation-invariant
+shortest-path routing, whose uniform vertex load rho - (n - 1) it compares
+with the predicted forwarding index; a refused layering fails the field and
+names the condition that failed.
 
 Most fields are count-determined: ``degree``, ``rho``, ``rs``, ``xi``,
 ``pi_lower``, ``pi_upper`` and the seventeen indices. Their computed side
-reads only n and the distance counts (the transmission, the number of
-distance-1 vertices, the reciprocal transmission, the edge-forwarding bounds
-from n, rho and r, and ``report_from_distance_vector``), and their predicted
-side is a closed form of (family, n, h) that never reads the double-loop
-jump ``a``. Two points with equal (family, n, h) and equal counts therefore
-get equal checks, so a sweep builds them once per key and shares the frozen
-``FieldCheck`` objects; the complement of C_n(1, a) has the same counts for
-every a, so a double-loop sweep builds them once per order. ``predict``
-runs only when a key is first met and hands over that point's predicted
-vector; every later point builds its own, so a sweep builds one per
-in-domain point. The key leaves out the predicted vector's counts, which
-depend on (family, n, h) alone like every closed form; a point whose own
-vector is wrong still fails its ``distance_vector`` field. The table keeps
-the checks, the predicted forwarding index and base diameter, never the
-prediction with its n-long vector, and lives for one sweep (one worker
-chunk under ``jobs``). The computed vector, the numeric spectral radius
-(the half transform's maximum; nothing sorts the spectrum), the witness
-certificate and the base graph's diameter still run at every point. A
-sub-family sweep builds only its own multiplicative points.
-
-Each piece of a point is built once: a distance vector's counts and
-transmission on construction, one text for a matching exact value or an
-equal pair of vectors, a record's ``passed`` when first read, and each
-record's JSON from one template.
+reads only n and the distance counts, and their predicted side is a closed
+form of (family, n, h) that never reads the double-loop jump ``a``. So a
+sweep builds their checks once per key (family, n, h, distance counts) and
+shares the frozen ``FieldCheck`` objects; the complement of C_n(1, a) has
+the same counts for every a, so a double-loop sweep builds them once per
+order. ``predict`` runs only when a key is first met and hands over that
+point's predicted vector; every later point builds its own. The key leaves
+out the predicted vector's counts, which depend on (family, n, h) alone; a
+point whose own vector is wrong still fails its ``distance_vector`` field.
+The table keeps the checks, the predicted forwarding index and base
+diameter, never the n-long predicted vector, and lives for one sweep (one
+worker chunk under ``jobs``). The computed vector, the numeric spectral
+radius (the half transform's maximum; nothing sorts the spectrum), the
+witness and the base graph's diameter run at every point.
 
 Out-of-domain parameters are still swept: they produce flagged records (the
 observed obstruction goes into the note) rather than assertions, so a sweep
@@ -70,13 +58,10 @@ from .families import (
     DomainStatus,
     Family,
     FamilyPoint,
+    SWEEPS,
     Prediction,
     base_spec,
-    c7_point,
     domain_status,
-    double_loop_gen_point,
-    double_loop_half_point,
-    multiplicative_point,
     predict,
     predicted_distance_vector,
 )
@@ -271,46 +256,6 @@ def _domain_note(status: DomainStatus, reason: str, observed: str) -> str:
 # sweeps
 
 
-def double_loop_half_points(k_lo: int, k_hi: int) -> list[FamilyPoint]:
-    return [double_loop_half_point(k) for k in range(max(2, k_lo), k_hi + 1)]
-
-
-def double_loop_gen_points(n_lo: int, n_hi: int) -> list[FamilyPoint]:
-    points = []
-    for n in range(max(5, n_lo), n_hi + 1):
-        for a in range(2, (n - 1) // 2 + 1):
-            points.append(double_loop_gen_point(n, a))
-    return points
-
-
-def c7_points() -> list[FamilyPoint]:
-    return [c7_point(2), c7_point(3)]
-
-
-def multiplicative_points(
-    max_order: int, family: Family | None = None
-) -> list[FamilyPoint]:
-    """The multiplicative points with m^h <= ``max_order`` by m, then h; only
-    those of the sub-family ``family`` when given, built from its own m."""
-    if family is None:
-        ms = range(2, max_order + 1)
-    elif family is Family.MC_GEN:
-        ms = range(3, max_order + 1)
-    else:  # MC_2H and MC_23 have m = 2
-        ms = (2,)
-    points = []
-    for m in ms:
-        n = m
-        h = 1
-        while n <= max_order:
-            point = multiplicative_point(m, h)
-            if family is None or point.family is family:
-                points.append(point)
-            n *= m
-            h += 1
-    return points
-
-
 def verify_sweep(points: Sequence[FamilyPoint], *, jobs: int = 1) -> list[VerificationRecord]:
     """Verify every point, in order; ``jobs`` > 1 shards across at most
     ``jobs`` processes, and never more than the machine has cores."""
@@ -344,20 +289,10 @@ def verify_family(
     jobs: int = 1,
 ) -> list[VerificationRecord]:
     """Sweep one family (or the whole multiplicative class via ``"mc"``)."""
-    name = family.value if isinstance(family, Family) else family
-    if name == Family.DOUBLE_LOOP_HALF.value:
-        points = double_loop_half_points(*k_range)
-    elif name == Family.DOUBLE_LOOP_GEN.value:
-        points = double_loop_gen_points(*n_range)
-    elif name == Family.C7_SPECIAL.value:
-        points = c7_points()
-    elif name == "mc":
-        points = multiplicative_points(max_order)
-    elif name in (Family.MC_2H.value, Family.MC_GEN.value, Family.MC_23.value):
-        points = multiplicative_points(max_order, Family(name))
-    else:
+    sweep = SWEEPS.get(family.value if isinstance(family, Family) else family)
+    if sweep is None:
         raise InputError(f"unknown family {family!r}")
-    return verify_sweep(points, jobs=jobs)
+    return verify_sweep(sweep(k_range=k_range, n_range=n_range, max_order=max_order), jobs=jobs)
 
 
 def has_failures(records: Iterable[VerificationRecord]) -> bool:

@@ -17,15 +17,13 @@ from circan import (
     build_circulant,
     complement_spec,
     distance_vector,
-    full_report,
-    load_profile,
-    parse_graph_fixture,
-    parse_routing_fixture,
-)
-from circan.verifier import (
     double_loop_gen_points,
     double_loop_half_points,
+    full_report,
+    load_profile,
     multiplicative_points,
+    parse_graph_fixture,
+    parse_routing_fixture,
     verify_sweep,
 )
 

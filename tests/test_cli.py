@@ -205,6 +205,20 @@ class TestNegativeJumpLists:
         assert spaced == run(capsys, command, "--n", "8", "--jumps", plain, "--format", fmt)
         assert spaced[0] == 0
 
+    @pytest.mark.parametrize("command", ["analyze", "spectrum"])
+    @pytest.mark.parametrize("option", ["--jump", "--ju"])
+    def test_abbreviations_join_like_the_option(self, capsys, command, option):
+        spaced = run(capsys, command, "--n", "8", option, "-1,3", "--format", "json")
+        assert spaced == run(capsys, command, "--n", "8", "--jumps=-1,3", "--format", "json")
+        assert spaced[0] == 0
+
+    def test_jobs_abbreviation_keeps_its_value(self, capsys):
+        # in verify, --j abbreviates --jobs, so -1 stays a jobs count
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "c7", "--j", "-1"])
+        assert exc.value.code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
     def test_missing_jump_list_is_still_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--n", "8", "--jumps", "--complement"])
@@ -312,6 +326,14 @@ class TestVerify:
             main(["verify", *argv])
         assert exc.value.code == 2
         assert "selects no points" in capsys.readouterr().err
+
+    def test_family_choices_in_order(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "bogus"])
+        assert exc.value.code == 2
+        assert ("argument --family: invalid choice: 'bogus' (choose from 'double-loop-half', "
+                "'double-loop-gen', 'c7', 'mc', 'mc-2h', 'mc-gen', 'mc-23')"
+                in capsys.readouterr().err)
 
     def test_inverted_range_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -80,13 +80,25 @@ class TestPointConstruction:
         p = multiplicative_point(2, 4)
         assert base_spec(p) == CirculantSpec.of(16, [1, 2, 4, 8])
 
-    @pytest.mark.parametrize("family", [Family.MC_2H, Family.MC_GEN])
+    @pytest.mark.parametrize("family", list(Family))
     def test_multiplicative_point_without_m_is_an_invariant_error(self, family):
-        point = FamilyPoint(family, n=16, m=None, h=4)
+        # every family's point built without its own parameter: a for the
+        # double loops, m for the multiplicative circulants
+        point = {
+            Family.DOUBLE_LOOP_HALF: FamilyPoint(family, n=8),
+            Family.DOUBLE_LOOP_GEN: FamilyPoint(family, n=10),
+            Family.C7_SPECIAL: FamilyPoint(family, n=7),
+            Family.MC_2H: FamilyPoint(family, n=16, m=None, h=4),
+            Family.MC_GEN: FamilyPoint(family, n=16, m=None, h=4),
+            Family.MC_23: FamilyPoint(family, n=8, m=None, h=3),
+        }[family]
         with pytest.raises(InvariantError):
             base_spec(point)
         with pytest.raises(InvariantError):
             predicted_distance_vector(point)
+        if family in (Family.DOUBLE_LOOP_HALF, Family.DOUBLE_LOOP_GEN):
+            with pytest.raises(InvariantError):
+                domain_status(point)
 
     def test_parameter_checks_survive_python_O(self):
         # python -O strips assert statements, not these checks
@@ -100,6 +112,83 @@ class TestPointConstruction:
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
+
+
+# Per family: a point with its base jumps and label, and one point for each
+# domain status and reason of the family. The reasons reach the verify
+# records' notes and the labels the domain errors' texts.
+_IN, _KNOWN, _OUT = DomainStatus.IN_DOMAIN, DomainStatus.KNOWN_EXCEPTION, DomainStatus.OUT_OF_DOMAIN
+_TABLE_FACTS = {
+    Family.DOUBLE_LOOP_HALF: (double_loop_half_point(6), (1, 6), "complement of C12(1,6)", [
+        (double_loop_half_point(2), _OUT, "complement of the complete graph K4 is edgeless"),
+        (double_loop_half_point(3), _OUT, "complement splits into two triangles"),
+        (double_loop_half_point(4), _IN, ""),
+    ]),
+    Family.DOUBLE_LOOP_GEN: (double_loop_gen_point(12, 3), (1, 3), "complement of C12(1,3)", [
+        (double_loop_gen_point(8, 3), _KNOWN, "complement is disconnected"),
+        (double_loop_gen_point(7, 2), _OUT, "order below the formulas' domain (n >= 8)"),
+        (double_loop_gen_point(8, 2), _IN, ""),
+    ]),
+    Family.C7_SPECIAL: (c7_point(3), (1, 3), "complement of C7(1,3)", [
+        (c7_point(2), _IN, ""),
+        (c7_point(3), _IN, ""),
+    ]),
+    Family.MC_2H: (multiplicative_point(2, 4), (1, 2, 4, 8),
+                   "complement of C16(1,2,...)^[m=2,h=4]", [
+        (multiplicative_point(2, 2), _OUT, "complement is edgeless"),
+        (multiplicative_point(2, 4), _IN, ""),
+    ]),
+    Family.MC_GEN: (multiplicative_point(3, 3), (1, 3, 9), "complement of C27(1,3,...)^[m=3,h=3]", [
+        (multiplicative_point(3, 1), _OUT, "complement of the complete graph K3 is edgeless"),
+        (multiplicative_point(4, 1), _OUT, "complement is a perfect matching (disconnected)"),
+        (multiplicative_point(5, 1), _IN, ""),
+        (multiplicative_point(3, 2), _IN, ""),
+    ]),
+    Family.MC_23: (multiplicative_point(2, 3), (1, 2, 4), "complement of C8(1,2,...)^[m=2,h=3]", [
+        (multiplicative_point(2, 3), _IN, ""),
+    ]),
+}
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_family_table_facts(family):
+    point, jumps, label, domains = _TABLE_FACTS[family]
+    assert point.family is family
+    assert base_spec(point).jumps == jumps
+    assert point.label() == label
+    for domain_point, status, reason in domains:
+        assert domain_point.family is family
+        assert domain_status(domain_point) == (status, reason), domain_point
+
+
+def test_family_members_named_only_in_the_table_and_point_constructors():
+    """The family table is the one place that states a family's facts: a
+    ``Family`` member is named only in its rows and in the point
+    constructors, and the verifier and the CLI name no family at all."""
+    import circan.families as families_module
+
+    src = Path(families_module.__file__).parent
+    names = {family.value for family in Family} | {"mc"}
+
+    def members(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "Family"
+                and node.attr in Family.__members__]
+
+    tree = ast.parse((src / "families.py").read_text(encoding="utf-8"))
+    allowed = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_RULES"]
+                or isinstance(node, ast.FunctionDef) and node.name.endswith("_point")):
+            allowed |= {id(member) for member in members(node)}
+    assert allowed
+    assert all(id(member) in allowed for member in members(tree))
+    for module in ("verifier.py", "cli.py"):
+        tree = ast.parse((src / module).read_text(encoding="utf-8"))
+        assert not members(tree), module
+        literals = [node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+        assert not names & set(literals), module
 
 
 class TestDomains:

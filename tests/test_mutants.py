@@ -14,6 +14,7 @@ from fractions import Fraction
 import circan.families as families
 from circan import (
     INDEX_FIELDS,
+    c7_points,
     double_loop_gen_point,
     double_loop_half_point,
     has_failures,
@@ -21,7 +22,6 @@ from circan import (
     verify_sweep,
 )
 from circan.errors import InconsistentPredictionError
-from circan.verifier import c7_points
 
 _SWEEPS = {
     "_predict_double_loop_half": [double_loop_half_point(6), double_loop_half_point(7)],
@@ -66,6 +66,11 @@ def _caught(points) -> bool:
         return has_failures(verify_sweep(points))
     except InconsistentPredictionError:
         return True
+
+
+def test_every_predictor_is_swept():
+    # a new family row brings a new _predict_*, which the mutation run must reach
+    assert set(_SWEEPS) == {name for name in vars(families) if name.startswith("_predict_")}
 
 
 def test_closed_form_mutants_are_caught(monkeypatch):

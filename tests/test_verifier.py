@@ -15,24 +15,25 @@ from circan import (
     DomainStatus,
     Family,
     base_spec,
+    c7_points,
     complement_spec,
     domain_status,
     double_loop_gen_point,
+    double_loop_gen_points,
+    double_loop_half_points,
     multiplicative_point,
+    multiplicative_points,
     predict,
     verify_family,
     verify_point,
 )
 from circan import verifier
 from circan.cli import _dumps_indent2
+from circan.errors import InputError
 from circan.verifier import (
     FIELD_ORDER,
     FieldCheck,
-    c7_points,
-    double_loop_gen_points,
-    double_loop_half_points,
     has_failures,
-    multiplicative_points,
     records_to_csv,
     records_to_json,
     verify_sweep,
@@ -199,9 +200,19 @@ class TestSweeps:
         only_2h = verify_family("mc-2h", max_order=64)
         assert all(r.point.family.value == "mc-2h" for r in only_2h)
 
+    def test_unknown_family_name_is_an_input_error(self):
+        with pytest.raises(InputError, match="unknown family 'bogus'"):
+            verify_family("bogus")
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_member_and_its_name_sweep_alike(self, family):
+        bounds = {"k_range": (2, 8), "n_range": (5, 12), "max_order": 64}
+        records = verify_family(family, **bounds)
+        assert records and {r.point.family for r in records} == {family}
+        assert records == verify_family(family.value, **bounds)
 
     @pytest.mark.parametrize("max_order", [*range(1, 10), 128, 4096])
-    @pytest.mark.parametrize("family", [Family.MC_2H, Family.MC_23, Family.MC_GEN])
+    @pytest.mark.parametrize("family", list(Family))
     def test_sub_family_points_equal_filtered_class(self, family, max_order):
         whole = [p for p in multiplicative_points(max_order) if p.family is family]
         assert multiplicative_points(max_order, family) == whole
