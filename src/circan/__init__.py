@@ -63,6 +63,7 @@ from .indices import (
 from .metrics import (
     DistanceVector,
     MetricsSummary,
+    bfs_layering_fault,
     distance_counts,
     distance_vector,
     metrics_summary,
@@ -70,7 +71,6 @@ from .metrics import (
 from .routing import (
     LoadProfile,
     Routing,
-    bfs_layering_fault,
     edge_forwarding_bounds,
     load_profile,
     parse_routing_fixture,

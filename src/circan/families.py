@@ -472,13 +472,9 @@ def c7_points() -> list[FamilyPoint]:
     return [c7_point(2), c7_point(3)]
 
 
-def multiplicative_points(max_order: int, family: Family | None = None) -> list[FamilyPoint]:
-    """The multiplicative points with m^h <= ``max_order`` by m, then h; only
-    those of the sub-family ``family`` when given, built from its own m."""
-    if family is None:
-        return _multiplicative_sweep(max_order, None, range(2, max_order + 1))
-    rule = _RULES[family]
-    return rule.sweep(max_order=max_order) if rule.multiplicative else []
+def multiplicative_points(max_order: int) -> list[FamilyPoint]:
+    """The multiplicative points with m^h <= ``max_order``, by m, then h."""
+    return _multiplicative_sweep(max_order, None, range(2, max_order + 1))
 
 
 def _multiplicative_sweep(max_order: int, family: Family | None, ms) -> list[FamilyPoint]:

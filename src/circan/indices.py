@@ -14,7 +14,10 @@ their degree-weighted versions. The per-edge kernels see integer vertex
 statistics over a common denominator L: the transmission itself (L = 1),
 or the reciprocal transmission times L = lcm(1..diameter). Edges are
 grouped by the unordered pair of endpoint statistics (A, B), and one kernel
-serves both families.
+serves both families. Both report functions only build the inputs of one
+assembly (``_report``); a circulant is one row and one edge group, so its
+report is O(diameter) integer work. ``metrics.reciprocal_numerators`` forms
+every sum of c_d / d: the reciprocal transmissions and the Harary sums.
 
 Pair-sum indices and both augmented-Zagreb variants are exact rationals;
 the AZ sums are accumulated over one denominator and reduced once. The
@@ -38,6 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
+from typing import Callable
 
 import numpy as np
 
@@ -46,7 +50,7 @@ from .errors import (
     DegenerateReciprocalTransmissionError,
     DegenerateTransmissionError,
 )
-from .metrics import DistanceVector, distance_counts, reciprocal_weights
+from .metrics import DistanceVector, distance_counts, reciprocal_numerators
 
 PAIR_FIELDS = (
     "wiener",
@@ -106,15 +110,15 @@ def _pair_indices_from_stats(
     wiener = sum(map(mul, dists, cnt))
     sumsq = sum(map(mul, map(mul, dists, dists), cnt))
     # the three Harary sums over one common denominator, each reduced once
-    denom, weights = reciprocal_weights(len(cnt) - 1)
+    denom, (harary, additive, multiplicative) = reciprocal_numerators([cnt, dsum, dprod])
     return {
         "wiener": Fraction(wiener),
         "hyper_wiener": Fraction(wiener + sumsq, 2),
-        "harary": Fraction(sum(map(mul, weights, cnt)), denom),
+        "harary": Fraction(harary, denom),
         "schultz": Fraction(sum(map(mul, dists, dsum))),
         "gutman": Fraction(sum(map(mul, dists, dprod))),
-        "harary_additive": Fraction(sum(map(mul, weights, dsum)), denom),
-        "harary_multiplicative": Fraction(sum(map(mul, weights, dprod)), denom),
+        "harary_additive": Fraction(additive, denom),
+        "harary_multiplicative": Fraction(multiplicative, denom),
     }
 
 
@@ -209,11 +213,18 @@ def _exact_edge_values(
     return exact
 
 
-def _reciprocal_numerators(counts: np.ndarray) -> tuple[int, list[int]]:
-    """The common denominator L = lcm(1..diameter) and, per row of distance
-    counts, the reciprocal transmission times L."""
-    denom, weights = reciprocal_weights(counts.shape[1] - 1)
-    return denom, (counts.astype(object) @ np.array(weights, dtype=object)).tolist()
+def _report(pair_stats: tuple[list[int], ...], rows: list[list[int]],
+            group_edges: Callable[[list[int]], dict]) -> IndexReport:
+    """All seventeen indices from the arguments of
+    :func:`_pair_indices_from_stats`, the distance-count rows (Python ints)
+    and ``group_edges``, which maps one value per row to the edge count per
+    unordered pair of endpoint values."""
+    sigma = [sum(map(mul, range(len(row)), row)) for row in rows]
+    t_fields, t_exact = _edge_indices("t", group_edges(sigma), 1)
+    denom, numerators = reciprocal_numerators(rows)
+    rt_fields, rt_exact = _edge_indices("rt", group_edges(numerators), denom)
+    pair = _pair_indices_from_stats(*pair_stats)
+    return IndexReport(**pair, **t_fields, **rt_fields, _exact_parts=(t_exact, rt_exact))
 
 
 def full_report(g: GenericGraph) -> IndexReport:
@@ -224,16 +235,12 @@ def full_report(g: GenericGraph) -> IndexReport:
     deg = g.degrees()
     # Over ordered pairs at distance d: the count, the sum of deg_i, and
     # the sum of deg_i * deg_j; unordered pairs halve the first and last.
-    pair = _pair_indices_from_stats(
+    pair_stats = (
         (counts.sum(axis=0) // 2).tolist(),
         (deg @ counts).tolist(),
         (deg @ weights // 2).tolist(),
     )
-    sigma = counts @ np.arange(counts.shape[1])
-    t_fields, t_exact = _edge_indices("t", _edge_groups(sigma.tolist(), edges), 1)
-    denom, numerators = _reciprocal_numerators(counts)
-    rt_fields, rt_exact = _edge_indices("rt", _edge_groups(numerators, edges), denom)
-    return IndexReport(**pair, **t_fields, **rt_fields, _exact_parts=(t_exact, rt_exact))
+    return _report(pair_stats, counts.tolist(), lambda values: _edge_groups(values, edges))
 
 
 def report_from_distance_vector(dv: DistanceVector) -> IndexReport:
@@ -245,15 +252,9 @@ def report_from_distance_vector(dv: DistanceVector) -> IndexReport:
     unordered-pair count at distance d is n * count[d] / 2, and the edges
     form one group of the transmission-regular kernel.
     """
-    counts = dv.distance_counts()
+    counts = dv.distance_counts().tolist()
     r = dv.degree
     edge_total = dv.n * r // 2
-    pairs = [dv.n * c // 2 for c in counts.tolist()]
-    pair = _pair_indices_from_stats(
-        pairs, [2 * r * c for c in pairs], [r * r * c for c in pairs]
-    )
-    sigma = dv.transmission
-    t_fields, t_exact = _edge_indices("t", {(sigma, sigma): edge_total}, 1)
-    denom, (rs,) = _reciprocal_numerators(counts[None, :])
-    rt_fields, rt_exact = _edge_indices("rt", {(rs, rs): edge_total}, denom)
-    return IndexReport(**pair, **t_fields, **rt_fields, _exact_parts=(t_exact, rt_exact))
+    pairs = [dv.n * c // 2 for c in counts]
+    pair_stats = (pairs, [2 * r * c for c in pairs], [r * r * c for c in pairs])
+    return _report(pair_stats, [counts], lambda values: {(values[0], values[0]): edge_total})

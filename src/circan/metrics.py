@@ -22,6 +22,11 @@ That BFS has two sides, chosen by the spec alone:
   (Beamer, Asanovic and Patterson's direction-optimizing BFS on the
   connection row). The dense complements this package studies take a
   handful of big-int operations.
+
+The same level loop (``_levels``) drives ``bfs_layering_fault``, which
+certifies a claimed vector layer by layer. Every sum of c_d / d (the
+reciprocal transmissions, the Harary sums of ``indices``) is formed by
+``reciprocal_numerators``, exactly, over L = lcm(1..D).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
+from typing import Iterator
 
 import numpy as np
 
@@ -37,18 +43,14 @@ from .core import CirculantSpec, GenericGraph
 from .errors import DisconnectedGraphError, InvariantError
 
 
-def reciprocal_weights(diameter: int) -> tuple[int, list[int]]:
-    """The common denominator L = lcm(1..diameter) and the weights L // d
-    for d = 0..diameter, with weight 0 at d = 0."""
-    denom = math.lcm(*range(1, diameter + 1))
-    return denom, [0] + [denom // d for d in range(1, diameter + 1)]
-
-
-def reciprocal_sum(counts: np.ndarray | list[int]) -> Fraction:
-    """Exact sum of count[d] / d over distances d >= 1, as one fraction
-    over lcm(1..len(counts) - 1), reduced once."""
-    denom, weights = reciprocal_weights(len(counts) - 1)
-    return Fraction(sum(map(mul, map(int, counts), weights)), denom)
+def reciprocal_numerators(rows: list[list[int]]) -> tuple[int, list[int]]:
+    """L = lcm(1..D) and, for each row c_0..c_D of values by distance (rows
+    of one length D + 1, holding Python ints), the sum of c_d * L / d over
+    d >= 1: the row's sum of c_d / d times L, exact."""
+    width = len(rows[0])
+    denom = math.lcm(*range(1, width))
+    weights = [denom // d for d in range(1, width)]
+    return denom, [sum(map(mul, row[1:], weights)) for row in rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +99,8 @@ class DistanceVector:
     @property
     def reciprocal_transmission(self) -> Fraction:
         """Exact sum of reciprocal distances from vertex 0."""
-        return reciprocal_sum(self._counts)
+        denom, (numerator,) = reciprocal_numerators([self._counts.tolist()])
+        return Fraction(numerator, denom)
 
     @property
     def diameter(self) -> int:
@@ -178,10 +181,8 @@ def _mask(bits: int, n: int) -> np.ndarray:
 def _circulant_bfs(spec: CirculantSpec) -> np.ndarray:
     """Hop counts from vertex 0 of ``spec``; -1 marks unreachable vertices."""
     n = spec.n
-    offsets = spec.offsets()
-    degree = len(offsets)
     dist = np.full(n, -1, dtype=np.int64)
-    if degree <= 2:
+    if len(spec.offsets()) <= 2:
         # One jump j: level t is {t j, -t j} mod n, up to half the orbit.
         j = spec.jumps[0]
         level = np.arange(n // math.gcd(n, j) // 2 + 1)
@@ -190,16 +191,24 @@ def _circulant_bfs(spec: CirculantSpec) -> np.ndarray:
         dist[ahead] = level
         return dist
     dist[0] = 0
-    dist[spec.connection_row] = level = 1
+    dist[spec.connection_row] = 1
+    for level, bits in enumerate(_levels(spec), start=2):
+        dist[_mask(bits, n)] = level
+    return dist
+
+
+def _levels(spec: CirculantSpec) -> Iterator[int]:
+    """BFS levels 2, 3, ... from vertex 0 of ``spec`` as n-bit sets, level 1
+    being the connection row. They end once every vertex is reached, or
+    after an empty level when the rest is unreachable."""
+    n = spec.n
+    offsets = spec.offsets()
     row = frontier = _bitset(spec.connection_row)
     unreached = ((1 << n) - 2) ^ row
     while frontier and unreached:
-        level += 1
-        new = _next_level(n, row, offsets, frontier, unreached)
-        dist[_mask(new, n)] = level
-        unreached ^= new
-        frontier = new
-    return dist
+        frontier = _next_level(n, row, offsets, frontier, unreached)
+        unreached ^= frontier
+        yield frontier
 
 
 def _next_level(n: int, row: int, offsets: tuple[int, ...], frontier: int, unreached: int) -> int:
@@ -223,6 +232,48 @@ def _next_level(n: int, row: int, offsets: tuple[int, ...], frontier: int, unrea
     for off in offsets:
         reach |= frontier << off
     return (reach | (reach >> n)) & unreached
+
+
+def bfs_layering_fault(spec: CirculantSpec, dv: DistanceVector) -> str | None:
+    """Certify ``dv`` as the BFS layering of ``spec`` from vertex 0: None
+    when it is one, else the first condition that fails, naming a vertex.
+
+    The conditions are (a) d == 1 exactly on the connection row, (b) every
+    vertex at d >= 2 has a neighbour at d - 1 and (c) no edge joins levels
+    more than one apart. By (b) a walk of length d(v) reaches 0, so d(v) is
+    at least the distance; by (c) d grows by at most one along each step of
+    a shortest path, so d(v) is at most the distance. By rotation the
+    root's layering fixes every pair.
+
+    After (a), each claimed layer d == L is compared with the BFS's level L
+    (``_levels``). While the layers before it agree with the levels, level
+    L is the set of vertices at d >= L adjacent to layer L - 1: a vertex of
+    layer L left out of it fails (b), one of it beyond layer L fails (c).
+    """
+    n = spec.n
+    if dv.n != n:
+        raise InvariantError(f"distance vector has order {dv.n}, spec has {n}")
+    d = dv.d
+    row = spec.connection_row
+    wrong = (d == 1) != row
+    v = int(wrong.argmax())
+    if wrong[v]:
+        if row[v]:
+            return f"(a) vertex {v} is adjacent to 0 at d={d[v]}"
+        return f"(a) vertex {v} at d=1 is not adjacent to 0"
+    levels = _levels(spec)
+    for level in range(2, dv.diameter + 1):
+        layer = _bitset(d == level)
+        reached = next(levels, 0)
+        missing = layer & ~reached
+        if missing:
+            v = (missing & -missing).bit_length() - 1
+            return f"(b) vertex {v} at d={level} has no neighbour at d={level - 1}"
+        if reached != layer:
+            skip = reached ^ layer
+            v = (skip & -skip).bit_length() - 1
+            return f"(c) vertex {v} at d={d[v]} has a neighbour at d={level - 1}"
+    return None
 
 
 def distance_vector(spec: CirculantSpec) -> DistanceVector:
@@ -265,13 +316,13 @@ def metrics_summary(g: GenericGraph) -> MetricsSummary:
     sigmas = counts @ np.arange(counts.shape[1])
     t_regular = bool((sigmas == sigmas[0]).all())
     transmission = int(sigmas[0]) if t_regular else None
-    rs = reciprocal_sum(counts[0]) if t_regular else None
+    denom, (numerator,) = reciprocal_numerators([counts[0].tolist()])
     return MetricsSummary(
         n=g.n,
         edge_count=g.edge_count,
         degree=degree,
         transmission=transmission,
-        reciprocal_transmission=rs,
+        reciprocal_transmission=Fraction(numerator, denom) if t_regular else None,
         diameter=counts.shape[1] - 1,
         transmission_regular=t_regular,
     )

@@ -1,5 +1,4 @@
-"""Explicit routings, load profiles, the BFS-layering certificate, and
-forwarding bounds.
+"""Explicit routings, load profiles and forwarding indices.
 
 A routing fixes one elementary path for every ordered vertex pair. The
 vertex load counts paths that cross a vertex strictly inside; the
@@ -8,9 +7,9 @@ minus (n - 1), and a rotation-invariant shortest-path routing attains it
 with all vertex loads equal: the paths of a BFS tree from vertex 0, each
 shifted by every x, load every vertex with sum(d(v) - 1). No such routing
 is built. Its witness is a certificate that the distance vector is the BFS
-layering from vertex 0 (``bfs_layering_fault``); the uniform load is then
-rho - (n - 1). For the edge-forwarding index only bounds are produced,
-from the distance vector.
+layering from vertex 0 (``metrics.bfs_layering_fault``); the uniform load
+is then rho - (n - 1). For the edge-forwarding index only bounds are
+produced, from the distance vector.
 
 An explicit routing is validated in whole-array passes over its paths laid
 end to end (one vertex array plus one length per path): vertex range,
@@ -33,7 +32,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import (
-    CirculantSpec,
     GenericGraph,
     _content_rows,
     _first_true,
@@ -43,12 +41,12 @@ from .core import (
 from .errors import (
     FixtureParseError,
     InvalidEdgeError,
-    InvariantError,
     MissingPairError,
     NonElementaryPathError,
     VertexRangeError,
 )
-from .metrics import DistanceVector, _bitset, _next_level, distance_counts
+from .metrics import DistanceVector, distance_counts
+
 
 @dataclass(frozen=True)
 class LoadProfile:
@@ -203,54 +201,6 @@ def parse_routing_fixture(text: str, g: GenericGraph) -> Routing:
         stripped = lines[keep[numeric]].strip()
         raise FixtureParseError(f"line {keep[numeric] + 1}: non-integer vertex in {stripped!r}")
     return _validated(g, vertices, lengths)
-
-
-def bfs_layering_fault(spec: CirculantSpec, dv: DistanceVector) -> str | None:
-    """Certify ``dv`` as the BFS layering of ``spec`` from vertex 0: None
-    when it is one, else the first condition that fails, naming a vertex.
-
-    The conditions are (a) d == 1 exactly on the connection row, (b) every
-    vertex at d >= 2 has a neighbour at d - 1 and (c) no edge joins levels
-    more than one apart. By (b) a walk of length d(v) reaches 0, so d(v) is
-    at least the distance; by (c) d grows by at most one along each step of
-    a shortest path, so d(v) is at most the distance. By rotation the
-    root's layering fixes every pair.
-
-    Level by level on n-bit levels, with the push or pull step of
-    ``_circulant_bfs``, the vertices at d >= L adjacent to level L - 1 must
-    be exactly level L: one of level L left out fails (b), one beyond it
-    fails (c). When max d <= 2, (c) follows from (a), since only edges out
-    of vertex 0 could skip a level, so a diameter-2 complement costs one
-    comparison and one pull per vertex at distance 2.
-    """
-    n = spec.n
-    if dv.n != n:
-        raise InvariantError(f"distance vector has order {dv.n}, spec has {n}")
-    d = dv.d
-    row_mask = spec.connection_row
-    v = _first_true((d == 1) != row_mask)
-    if v < n:
-        if row_mask[v]:
-            return f"(a) vertex {v} is adjacent to 0 at d={d[v]}"
-        return f"(a) vertex {v} at d=1 is not adjacent to 0"
-    offsets = spec.offsets()
-    row = frontier = _bitset(row_mask)
-    unreached = ((1 << n) - 2) ^ row
-    for level in range(2, dv.diameter + 1):
-        # every vertex left is at the last level
-        layer = unreached if level == dv.diameter else _bitset(d == level)
-        reached = _next_level(n, row, offsets, frontier, unreached)
-        missing = layer & ~reached
-        if missing:
-            v = (missing & -missing).bit_length() - 1
-            return f"(b) vertex {v} at d={level} has no neighbour at d={level - 1}"
-        if reached != layer:
-            skip = reached ^ layer
-            v = (skip & -skip).bit_length() - 1
-            return f"(c) vertex {v} at d={d[v]} has a neighbour at d={level - 1}"
-        unreached ^= layer
-        frontier = layer
-    return None
 
 
 def load_profile(routing: Routing) -> LoadProfile:

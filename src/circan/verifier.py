@@ -8,10 +8,11 @@ values, all seventeen indices), and records per-field agreement. Each field
 is compared by the type of its prediction: integer and ``Fraction`` values
 must match the computed exact value (a computed float never matches one),
 the four square-root-valued indices are compared at ``FLOAT_TOL`` (1e-9)
-relative and the numeric spectrum at ``SPECTRAL_TOL`` (1e-6) relative; no
-option changes these module constants. The ``xi_witness`` field certifies
-the computed vector as the complement's BFS layering
-(``routing.bfs_layering_fault``), the BFS tree of the rotation-invariant
+relative and the numeric spectrum at ``SPECTRAL_TOL`` (1e-6) relative, and
+a NaN or infinite value on either side never matches; no option changes
+these module constants. The ``xi_witness`` field certifies the computed
+vector as the complement's BFS layering
+(``metrics.bfs_layering_fault``), the BFS tree of the rotation-invariant
 shortest-path routing, whose uniform vertex load rho - (n - 1) it compares
 with the predicted forwarding index; a refused layering fails the field and
 names the condition that failed.
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,8 +68,8 @@ from .families import (
     predicted_distance_vector,
 )
 from .indices import INDEX_FIELDS, report_from_distance_vector
-from .metrics import DistanceVector, distance_vector
-from .routing import bfs_layering_fault, edge_forwarding_bounds, vertex_forwarding_index
+from .metrics import DistanceVector, bfs_layering_fault, distance_vector
+from .routing import edge_forwarding_bounds, vertex_forwarding_index
 from .spectral import spectral_radius_numeric
 
 FLOAT_TOL = 1e-9
@@ -113,11 +115,9 @@ class VerificationRecord:
         return {k: v for k, v in self.fields.items() if not v.match}
 
 
-def _rel_close(a: float, b: float, tol: float) -> bool:
-    scale = max(abs(a), abs(b))
-    if scale == 0.0:
-        return True
-    return abs(a - b) <= tol * scale
+def _close_finite(a: float, b: float, tol: float) -> bool:
+    """a and b agree within ``tol`` relative; a NaN or infinite side fails."""
+    return math.isfinite(a) and math.isfinite(b) and math.isclose(a, b, rel_tol=tol)
 
 
 def _vector_repr(d: np.ndarray) -> str:
@@ -184,7 +184,7 @@ def _vector_checks(xi: int, base_diameter: int | None, predicted: DistanceVector
     rho = dv.transmission
     dft_max = spectral_radius_numeric(dv)
     fields["spectral_max"] = FieldCheck(
-        _rel_close(dft_max, float(rho), SPECTRAL_TOL), str(rho), repr(dft_max)
+        _close_finite(dft_max, float(rho), SPECTRAL_TOL), str(rho), repr(dft_max)
     )
 
     # A certified BFS layering is the witness of the rotation routing, whose
@@ -231,7 +231,7 @@ def _count_checks(pred: Prediction, dv: DistanceVector) -> dict[str, FieldCheck]
             fields[name] = _exact_check(isinstance(got, Fraction) and got == want, want, got)
         else:
             got = getattr(computed, name)
-            fields[name] = FieldCheck(_rel_close(got, want, FLOAT_TOL), repr(want), repr(got))
+            fields[name] = FieldCheck(_close_finite(got, want, FLOAT_TOL), repr(want), repr(got))
     return fields
 
 

@@ -21,7 +21,7 @@ from circan.errors import (
     DisconnectedGraphError,
 )
 from circan.indices import INDEX_FIELDS, PAIR_FIELDS, _edge_indices, _pair_indices_from_stats
-from circan.metrics import reciprocal_sum
+from circan.metrics import reciprocal_numerators
 
 from conftest import all_pairs_distances, from_edges, has_property_star, random_connected_specs
 
@@ -182,6 +182,11 @@ def _naive_reciprocal(values):
     return total
 
 
+def _reciprocal_sum(counts):
+    denom, (numerator,) = reciprocal_numerators([counts])
+    return Fraction(numerator, denom)
+
+
 class TestCommonDenominatorSums:
     """Reciprocal sums over lcm(1..diameter), reduced once, equal the
     term-by-term Fraction sums (and so print the same)."""
@@ -189,9 +194,12 @@ class TestCommonDenominatorSums:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 10**12), max_size=60))
     def test_reciprocal_sum(self, counts):
-        want = _naive_reciprocal(counts)
-        for given_as in (counts, np.array(counts, dtype=np.int64)):
-            got = reciprocal_sum(given_as)
+        # every row is summed over the one denominator lcm(1..diameter)
+        rows = [counts, counts[::-1]]
+        denom, numerators = reciprocal_numerators(rows)
+        assert denom == math.lcm(*range(1, len(counts)))
+        for row, numerator in zip(rows, numerators):
+            got, want = Fraction(numerator, denom), _naive_reciprocal(row)
             assert got == want and str(got) == str(want)
 
     @settings(max_examples=300, deadline=None)
@@ -318,7 +326,7 @@ def _oracle_report(g):
     pair = _pair_indices_from_stats(*_oracle_pair_stats(dist, g.degrees()))
     edges = g.edges()
     sigma = [int(x) for x in dist.sum(axis=1)]
-    rs = [reciprocal_sum(np.bincount(row)) for row in dist]
+    rs = [_reciprocal_sum(np.bincount(row).tolist()) for row in dist]
     t_floats, t_exact = _oracle_transmission(_oracle_groups(sigma, edges))
     rt_floats, rt_exact = _oracle_reciprocal(_oracle_groups(rs, edges))
     values = dict(pair)

@@ -1,7 +1,9 @@
+import ast
 import math
 import tracemalloc
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,3 +404,69 @@ class TestPropertyStar:
             g = build_circulant(CirculantSpec.of(n, jumps))
             if metrics_summary(g).diameter >= 4:
                 assert has_property_star(g), (n, jumps)
+
+
+SRC = Path(metrics.__file__).resolve().parent
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier a module binds, reads, imports or defines."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+def _imported_from_metrics(tree: ast.Module) -> set[str]:
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "metrics"
+            for alias in node.names}
+
+
+class TestOneRoutePerDistanceFact:
+    """One code path per distance fact, checked on the package's source."""
+
+    def test_bit_levels_live_in_metrics_and_one_loop_steps_them(self):
+        trees = _trees()
+        private = {"_next_level", "_bitset", "_mask"}
+        for name, tree in trees.items():
+            if name != "metrics.py":
+                assert not private & _names(tree), name
+        tree = trees["metrics.py"]
+        loops = [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
+        callers = [loop for loop in loops if any(
+            isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_next_level"
+            for call in ast.walk(loop))]
+        calls = [call for call in ast.walk(tree)
+                 if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_next_level"]
+        assert len(callers) == len(calls) == 1
+
+    def test_no_private_import_between_metrics_and_routing(self):
+        trees = _trees()
+        assert not [n for n in _imported_from_metrics(trees["routing.py"]) if n.startswith("_")]
+        assert not [alias.name for node in ast.walk(trees["metrics.py"])
+                    if isinstance(node, ast.ImportFrom) for alias in node.names
+                    if alias.name.startswith("_")]
+
+    def test_one_function_forms_the_reciprocal_sums(self):
+        trees = _trees()
+        gone = {"reciprocal_weights", "reciprocal_sum", "_reciprocal_numerators"}
+        for name, tree in trees.items():
+            assert not gone & _names(tree), name
+        # L = lcm(1..D) is formed once, inside reciprocal_numerators
+        owners = [(name, func.name) for name, tree in trees.items()
+                  for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                  for call in ast.walk(func)
+                  if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "lcm"]
+        assert owners == [("metrics.py", "reciprocal_numerators")]

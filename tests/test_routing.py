@@ -19,6 +19,7 @@ from circan import (
     parse_routing_fixture,
     vertex_forwarding_index,
 )
+from circan import metrics
 from circan.metrics import DistanceVector
 from circan.errors import (
     DisconnectedGraphError,
@@ -220,8 +221,65 @@ def connected_specs(draw) -> CirculantSpec:
     return CirculantSpec.of(n, jumps)
 
 
+def _claimed_frontier_fault(spec: CirculantSpec, dv: DistanceVector) -> str | None:
+    """The claimed-frontier certificate on boolean arrays: each level is
+    found from the claimed layer before it (rolled through every offset),
+    and the last level is every vertex left. The reference for
+    ``bfs_layering_fault``, which steps the BFS's own levels instead."""
+    n, d, row = spec.n, dv.d, spec.connection_row
+    wrong = np.flatnonzero((d == 1) != row)
+    if wrong.size:
+        v = int(wrong[0])
+        if row[v]:
+            return f"(a) vertex {v} is adjacent to 0 at d={d[v]}"
+        return f"(a) vertex {v} at d=1 is not adjacent to 0"
+    frontier = row
+    unreached = ~row
+    unreached[0] = False
+    for level in range(2, dv.diameter + 1):
+        layer = unreached if level == dv.diameter else d == level
+        near = np.zeros(n, dtype=bool)
+        for off in spec.offsets():
+            near |= np.roll(frontier, off)
+        reached = near & unreached
+        missing = np.flatnonzero(layer & ~reached)
+        if missing.size:
+            return f"(b) vertex {missing[0]} at d={level} has no neighbour at d={level - 1}"
+        skip = np.flatnonzero(reached != layer)
+        if skip.size:
+            v = int(skip[0])
+            return f"(c) vertex {v} at d={d[v]} has a neighbour at d={level - 1}"
+        unreached = unreached & ~layer
+        frontier = layer
+    return None
+
+
+@st.composite
+def claimed_layerings(draw) -> tuple[CirculantSpec, DistanceVector]:
+    """A circulant of order 4..300 with one to five jumps, and its BFS
+    vector with zero to two palindromic changes. When it is disconnected,
+    the vertices the BFS misses sit one or two levels past the others."""
+    n = draw(st.integers(4, 300))
+    jumps = draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=5, unique=True))
+    spec = CirculantSpec.of(n, jumps)
+    d = metrics._circulant_bfs(spec)
+    top = int(d.max()) + 2
+    d[d < 0] = draw(st.integers(top - 1, top))
+    top = min(n - 1, top)
+    for _ in range(draw(st.integers(0, 2))):
+        v = draw(st.integers(1, n // 2))
+        d[[v, n - v]] = draw(st.integers(1, top))
+    return spec, DistanceVector(n, d)
+
+
 class TestBfsCertificate:
     C12 = CirculantSpec.of(12, [1, 2])
+
+    @given(claimed_layerings())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_claimed_frontier_oracle(self, case):
+        spec, dv = case
+        assert bfs_layering_fault(spec, dv) == _claimed_frontier_fault(spec, dv)
 
     def fault(self, d: list[int]) -> str | None:
         return bfs_layering_fault(self.C12, DistanceVector(12, np.array(d)))

@@ -30,6 +30,7 @@ from circan import (
 from circan import verifier
 from circan.cli import _dumps_indent2
 from circan.errors import InputError
+from circan.families import SWEEPS
 from circan.verifier import (
     FIELD_ORDER,
     FieldCheck,
@@ -95,6 +96,28 @@ class TestVerifyPoint:
         rec = verify_point(multiplicative_point(2, 4))
         assert set(rec.mismatches()) == {"t_ga", "t_ag", "t_az", "rt_ga", "rt_ag", "rt_az"}
         assert not rec.passed
+
+    @pytest.mark.parametrize("computed, predicted", [
+        (0.0, math.nan), (math.nan, 0.0), (0.0, math.inf), (math.inf, 0.0), (math.inf, math.inf),
+    ])
+    def test_float_index_with_a_nan_or_infinite_side_fails(self, monkeypatch, computed, predicted):
+        real_report, real_predict = verifier.report_from_distance_vector, verifier.predict
+        monkeypatch.setattr(verifier, "report_from_distance_vector",
+                            lambda dv: dataclasses.replace(real_report(dv), t_sc=computed))
+
+        def with_t_sc(point):
+            pred = real_predict(point)
+            return dataclasses.replace(pred, indices={**pred.indices, "t_sc": predicted})
+
+        monkeypatch.setattr(verifier, "predict", with_t_sc)
+        rec = verify_point(multiplicative_point(2, 4))
+        assert set(rec.mismatches()) == {"t_sc"}
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_spectral_max_with_a_nan_or_infinite_side_fails(self, monkeypatch, radius):
+        monkeypatch.setattr(verifier, "spectral_radius_numeric", lambda dv: radius)
+        rec = verify_point(multiplicative_point(2, 4))
+        assert set(rec.mismatches()) == {"spectral_max"}
 
     def test_unchecked_in_domain_point_fails(self, monkeypatch):
         import circan.verifier as verifier_module
@@ -214,8 +237,14 @@ class TestSweeps:
     @pytest.mark.parametrize("max_order", [*range(1, 10), 128, 4096])
     @pytest.mark.parametrize("family", list(Family))
     def test_sub_family_points_equal_filtered_class(self, family, max_order):
+        # each multiplicative row of SWEEPS is its part of the whole class;
+        # a double-loop family has no part in it
         whole = [p for p in multiplicative_points(max_order) if p.family is family]
-        assert multiplicative_points(max_order, family) == whole
+        row = SWEEPS[family.value](k_range=(2, 8), n_range=(5, 12), max_order=max_order)
+        if all(p.h is not None for p in row):
+            assert row == whole
+        else:
+            assert whole == []
 
     def test_failed_xi_witness_on_vector_without_tree(self, monkeypatch):
         # a distance vector that is not the complement's BFS layering: the
