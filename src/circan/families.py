@@ -141,10 +141,12 @@ def domain_status(point: FamilyPoint) -> tuple[DomainStatus, str]:
     return _RULES[point.family].domain(point)
 
 
-def predicted_distance_vector(point: FamilyPoint) -> DistanceVector:
+def predicted_distance_vector(point: FamilyPoint) -> np.ndarray:
     """Closed-form complement distance vector of an in-domain point: the
     family's stated vector, or distance 2 exactly at the base jumps and
-    their negatives mod n and 1 elsewhere."""
+    their negatives mod n and 1 elsewhere. It is a read-only int64 array of
+    shape (n,), any other shape an ``InvariantError``; ``predict`` checks the
+    rest of what makes it a ``DistanceVector``, once per prediction."""
     status, reason = domain_status(point)
     if status is not DomainStatus.IN_DOMAIN:
         known = status is DomainStatus.KNOWN_EXCEPTION
@@ -157,7 +159,10 @@ def predicted_distance_vector(point: FamilyPoint) -> DistanceVector:
         vec = np.ones(point.n, dtype=np.int64)
         vec[0] = 0
         vec[np.concatenate((twos, point.n - twos))] = 2
-    return DistanceVector(vec.size, vec)
+    if vec.shape != (point.n,):
+        raise InvariantError(f"expected {point.n} entries, got shape {vec.shape}")
+    vec.setflags(write=False)
+    return vec
 
 
 IndexValues = dict[str, Fraction | float]
@@ -170,9 +175,10 @@ class Prediction:
     ``indices`` maps each name of ``indices.INDEX_FIELDS`` to its value in
     the type its closed form gives: a ``Fraction`` for the pair indices, the
     GA/AG values and both AZ values, a ``float`` for the square-root-valued
-    SC and ABC values. ``distance_vector`` is the predicted vector that the
-    scalar forms are checked against; ``base_diameter`` is the base graph's
-    diameter for the three multiplicative families, ``None`` for the others.
+    SC and ABC values. ``distance_vector`` is the predicted vector (an
+    array) that the scalar forms are checked against; ``base_diameter`` is
+    the base graph's diameter for the three multiplicative families,
+    ``None`` for the others.
     """
 
     degree: int
@@ -182,7 +188,7 @@ class Prediction:
     pi_lower: Fraction
     pi_upper: int
     indices: IndexValues
-    distance_vector: DistanceVector
+    distance_vector: np.ndarray
     base_diameter: int | None
 
 
@@ -330,8 +336,8 @@ def _predict_mc_gen(n: int, h: int) -> tuple[int, int, Fraction, Fraction, int, 
 
 def predict(point: FamilyPoint) -> Prediction:
     """Full closed-form prediction for an in-domain parameter point."""
-    vec = predicted_distance_vector(point)
     n = point.n
+    vec = DistanceVector(n, predicted_distance_vector(point))
     rule = _RULES[point.family]
     rho, degree, rs, pi_lo, pi_hi, report = rule.predictor(point)
     base_diameter = (multiplicative_base_diameter(_param(point, "m"), _param(point, "h"))
@@ -358,7 +364,7 @@ def predict(point: FamilyPoint) -> Prediction:
         pi_lower=pi_lo,
         pi_upper=pi_hi,
         indices=report,
-        distance_vector=vec,
+        distance_vector=vec.d,
         base_diameter=base_diameter,
     )
 

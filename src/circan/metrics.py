@@ -53,6 +53,10 @@ def reciprocal_numerators(rows: list[list[int]]) -> tuple[int, list[int]]:
     return denom, [sum(map(mul, row[1:], weights)) for row in rows]
 
 
+_POSITIVE = "all distances from vertex 0 must be positive"
+_PALINDROME = "circulant distance vector must satisfy d[v] == d[n-v]"
+
+
 @dataclass(frozen=True, eq=False)
 class DistanceVector:
     """Distances from vertex 0 of a connected circulant graph.
@@ -74,17 +78,18 @@ class DistanceVector:
         if arr[0] != 0:
             raise InvariantError("distance to vertex 0 must be 0")
         rest = arr[1:]
-        if self.n > 1 and rest.min() < 1:
-            raise InvariantError("all distances from vertex 0 must be positive")
-        if not (rest == rest[::-1]).all():
-            raise InvariantError("circulant distance vector must satisfy d[v] == d[n-v]")
-        if arr.max() >= self.n:
-            # checked before the counts are taken: they are max + 1 long
-            raise InvariantError("every distance from vertex 0 must be below n")
+        palindrome = rest.tobytes() == rest[::-1].tobytes()
+        # Read as unsigned, a negative entry is above n too; checked before
+        # the counts, which are max + 1 long and show a zero after vertex 0.
+        if arr.view(np.uint64).max() >= self.n:
+            raise InvariantError(_POSITIVE if rest.min() < 1 else _PALINDROME if not palindrome
+                                 else "every distance from vertex 0 must be below n")
+        counts = np.bincount(arr)
+        if counts[0] != 1 or not palindrome:
+            raise InvariantError(_POSITIVE if counts[0] != 1 else _PALINDROME)
         if arr.flags.writeable:
             arr = arr.copy()
             arr.setflags(write=False)
-        counts = np.bincount(arr)
         counts.setflags(write=False)
         object.__setattr__(self, "d", arr)
         object.__setattr__(self, "_counts", counts)

@@ -17,6 +17,10 @@ The exact spectral radius of a connected circulant's distance matrix is its
 ``DistanceVector.transmission``: that integer is authoritative, the numeric
 spectrum is a cross-check oracle. Callers that need only the numeric radius
 read the half transform's maximum; only the full listing mirrors and sorts.
+
+One routine transforms over the last axis, so a (k, n) stack of vectors
+takes one ``rfft`` call, each row bit for bit the transform of that row
+alone (``spectral_radii``; DECISIONS.md says why).
 """
 
 from __future__ import annotations
@@ -54,14 +58,15 @@ class Spectrum:
         return float(self.eigenvalues.sum())
 
 
-def _half_spectrum(dv: DistanceVector) -> np.ndarray:
-    """lambda_0..lambda_(n // 2), the real part of the half transform."""
-    return np.fft.rfft(dv.d.astype(np.float64)).real
+def _half_spectra(d: np.ndarray) -> np.ndarray:
+    """lambda_0..lambda_(n // 2) of each distance vector along the last axis
+    of ``d``, the real part of the half transform."""
+    return np.fft.rfft(d.astype(np.float64)).real
 
 
 def circulant_spectrum(dv: DistanceVector) -> Spectrum:
     """Numeric eigenvalues of the distance matrix with first row ``dv``."""
-    half = _half_spectrum(dv)
+    half = _half_spectra(dv.d)
     full = np.concatenate((half, half[1 : dv.n - len(half) + 1]))
     return Spectrum(np.sort(full)[::-1])
 
@@ -70,4 +75,9 @@ def spectral_radius_numeric(dv: DistanceVector) -> float:
     """The largest numeric eigenvalue, the half transform's maximum: bit
     for bit ``circulant_spectrum(dv).radius``, without mirroring or
     sorting."""
-    return float(_half_spectrum(dv).max())
+    return float(_half_spectra(dv.d).max())
+
+
+def spectral_radii(stack: np.ndarray) -> np.ndarray:
+    """``spectral_radius_numeric`` of each row of a (k, n) stack, bit for bit."""
+    return _half_spectra(stack).max(axis=-1)

@@ -25,14 +25,22 @@ sweep builds their checks once per key (family, n, h, distance counts) and
 shares the frozen ``FieldCheck`` objects; the complement of C_n(1, a) has
 the same counts for every a, so a double-loop sweep builds them once per
 order. ``predict`` runs only when a key is first met and hands over that
-point's predicted vector; every later point builds its own. The key leaves
-out the predicted vector's counts, which depend on (family, n, h) alone; a
-point whose own vector is wrong still fails its ``distance_vector`` field.
-The table keeps the checks, the predicted forwarding index and base
-diameter, never the n-long predicted vector, and lives for one sweep (one
-worker chunk under ``jobs``). The computed vector, the numeric spectral
-radius (the half transform's maximum; nothing sorts the spectrum), the
-witness and the base graph's diameter run at every point.
+point's predicted vector; every later point builds its own, a plain array.
+The key leaves out the predicted vector's counts, which depend on (family,
+n, h) alone; a point whose own vector is wrong still fails its
+``distance_vector`` field. The table keeps the checks, the predicted
+forwarding index and base diameter, and lives for one sweep (one worker
+chunk under ``jobs``).
+
+A chunk takes its points in runs of consecutive points of one order n (a
+sweep lists each double-loop order's points together), and holds one run's
+vectors at a time. A run's complement BFS and count-table entries come
+first; then one comparison of its stacked (k, n) computed vectors with the
+stacked predicted ones gives every ``distance_vector`` match, and one
+transform every numeric spectral radius (the half transform's maximum;
+nothing sorts the spectrum), each row bit for bit its vector's own
+(``spectral.spectral_radii``). ``verify_point`` then builds each record
+from those, with the witness and the base graph's diameter.
 
 Out-of-domain parameters are still swept: they produce flagged records (the
 observed obstruction goes into the note) rather than assertions, so a sweep
@@ -49,6 +57,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterable, Sequence
 
@@ -70,7 +79,7 @@ from .families import (
 from .indices import INDEX_FIELDS, report_from_distance_vector
 from .metrics import DistanceVector, bfs_layering_fault, distance_vector
 from .routing import edge_forwarding_bounds, vertex_forwarding_index
-from .spectral import spectral_radius_numeric
+from .spectral import spectral_radii
 
 FLOAT_TOL = 1e-9
 SPECTRAL_TOL = 1e-6
@@ -130,78 +139,77 @@ def _vector_repr(d: np.ndarray) -> str:
     return f"n={d.shape[0]};ones=rest;{body}"
 
 
-def verify_point(point: FamilyPoint, *, _table: dict | None = None) -> VerificationRecord:
+def verify_point(point: FamilyPoint, *, _table: dict | None = None,
+                 _found: tuple | None = None) -> VerificationRecord:
     """Compare every closed form for one parameter point against brute force.
 
-    ``_table`` is the calling sweep's table of count-determined checks (see
-    the module docstring); a point verified alone is a sweep of one.
+    ``_table`` and ``_found`` are the calling chunk's count table and this
+    point's ``_brute_force`` result; a point verified alone is a chunk of one.
     """
-    status, reason = domain_status(point)
-    base = base_spec(point)
-    try:
-        comp = complement_spec(base)
-    except EmptyComplementError:
-        note = _domain_note(status, reason, "complement is edgeless")
-        return VerificationRecord(point, status, note, {})
-    try:
-        dv = distance_vector(comp)
-    except DisconnectedGraphError:
-        note = _domain_note(status, reason, "complement is disconnected")
-        return VerificationRecord(point, status, note, {})
-
-    if status is not DomainStatus.IN_DOMAIN:
-        note = _domain_note(status, reason, "complement is connected; formulas not asserted")
-        return VerificationRecord(point, status, note, {})
-
-    if _table is None:
+    if _found is None:
         _table = {}
-    key = (point.family, point.n, point.h, dv.distance_counts().tobytes())
-    if key in _table:
-        predicted = predicted_distance_vector(point)
-    else:
-        pred = predict(point)
-        predicted = pred.distance_vector
-        _table[key] = (_count_checks(pred, dv), pred.xi, pred.base_diameter)
+        (_found,) = _brute_force([point], _table)
+    status, reason, observed, *found = _found
+    if not found:
+        return VerificationRecord(point, status, _domain_note(status, reason, observed), {})
+    key, base, comp, dv, predicted, vector_match, dft_max = found
     count_checks, xi, base_diameter = _table[key]
-    checks = {**count_checks, **_vector_checks(xi, base_diameter, predicted, base, comp, dv)}
+    text, rho = _vector_repr(dv.d), dv.transmission
+    checks = {
+        **count_checks,
+        "distance_vector": FieldCheck(
+            vector_match, text if vector_match else _vector_repr(predicted), text),
+        "spectral_max": FieldCheck(
+            _close_finite(dft_max, float(rho), SPECTRAL_TOL), str(rho), repr(dft_max)),
+    }
+    # A certified BFS layering is the witness of the rotation routing, whose
+    # every vertex carries rho - (n - 1).
+    fault, load = bfs_layering_fault(comp, dv), vertex_forwarding_index(dv)
+    witness = f"min={load},max={load}" if fault is None else f"not the BFS layering: {fault}"
+    checks["xi_witness"] = FieldCheck(fault is None and load == xi, str(xi), witness)
+    if base_diameter is not None:
+        base_diam = distance_vector(base).diameter
+        checks["base_diameter"] = FieldCheck(
+            base_diam == base_diameter, str(base_diameter), str(base_diam))
     fields = {name: checks[name] for name in FIELD_ORDER if name in checks}
     return VerificationRecord(point, DomainStatus.IN_DOMAIN, "", fields)
 
 
-def _vector_checks(xi: int, base_diameter: int | None, predicted: DistanceVector,
-                   base: CirculantSpec, comp: CirculantSpec, dv: DistanceVector,
-                   ) -> dict[str, FieldCheck]:
-    """The fields that read the distance vector itself, checked at every
-    point against the point's own predicted vector, the predicted
-    forwarding index ``xi`` and, for a family that predicts one, the base
-    graph's predicted ``base_diameter``."""
-    if np.array_equal(dv.d, predicted.d):
-        text = _vector_repr(dv.d)
-        vector = FieldCheck(True, text, text)
-    else:
-        vector = FieldCheck(False, _vector_repr(predicted.d), _vector_repr(dv.d))
-    fields = {"distance_vector": vector}
-    rho = dv.transmission
-    dft_max = spectral_radius_numeric(dv)
-    fields["spectral_max"] = FieldCheck(
-        _close_finite(dft_max, float(rho), SPECTRAL_TOL), str(rho), repr(dft_max)
-    )
+def _brute_force(points: Sequence[FamilyPoint], table: dict) -> list[tuple]:
+    """For points of one order, each one's (status, reason, observed), with
+    (key, base, comp, computed and predicted vectors, vector match, numeric
+    spectral radius) after them for a point with fields: every BFS and count
+    table entry first, then one stacked comparison and one stacked transform."""
+    found = [_complement_bfs(point, table) for point in points]
+    rows = [i for i, f in enumerate(found) if len(f) > 3]
+    if rows:
+        computed = np.array([found[i][-2].d for i in rows])
+        matches = (computed == np.array([found[i][-1] for i in rows])).all(axis=1).tolist()
+        for i, match, radius in zip(rows, matches, spectral_radii(computed).tolist()):
+            found[i] += (match, radius)
+    return found
 
-    # A certified BFS layering is the witness of the rotation routing, whose
-    # every vertex carries rho - (n - 1).
-    fault = bfs_layering_fault(comp, dv)
-    if fault is None:
-        load = vertex_forwarding_index(dv)
-        fields["xi_witness"] = FieldCheck(load == xi, str(xi), f"min={load},max={load}")
-    else:
-        fields["xi_witness"] = FieldCheck(False, str(xi), f"not the BFS layering: {fault}")
 
-    if base_diameter is not None:
-        base_diam = distance_vector(base).diameter
-        fields["base_diameter"] = FieldCheck(
-            base_diam == base_diameter, str(base_diameter), str(base_diam)
-        )
-    return fields
+def _complement_bfs(point: FamilyPoint, table: dict) -> tuple:
+    """A point's ``_brute_force`` result before the stacked checks; the
+    first in-domain point of a count-table key enters the key's checks."""
+    status, reason = domain_status(point)
+    base = base_spec(point)
+    try:
+        comp = complement_spec(base)
+        dv = distance_vector(comp)
+    except EmptyComplementError:
+        return status, reason, "complement is edgeless"
+    except DisconnectedGraphError:
+        return status, reason, "complement is disconnected"
+    if status is not DomainStatus.IN_DOMAIN:
+        return status, reason, "complement is connected; formulas not asserted"
+    key = (point.family, point.n, point.h, dv.distance_counts().tobytes())
+    if key in table:
+        return status, reason, "", key, base, comp, dv, predicted_distance_vector(point)
+    pred = predict(point)
+    table[key] = (_count_checks(pred, dv), pred.xi, pred.base_diameter)
+    return status, reason, "", key, base, comp, dv, pred.distance_vector
 
 
 def _count_checks(pred: Prediction, dv: DistanceVector) -> dict[str, FieldCheck]:
@@ -275,9 +283,15 @@ def verify_sweep(points: Sequence[FamilyPoint], *, jobs: int = 1) -> list[Verifi
 
 def _verify_chunk(points: Sequence[FamilyPoint]) -> list[VerificationRecord]:
     """Verify points in order with one table of count-determined checks,
-    dropped on return."""
+    dropped on return, and one stack per run of consecutive points of one
+    order; only that run's vectors are held at once."""
     table: dict = {}
-    return [verify_point(p, _table=table) for p in points]
+    records = []
+    for _, run in groupby(points, key=lambda point: point.n):
+        run = list(run)
+        found = _brute_force(run, table)
+        records += [verify_point(p, _table=table, _found=f) for p, f in zip(run, found)]
+    return records
 
 
 def verify_family(
@@ -347,21 +361,11 @@ def records_to_csv(records: Sequence[VerificationRecord]) -> str:
         header += [f"{field}_match", f"{field}_predicted", f"{field}_computed"]
     writer.writerow(header)
     for rec in records:
-        row = [
-            rec.point.family.value,
-            rec.point.n,
-            "" if rec.point.a is None else rec.point.a,
-            "" if rec.point.m is None else rec.point.m,
-            "" if rec.point.h is None else rec.point.h,
-            rec.domain_status.value,
-            rec.note,
-            rec.passed,
-        ]
+        p = rec.point
+        row = [p.family.value, p.n, *("" if v is None else v for v in (p.a, p.m, p.h)),
+               rec.domain_status.value, rec.note, rec.passed]
         for field in FIELD_ORDER:
             check = rec.fields.get(field)
-            if check is None:
-                row += ["", "", ""]
-            else:
-                row += [check.match, check.predicted, check.computed]
+            row += ["", "", ""] if check is None else [check.match, check.predicted, check.computed]
         writer.writerow(row)
     return buf.getvalue()

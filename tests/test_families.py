@@ -6,7 +6,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import circan.families as families
 
 from circan import (
     INDEX_FIELDS,
@@ -218,24 +221,38 @@ class TestDomains:
 class TestPredictedVectors:
     def test_half_eight(self):
         vec = predicted_distance_vector(double_loop_half_point(4))
-        assert vec.d.tolist() == [0, 2, 1, 1, 2, 1, 1, 2]
+        assert vec.tolist() == [0, 2, 1, 1, 2, 1, 1, 2]
 
     def test_mc23(self):
         vec = predicted_distance_vector(multiplicative_point(2, 3))
-        assert vec.d.tolist() == [0, 3, 2, 1, 4, 1, 2, 3]
+        assert vec.tolist() == [0, 3, 2, 1, 4, 1, 2, 3]
 
     def test_gen_ten_three(self):
         vec = predicted_distance_vector(double_loop_gen_point(10, 3))
-        twos = [v for v in range(10) if vec.d[v] == 2]
+        twos = [v for v in range(10) if vec[v] == 2]
         assert twos == [1, 3, 7, 9]
-        assert vec.d.sum() == 13  # n + 3
+        assert vec.sum() == 13  # n + 3
 
     def test_c7_vectors_match_bfs(self):
         for a in (2, 3):
             point = c7_point(a)
             vec = predicted_distance_vector(point)
             actual = distance_vector(base_spec(point).complement())
-            assert vec == actual
+            assert vec.tolist() == actual.d.tolist()
+
+    @pytest.mark.parametrize("point", [double_loop_half_point(4), double_loop_gen_point(10, 3),
+                                       c7_point(2), multiplicative_point(2, 3),
+                                       multiplicative_point(3, 2)])
+    def test_read_only_int64_of_order_n(self, point):
+        vec = predicted_distance_vector(point)
+        assert vec.dtype == np.int64 and vec.shape == (point.n,)
+        assert not vec.flags.writeable
+        assert predict(point).distance_vector.tolist() == vec.tolist()
+
+    def test_a_stated_vector_of_the_wrong_length_is_an_invariant_error(self, monkeypatch):
+        monkeypatch.setitem(families._C7_VECTORS, 2, (0, 2, 3, 1, 3, 2))
+        with pytest.raises(InvariantError, match=r"expected 7 entries, got shape \(6,\)"):
+            predicted_distance_vector(c7_point(2))
 
 
 class TestPredictions:

@@ -207,6 +207,70 @@ class TestDistanceVectorCounts:
             DistanceVector(4, np.array([0, 1, 4, 1]))
 
 
+# One way to break each invariant of a DistanceVector of order 9, applied to
+# a valid vector, and the message a vector with only that fault gets.
+_VALID = (0, 1, 2, 1, 2, 2, 1, 2, 1)
+_POSITIVE = "all distances from vertex 0 must be positive"
+_FAULTS = {
+    "shape": (lambda d: d[:-1], "expected 9 entries, got shape (8,)"),
+    "d0": (lambda d: _put(d, {0: 1}), "distance to vertex 0 must be 0"),
+    "zero": (lambda d: _put(d, {2: 0, 7: 0}), _POSITIVE),
+    "negative": (lambda d: _put(d, {2: -1, 7: -1}), _POSITIVE),
+    "non_palindrome": (lambda d: _put(d, {1: 3}),
+                       "circulant distance vector must satisfy d[v] == d[n-v]"),
+    "at_n": (lambda d: _put(d, {3: 9, 6: 9}), "every distance from vertex 0 must be below n"),
+    "huge": (lambda d: _put(d, {3: 10**12, 6: 10**12}),
+             "every distance from vertex 0 must be below n"),
+}
+# A vector with several faults gets the message of the first in this order.
+_PRECEDENCE = ("shape", "d0", "zero", "negative", "non_palindrome", "at_n", "huge")
+
+
+def _put(d, entries):
+    d = d.copy()
+    for v, value in entries.items():
+        d[v] = value
+    return d
+
+
+def _broken(*faults):
+    d = np.array(_VALID, dtype=np.int64)
+    for fault in sorted(faults, key=lambda f: f == "shape"):  # cut the shape last
+        d = _FAULTS[fault][0](d)
+    return d
+
+
+class TestDistanceVectorInvariants:
+    """Every invariant a DistanceVector enforces, alone and in pairs."""
+
+    def test_the_valid_vector_passes(self):
+        assert DistanceVector(9, _broken()).transmission == 12
+
+    @pytest.mark.parametrize("fault", _PRECEDENCE)
+    def test_single_fault(self, fault):
+        with pytest.raises(InvariantError) as info:
+            DistanceVector(9, _broken(fault))
+        assert type(info.value) is InvariantError and str(info.value) == _FAULTS[fault][1]
+
+    @pytest.mark.parametrize("first, second", [
+        (a, b) for i, a in enumerate(_PRECEDENCE) for b in _PRECEDENCE[i + 1:]
+        if {a, b} != {"at_n", "huge"}
+    ])
+    def test_pair_of_faults_reports_the_first_by_precedence(self, first, second):
+        with pytest.raises(InvariantError) as info:
+            DistanceVector(9, _broken(first, second))
+        assert str(info.value) == _FAULTS[first][1]
+
+    @pytest.mark.parametrize("fault", ["at_n", "huge", "negative"])
+    def test_an_entry_off_the_range_is_refused_before_counting(self, monkeypatch, fault):
+        def refuse(arr):
+            raise AssertionError(f"bincount called on {arr}")
+
+        monkeypatch.setattr(np, "bincount", refuse)
+        with pytest.raises(InvariantError, match=_FAULTS[fault][1]):
+            DistanceVector(9, _broken(fault))
+
+
 class TestCirculantBfsKernel:
     @given(spec=kernel_specs())
     @settings(max_examples=250, deadline=None)

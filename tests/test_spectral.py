@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circan import (
@@ -11,6 +11,7 @@ from circan import (
     distance_vector,
 )
 from circan.errors import DisconnectedGraphError
+from circan.spectral import spectral_radii, spectral_radius_numeric
 
 from conftest import random_connected_specs
 
@@ -128,3 +129,36 @@ class TestSpectrumInvariants:
             assert abs(spectrum.trace) <= tol, spec
             # the radius is the constant row sum of a nonnegative matrix
             assert spectrum.eigenvalues.max() <= exact + 1e-6 * exact, spec
+
+
+# primes, and orders whose large prime factor sends rfft down its slow path
+_ODD_ORDERS = (2, 3, 7, 97, 509, 1009, 1994, 2003, 2053, 2099)
+
+
+def _palindromic_stack(k: int, n: int, seed: int) -> np.ndarray:
+    """k random rows that ``DistanceVector`` accepts: 0 at vertex 0, then a
+    palindrome of distances in 1..max, max drawn below n per stack."""
+    rng = np.random.default_rng(seed)
+    half = rng.integers(1, int(rng.integers(1, n)) + 1, size=(k, n // 2 + 1))
+    stack = half[:, np.minimum(np.arange(n), n - np.arange(n))]
+    stack[:, 0] = 0
+    return stack
+
+
+class TestStackedRadii:
+    """Each stacked maximum is the one-vector radius of its row, bit for bit:
+    every ``spectral_max`` text of ``verify`` relies on it."""
+
+    @given(k=st.integers(1, 40),
+           n=st.one_of(st.integers(2, 2100), st.sampled_from(_ODD_ORDERS)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(k=30, n=2003, seed=1)
+    @example(k=30, n=1994, seed=2)
+    @example(k=1, n=2, seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_row_maxima_equal_the_one_vector_radius(self, k, n, seed):
+        stack = _palindromic_stack(k, n, seed)
+        radii = spectral_radii(stack)
+        assert radii.shape == (k,)
+        for row, radius in zip(stack, radii.tolist()):
+            assert radius.hex() == spectral_radius_numeric(DistanceVector(n, row)).hex()

@@ -3,7 +3,9 @@ import dataclasses
 import io
 import json
 import math
+import random
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -115,7 +117,7 @@ class TestVerifyPoint:
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf])
     def test_spectral_max_with_a_nan_or_infinite_side_fails(self, monkeypatch, radius):
-        monkeypatch.setattr(verifier, "spectral_radius_numeric", lambda dv: radius)
+        monkeypatch.setattr(verifier, "spectral_radii", lambda stack: np.full(len(stack), radius))
         rec = verify_point(multiplicative_point(2, 4))
         assert set(rec.mismatches()) == {"spectral_max"}
 
@@ -268,7 +270,7 @@ def _count_determined(pred):
     with the counts of the predicted vector, which the key leaves out."""
     indices = sorted(pred.indices.items())
     return (pred.degree, pred.rho, pred.rs, pred.xi, pred.pi_lower, pred.pi_upper, indices,
-            pred.base_diameter, pred.distance_vector.distance_counts().tolist())
+            pred.base_diameter, np.bincount(pred.distance_vector).tolist())
 
 
 
@@ -341,6 +343,63 @@ class TestCountTable:
         assert swept == alone
         assert records_to_json(swept) == records_to_json(alone)
         assert records_to_csv(swept) == records_to_csv(alone)
+        # the same points shuffled, so that the orders of a chunk interleave
+        shuffled = random.Random(24).sample(points, len(points))
+        assert [p.n for p in shuffled[:40]] != sorted(p.n for p in shuffled[:40])
+        by_point = dict(zip(points, swept))
+        assert verify_sweep(shuffled) == [by_point[p] for p in shuffled]
+
+    def test_sweep_stacks_each_order_and_builds_one_vector_per_point(self, monkeypatch):
+        from circan import metrics
+
+        transforms, calls = [], []
+        built = [0]
+        real_radii, real_point = verifier.spectral_radii, verifier.verify_point
+        real_post_init = metrics.DistanceVector.__post_init__
+
+        def counted_radii(stack):
+            transforms.append(stack.shape)
+            return real_radii(stack)
+
+        def counted_point(point, **kwargs):
+            calls.append((point, len(transforms)))
+            return real_point(point, **kwargs)
+
+        def counted_post_init(dv):
+            built[0] += 1
+            real_post_init(dv)
+
+        monkeypatch.setattr(verifier, "spectral_radii", counted_radii)
+        monkeypatch.setattr(verifier, "verify_point", counted_point)
+        monkeypatch.setattr(metrics.DistanceVector, "__post_init__", counted_post_init)
+        points = (double_loop_gen_points(5, 30) + double_loop_half_points(2, 30) + c7_points()
+                  + multiplicative_points(256))
+        recs = verify_sweep(points)
+        assert [point for point, _ in calls] == points
+        # one transform per run of consecutive points of one order, of all
+        # its in-domain points at once, and each run's records built before
+        # the next run's BFS: a chunk holds one run's vectors at a time
+        expected, seen = [], []
+        for n, run in groupby(recs, key=lambda r: r.point.n):
+            run = list(run)
+            k = sum(r.domain_status is DomainStatus.IN_DOMAIN for r in run)
+            expected += [(k, n)] if k else []
+            seen += [len(expected)] * len(run)
+        assert transforms == expected
+        assert [done for _, done in calls] == seen
+        # the general double loops: one transform per order 8..30, each of
+        # all that order's in-domain points (5..7 are out of domain)
+        assert [n for _, n in transforms[:23]] == list(range(8, 31))
+        assert max(k for k, _ in transforms) == 13  # a = 2..14 at n = 29 and 30
+        # one computed vector per point with a connected complement (out of
+        # domain ones too), one predicted vector per count-table key and one
+        # base vector per in-domain multiplicative point
+        in_domain = [r for r in recs if r.domain_status is DomainStatus.IN_DOMAIN]
+        connected = [r for r in recs if not r.note.endswith(("edgeless", "disconnected"))]
+        keys = {(r.point.family, r.point.n, r.point.h) for r in in_domain}
+        bases = [r for r in in_domain if "base_diameter" in r.fields]
+        assert len(keys) < len(in_domain) and bases
+        assert built[0] == len(connected) + len(keys) + len(bases)
 
     def test_wrong_closed_form_fails_every_point_sharing_its_key(self, monkeypatch):
         import circan.verifier as verifier_module
