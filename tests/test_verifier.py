@@ -352,18 +352,23 @@ class TestCountTable:
     def test_sweep_stacks_each_order_and_builds_one_vector_per_point(self, monkeypatch):
         from circan import metrics
 
-        transforms, calls = [], []
+        transforms, calls, events = [], [], []
         built = [0]
         real_radii, real_point = verifier.spectral_radii, verifier.verify_point
-        real_post_init = metrics.DistanceVector.__post_init__
+        real_bfs, real_post_init = verifier.distance_vector, metrics.DistanceVector.__post_init__
 
         def counted_radii(stack):
             transforms.append(stack.shape)
             return real_radii(stack)
 
         def counted_point(point, **kwargs):
-            calls.append((point, len(transforms)))
+            calls.append(point)
+            events.append(point.n)
             return real_point(point, **kwargs)
+
+        def counted_bfs(spec):
+            events.append(spec.n)
+            return real_bfs(spec)
 
         def counted_post_init(dv):
             built[0] += 1
@@ -371,22 +376,23 @@ class TestCountTable:
 
         monkeypatch.setattr(verifier, "spectral_radii", counted_radii)
         monkeypatch.setattr(verifier, "verify_point", counted_point)
+        monkeypatch.setattr(verifier, "distance_vector", counted_bfs)
         monkeypatch.setattr(metrics.DistanceVector, "__post_init__", counted_post_init)
         points = (double_loop_gen_points(5, 30) + double_loop_half_points(2, 30) + c7_points()
                   + multiplicative_points(256))
         recs = verify_sweep(points)
-        assert [point for point, _ in calls] == points
+        assert calls == points
         # one transform per run of consecutive points of one order, of all
-        # its in-domain points at once, and each run's records built before
-        # the next run's BFS: a chunk holds one run's vectors at a time
-        expected, seen = [], []
+        # its in-domain points at once
+        expected = []
         for n, run in groupby(recs, key=lambda r: r.point.n):
-            run = list(run)
             k = sum(r.domain_status is DomainStatus.IN_DOMAIN for r in run)
             expected += [(k, n)] if k else []
-            seen += [len(expected)] * len(run)
         assert transforms == expected
-        assert [done for _, done in calls] == seen
+        # every BFS and record of a run comes before any of the next run's:
+        # a chunk holds one run's vectors at a time
+        runs = [n for n, _ in groupby(p.n for p in points)]
+        assert [n for n, _ in groupby(events)] == runs
         # the general double loops: one transform per order 8..30, each of
         # all that order's in-domain points (5..7 are out of domain)
         assert [n for _, n in transforms[:23]] == list(range(8, 31))
