@@ -144,9 +144,9 @@ def domain_status(point: FamilyPoint) -> tuple[DomainStatus, str]:
 def predicted_distance_vector(point: FamilyPoint) -> np.ndarray:
     """Closed-form complement distance vector of an in-domain point: the
     family's stated vector, or distance 2 exactly at the base jumps and
-    their negatives mod n and 1 elsewhere. It is a read-only int64 array of
-    shape (n,), any other shape an ``InvariantError``; ``predict`` checks the
-    rest of what makes it a ``DistanceVector``, once per prediction."""
+    their negatives mod n and 1 elsewhere, as a read-only int64 array of
+    shape (n,) (another shape is an ``InvariantError``); ``predict`` checks
+    the other ``DistanceVector`` invariants once per prediction."""
     status, reason = domain_status(point)
     if status is not DomainStatus.IN_DOMAIN:
         known = status is DomainStatus.KNOWN_EXCEPTION
@@ -175,10 +175,9 @@ class Prediction:
     ``indices`` maps each name of ``indices.INDEX_FIELDS`` to its value in
     the type its closed form gives: a ``Fraction`` for the pair indices, the
     GA/AG values and both AZ values, a ``float`` for the square-root-valued
-    SC and ABC values. ``distance_vector`` is the predicted vector (an
-    array) that the scalar forms are checked against; ``base_diameter`` is
-    the base graph's diameter for the three multiplicative families,
-    ``None`` for the others.
+    SC and ABC values. ``distance_vector`` is the predicted vector that the
+    scalar forms are checked against; ``base_diameter`` is the base graph's
+    diameter for the three multiplicative families, ``None`` for the others.
     """
 
     degree: int

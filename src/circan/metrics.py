@@ -53,10 +53,6 @@ def reciprocal_numerators(rows: list[list[int]]) -> tuple[int, list[int]]:
     return denom, [sum(map(mul, row[1:], weights)) for row in rows]
 
 
-_POSITIVE = "all distances from vertex 0 must be positive"
-_PALINDROME = "circulant distance vector must satisfy d[v] == d[n-v]"
-
-
 @dataclass(frozen=True, eq=False)
 class DistanceVector:
     """Distances from vertex 0 of a connected circulant graph.
@@ -78,15 +74,15 @@ class DistanceVector:
         if arr[0] != 0:
             raise InvariantError("distance to vertex 0 must be 0")
         rest = arr[1:]
-        palindrome = rest.tobytes() == rest[::-1].tobytes()
-        # Read as unsigned, a negative entry is above n too; checked before
-        # the counts, which are max + 1 long and show a zero after vertex 0.
-        if arr.view(np.uint64).max() >= self.n:
-            raise InvariantError(_POSITIVE if rest.min() < 1 else _PALINDROME if not palindrome
-                                 else "every distance from vertex 0 must be below n")
-        counts = np.bincount(arr)
-        if counts[0] != 1 or not palindrome:
-            raise InvariantError(_POSITIVE if counts[0] != 1 else _PALINDROME)
+        # As unsigned a negative entry is >= n too; the counts are max + 1 long.
+        too_far = arr.view(np.uint64).max() >= self.n
+        counts = None if too_far else np.bincount(arr)
+        if rest.min() < 1 if too_far else counts[0] != 1:
+            raise InvariantError("all distances from vertex 0 must be positive")
+        if rest.tobytes() != rest[::-1].tobytes():
+            raise InvariantError("circulant distance vector must satisfy d[v] == d[n-v]")
+        if too_far:
+            raise InvariantError("every distance from vertex 0 must be below n")
         if arr.flags.writeable:
             arr = arr.copy()
             arr.setflags(write=False)

@@ -17,10 +17,8 @@ The exact spectral radius of a connected circulant's distance matrix is its
 ``DistanceVector.transmission``: that integer is authoritative, the numeric
 spectrum is a cross-check oracle. Callers that need only the numeric radius
 read the half transform's maximum; only the full listing mirrors and sorts.
-
-One routine transforms over the last axis, so a (k, n) stack of vectors
-takes one ``rfft`` call, each row bit for bit the transform of that row
-alone (``spectral_radii``; DECISIONS.md says why).
+The transform runs over the last axis, so a (k, n) stack takes one ``rfft``
+call, each row bit for bit its own (``spectral_radii``; see DECISIONS.md).
 """
 
 from __future__ import annotations
@@ -59,8 +57,8 @@ class Spectrum:
 
 
 def _half_spectra(d: np.ndarray) -> np.ndarray:
-    """lambda_0..lambda_(n // 2) of each distance vector along the last axis
-    of ``d``, the real part of the half transform."""
+    """lambda_0..lambda_(n // 2) along the last axis of ``d``: the real part
+    of the half transform."""
     return np.fft.rfft(d.astype(np.float64)).real
 
 

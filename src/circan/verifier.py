@@ -25,22 +25,18 @@ sweep builds their checks once per key (family, n, h, distance counts) and
 shares the frozen ``FieldCheck`` objects; the complement of C_n(1, a) has
 the same counts for every a, so a double-loop sweep builds them once per
 order. ``predict`` runs only when a key is first met and hands over that
-point's predicted vector; every later point builds its own, a plain array.
-The key leaves out the predicted vector's counts, which depend on (family,
-n, h) alone; a point whose own vector is wrong still fails its
-``distance_vector`` field. The table keeps the checks, the predicted
-forwarding index and base diameter, and lives for one sweep (one worker
-chunk under ``jobs``).
+point's predicted vector; every later point builds its own. The key leaves
+out the predicted vector's counts, which depend on (family, n, h) alone; a
+point whose own vector is wrong still fails its ``distance_vector`` field.
+The table keeps the checks, the predicted forwarding index and base
+diameter, and lives for one sweep (one worker chunk under ``jobs``).
 
-A chunk takes its points in runs of consecutive points of one order n (a
-sweep lists each double-loop order's points together), and holds one run's
-vectors at a time. A run's complement BFS and count-table entries come
-first; then one comparison of its stacked (k, n) computed vectors with the
-stacked predicted ones gives every ``distance_vector`` match, and one
-transform every numeric spectral radius (the half transform's maximum;
-nothing sorts the spectrum), each row bit for bit its vector's own
-(``spectral.spectral_radii``). ``verify_point`` then builds each record
-from those, with the witness and the base graph's diameter.
+A chunk takes consecutive points of one order n in blocks of at most
+``_STACK_ENTRIES`` // n. Each point's BFS, count-table entry, witness and
+base diameter come first, its specs then dropped; one comparison of the
+block's stacked (k, n) computed and predicted vectors gives every
+``distance_vector`` match, and one transform every numeric spectral radius,
+the half transform's maximum (``spectral.spectral_radii``).
 
 Out-of-domain parameters are still swept: they produce flagged records (the
 observed obstruction goes into the note) rather than assertions, so a sweep
@@ -57,13 +53,13 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CirculantSpec, complement_spec
+from .core import complement_spec
 from .errors import DisconnectedGraphError, EmptyComplementError, InputError
 from .families import (
     DomainStatus,
@@ -139,29 +135,65 @@ def _vector_repr(d: np.ndarray) -> str:
     return f"n={d.shape[0]};ones=rest;{body}"
 
 
-def verify_point(point: FamilyPoint, *, _table: dict | None = None,
-                 _found: tuple | None = None) -> VerificationRecord:
-    """Compare every closed form for one parameter point against brute force.
+class _Found(NamedTuple):
+    """One point's status, note and checks, and the vectors its block stacks."""
+    status: DomainStatus
+    note: str
+    checks: dict[str, FieldCheck]
+    dv: DistanceVector | None = None
+    predicted: np.ndarray | None = None
 
-    ``_table`` and ``_found`` are the calling chunk's count table and this
-    point's ``_brute_force`` result; a point verified alone is a chunk of one.
-    """
+
+def verify_point(point: FamilyPoint, *, _found: _Found | None = None) -> VerificationRecord:
+    """Compare every closed form for one parameter point against brute force;
+    ``_found`` is its ``_brute_force`` result in the calling chunk."""
     if _found is None:
-        _table = {}
-        (_found,) = _brute_force([point], _table)
-    status, reason, observed, *found = _found
-    if not found:
-        return VerificationRecord(point, status, _domain_note(status, reason, observed), {})
-    key, base, comp, dv, predicted, vector_match, dft_max = found
-    count_checks, xi, base_diameter = _table[key]
-    text, rho = _vector_repr(dv.d), dv.transmission
-    checks = {
-        **count_checks,
-        "distance_vector": FieldCheck(
-            vector_match, text if vector_match else _vector_repr(predicted), text),
-        "spectral_max": FieldCheck(
-            _close_finite(dft_max, float(rho), SPECTRAL_TOL), str(rho), repr(dft_max)),
-    }
+        (_found,) = _brute_force([point], {})
+    fields = {name: _found.checks[name] for name in FIELD_ORDER if name in _found.checks}
+    return VerificationRecord(point, _found.status, _found.note, fields)
+
+
+def _brute_force(points: Sequence[FamilyPoint], table: dict) -> list[_Found]:
+    """Each point's result, for points of one order: every point's own checks
+    first, then one stacked vector comparison and one stacked transform."""
+    found = [_point_checks(point, table) for point in points]
+    rows = [f for f in found if f.dv is not None]
+    if rows:
+        computed = np.array([f.dv.d for f in rows])
+        matches = (computed == np.array([f.predicted for f in rows])).all(axis=1).tolist()
+        for f, match, dft_max in zip(rows, matches, spectral_radii(computed).tolist()):
+            text, rho = _vector_repr(f.dv.d), f.dv.transmission
+            f.checks["distance_vector"] = FieldCheck(
+                match, text if match else _vector_repr(f.predicted), text)
+            f.checks["spectral_max"] = FieldCheck(
+                _close_finite(dft_max, float(rho), SPECTRAL_TOL), str(rho), repr(dft_max))
+    return found
+
+
+def _point_checks(point: FamilyPoint, table: dict) -> _Found:
+    """A point's result before the stacked checks, its specs dropped on
+    return; the first in-domain point of a key enters the key's checks."""
+    status, reason = domain_status(point)
+    base = base_spec(point)
+    try:
+        comp = complement_spec(base)
+        dv = distance_vector(comp)
+    except EmptyComplementError:
+        return _Found(status, _domain_note(status, reason, "complement is edgeless"), {})
+    except DisconnectedGraphError:
+        return _Found(status, _domain_note(status, reason, "complement is disconnected"), {})
+    if status is not DomainStatus.IN_DOMAIN:
+        observed = "complement is connected; formulas not asserted"
+        return _Found(status, _domain_note(status, reason, observed), {})
+    key = (point.family, point.n, point.h, dv.distance_counts().tobytes())
+    if key in table:
+        predicted = predicted_distance_vector(point)
+    else:
+        pred = predict(point)
+        predicted = pred.distance_vector
+        table[key] = (_count_checks(pred, dv), pred.xi, pred.base_diameter)
+    count_checks, xi, base_diameter = table[key]
+    checks = dict(count_checks)
     # A certified BFS layering is the witness of the rotation routing, whose
     # every vertex carries rho - (n - 1).
     fault, load = bfs_layering_fault(comp, dv), vertex_forwarding_index(dv)
@@ -171,45 +203,7 @@ def verify_point(point: FamilyPoint, *, _table: dict | None = None,
         base_diam = distance_vector(base).diameter
         checks["base_diameter"] = FieldCheck(
             base_diam == base_diameter, str(base_diameter), str(base_diam))
-    fields = {name: checks[name] for name in FIELD_ORDER if name in checks}
-    return VerificationRecord(point, DomainStatus.IN_DOMAIN, "", fields)
-
-
-def _brute_force(points: Sequence[FamilyPoint], table: dict) -> list[tuple]:
-    """For points of one order, each one's (status, reason, observed), with
-    (key, base, comp, computed and predicted vectors, vector match, numeric
-    spectral radius) after them for a point with fields: every BFS and count
-    table entry first, then one stacked comparison and one stacked transform."""
-    found = [_complement_bfs(point, table) for point in points]
-    rows = [i for i, f in enumerate(found) if len(f) > 3]
-    if rows:
-        computed = np.array([found[i][-2].d for i in rows])
-        matches = (computed == np.array([found[i][-1] for i in rows])).all(axis=1).tolist()
-        for i, match, radius in zip(rows, matches, spectral_radii(computed).tolist()):
-            found[i] += (match, radius)
-    return found
-
-
-def _complement_bfs(point: FamilyPoint, table: dict) -> tuple:
-    """A point's ``_brute_force`` result before the stacked checks; the
-    first in-domain point of a count-table key enters the key's checks."""
-    status, reason = domain_status(point)
-    base = base_spec(point)
-    try:
-        comp = complement_spec(base)
-        dv = distance_vector(comp)
-    except EmptyComplementError:
-        return status, reason, "complement is edgeless"
-    except DisconnectedGraphError:
-        return status, reason, "complement is disconnected"
-    if status is not DomainStatus.IN_DOMAIN:
-        return status, reason, "complement is connected; formulas not asserted"
-    key = (point.family, point.n, point.h, dv.distance_counts().tobytes())
-    if key in table:
-        return status, reason, "", key, base, comp, dv, predicted_distance_vector(point)
-    pred = predict(point)
-    table[key] = (_count_checks(pred, dv), pred.xi, pred.base_diameter)
-    return status, reason, "", key, base, comp, dv, pred.distance_vector
+    return _Found(status, "", checks, dv, predicted)
 
 
 def _count_checks(pred: Prediction, dv: DistanceVector) -> dict[str, FieldCheck]:
@@ -281,16 +275,19 @@ def verify_sweep(points: Sequence[FamilyPoint], *, jobs: int = 1) -> list[Verifi
         return [rec for recs in pool.map(_verify_chunk, chunks) for rec in recs]
 
 
+# A chunk holds the vectors of at most max(1, _STACK_ENTRIES // n) points.
+_STACK_ENTRIES = 1 << 12
+
+
 def _verify_chunk(points: Sequence[FamilyPoint]) -> list[VerificationRecord]:
     """Verify points in order with one table of count-determined checks,
-    dropped on return, and one stack per run of consecutive points of one
-    order; only that run's vectors are held at once."""
+    dropped on return, and one stack per block of one order's points."""
     table: dict = {}
     records = []
-    for _, run in groupby(points, key=lambda point: point.n):
-        run = list(run)
-        found = _brute_force(run, table)
-        records += [verify_point(p, _table=table, _found=f) for p, f in zip(run, found)]
+    for n, run in groupby(points, key=lambda point: point.n):
+        while block := list(islice(run, max(1, _STACK_ENTRIES // n))):
+            found = _brute_force(block, table)
+            records += [verify_point(p, _found=f) for p, f in zip(block, found)]
     return records
 
 
@@ -361,11 +358,21 @@ def records_to_csv(records: Sequence[VerificationRecord]) -> str:
         header += [f"{field}_match", f"{field}_predicted", f"{field}_computed"]
     writer.writerow(header)
     for rec in records:
-        p = rec.point
-        row = [p.family.value, p.n, *("" if v is None else v for v in (p.a, p.m, p.h)),
-               rec.domain_status.value, rec.note, rec.passed]
+        row = [
+            rec.point.family.value,
+            rec.point.n,
+            "" if rec.point.a is None else rec.point.a,
+            "" if rec.point.m is None else rec.point.m,
+            "" if rec.point.h is None else rec.point.h,
+            rec.domain_status.value,
+            rec.note,
+            rec.passed,
+        ]
         for field in FIELD_ORDER:
             check = rec.fields.get(field)
-            row += ["", "", ""] if check is None else [check.match, check.predicted, check.computed]
+            if check is None:
+                row += ["", "", ""]
+            else:
+                row += [check.match, check.predicted, check.computed]
         writer.writerow(row)
     return buf.getvalue()

@@ -383,14 +383,14 @@ class TestCountTable:
         recs = verify_sweep(points)
         assert calls == points
         # one transform per run of consecutive points of one order, of all
-        # its in-domain points at once
+        # its in-domain points at once (every run here is one block)
         expected = []
         for n, run in groupby(recs, key=lambda r: r.point.n):
             k = sum(r.domain_status is DomainStatus.IN_DOMAIN for r in run)
             expected += [(k, n)] if k else []
         assert transforms == expected
         # every BFS and record of a run comes before any of the next run's:
-        # a chunk holds one run's vectors at a time
+        # a chunk holds one block's vectors at a time
         runs = [n for n, _ in groupby(p.n for p in points)]
         assert [n for n, _ in groupby(events)] == runs
         # the general double loops: one transform per order 8..30, each of
@@ -406,6 +406,40 @@ class TestCountTable:
         bases = [r for r in in_domain if "base_diameter" in r.fields]
         assert len(keys) < len(in_domain) and bases
         assert built[0] == len(connected) + len(keys) + len(bases)
+
+    def test_a_long_run_is_stacked_in_blocks(self, monkeypatch):
+        points = double_loop_gen_points(8, 30)
+        whole = verify_sweep(points)
+        transforms = []
+        real_radii = verifier.spectral_radii
+
+        def counted_radii(stack):
+            transforms.append(stack.shape)
+            return real_radii(stack)
+
+        monkeypatch.setattr(verifier, "spectral_radii", counted_radii)
+        monkeypatch.setattr(verifier, "_STACK_ENTRIES", 100)
+        assert verify_sweep(points) == whole
+        # at most 100 // n rows a block, and every in-domain point in one
+        in_domain = [r.point.n for r in whole if r.domain_status is DomainStatus.IN_DOMAIN]
+        assert all(k <= max(1, 100 // n) for k, n in transforms)
+        assert sorted(n for k, n in transforms for _ in range(k)) == sorted(in_domain)
+        assert len(transforms) > len(set(in_domain))
+
+    def test_a_sweep_holds_little_beyond_its_records(self):
+        # 510 points of order 1,024: a chunk that kept every point's specs or
+        # vectors until the end would hold tens of MB more than its records
+        import tracemalloc
+
+        points = double_loop_gen_points(1024, 1024)
+        tracemalloc.start()
+        try:
+            recs = verify_sweep(points)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(recs) == 510 and all(r.passed for r in recs)
+        assert peak - held < 2_000_000
 
     def test_wrong_closed_form_fails_every_point_sharing_its_key(self, monkeypatch):
         import circan.verifier as verifier_module
