@@ -21,7 +21,7 @@ from circan import (
 # Jump sets normalize automatically: 13 = -3 mod 16 folds down to 3.
 spec = CirculantSpec.of(16, [13, 1])
 print("normalized spec:", spec)                      # C16(1,3)
-print("degree:", spec.degree, "offsets:", spec.offsets())
+print("degree:", len(spec.offsets()), "offsets:", spec.offsets())
 
 # --- complements ------------------------------------------------------------
 half = CirculantSpec.of(8, [1, 4])

@@ -77,9 +77,8 @@ from .routing import (
     vertex_forwarding_index,
 )
 from .spectral import (
-    Spectrum,
     circulant_spectrum,
-    spectral_radius_numeric,
+    spectral_radii,
 )
 from .verifier import (
     VerificationRecord,

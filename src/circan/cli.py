@@ -28,6 +28,8 @@ round-trip decimals. An exact rational past Python's int-to-str digit
 limit is refused, not printed in another form: ``analyze`` on C_n(1)
 reaches it at about diameter 1,700 (``--n 8192 --jumps 1`` exits 1).
 ``verify`` compares at pinned tolerances; it has no option to change them.
+In ``analyze`` and ``spectrum`` a token that starts with a minus and a digit
+is always a value, so ``--jumps -1,3`` reads as ``--jumps=-1,3``.
 ``--out`` files hold the stdout bytes as UTF-8; text and CSV values holding
 a line break are CSV-quoted.
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -52,6 +55,7 @@ from .core import (
     CirculantSpec,
     GenericGraph,
     complement_graph,
+    complement_spec,
     parse_graph_fixture,
 )
 from .errors import (
@@ -66,7 +70,7 @@ from .families import SWEEPS, base_spec, multiplicative_point
 from .indices import INDEX_FIELDS, full_report, report_from_distance_vector
 from .metrics import distance_vector, metrics_summary
 from .routing import load_profile, parse_routing_fixture, edge_forwarding_bounds, vertex_forwarding_index
-from .spectral import circulant_spectrum, spectral_radius_numeric
+from .spectral import circulant_spectrum, spectral_radii
 from .verifier import has_failures, records_to_csv, records_to_json, verify_family
 
 EXIT_OK = 0
@@ -234,13 +238,18 @@ def _circulant_source(args: argparse.Namespace) -> CirculantSpec:
     else:  # multiplicative_point refuses m < 2 or h < 1 before computing m**h
         spec = base_spec(multiplicative_point(args.m, args.h))
     if args.complement:
-        spec = spec.complement()
+        spec = complement_spec(spec)
     return spec
 
 
 def _add_source_arguments(sub: argparse.ArgumentParser, *, fixture: bool = True) -> None:
     sub.add_argument("--n", type=int, help="circulant order")
     sub.add_argument("--jumps", help="comma-separated jump list, e.g. 1,3")
+    # argparse takes a token that starts with a minus for an option unless it
+    # matches the parser's negative-number rule. No option here starts with
+    # a digit, so a token that does is a value: --jumps -1,3 reads as
+    # --jumps=-1,3.
+    sub._negative_number_matcher = re.compile(r"^-\d")
     sub.add_argument("--m", type=int, help="multiplicative base")
     sub.add_argument("--h", type=int, help="multiplicative exponent")
     sub.add_argument("--complement", action="store_true", help="analyze the complement")
@@ -344,7 +353,7 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         },
         "spectrum": {
             "rho": dv.transmission,
-            "radius_float": spectral_radius_numeric(dv),
+            "radius_float": float(spectral_radii(dv.d)),
         },
         "forwarding": {
             "xi": vertex_forwarding_index(dv),
@@ -362,15 +371,16 @@ def cmd_spectrum(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     _check_one_source(parser, args)
     spec = _circulant_source(args)
     dv = distance_vector(spec)
-    spectrum = circulant_spectrum(dv)
+    eigenvalues = circulant_spectrum(dv)
+    radius = float(eigenvalues[0])
     exact = dv.transmission
     doc = {
         "n": spec.n,
         "jumps": list(spec.jumps),
-        "eigenvalues": spectrum.eigenvalues,
+        "eigenvalues": eigenvalues,
         "radius_exact": exact,
-        "radius_float": spectrum.radius,
-        "radius_abs_error": abs(spectrum.radius - exact),
+        "radius_float": radius,
+        "radius_abs_error": abs(radius - exact),
     }
     _emit(args, doc)
     return EXIT_OK
@@ -462,26 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _joined_jump_lists(argv: list[str]) -> list[str]:
-    """``argv`` with each jump list that starts with a minus sign joined by
-    ``=`` to the option before it when the subcommand reads that as
-    ``--jumps``, in full or abbreviated: argparse takes ``-1,3`` for an option."""
-    (subs,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    sub = subs.choices.get(argv[0]) if argv else None
-    options = sub._option_string_actions if sub else {}
-    joined: list[str] = []
-    for tok in argv:
-        if (tok[:1] == "-" and tok[1:2].isdigit() and joined
-                and [o for o in options if o.startswith(joined[-1])] == ["--jumps"]):
-            joined[-1] += "=" + tok
-        else:
-            joined.append(tok)
-    return joined
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_joined_jump_lists(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
     except (CirculantError, OSError) as exc:

@@ -93,18 +93,9 @@ class CirculantSpec:
     def _offsets(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.connection_row).tolist())
 
-    @property
-    def degree(self) -> int:
-        """Common vertex degree: the number of distinct nonzero offsets."""
-        return int(np.count_nonzero(self.connection_row))
-
     def offsets(self) -> tuple[int, ...]:
         """Sorted distinct offsets {j, n - j} as residues in 1..n-1."""
         return self._offsets
-
-    def complement(self) -> "CirculantSpec":
-        """Spec of the complement graph (set complement of the jump set)."""
-        return complement_spec(self)
 
     def __str__(self) -> str:
         return f"C{self.n}({','.join(str(j) for j in self.jumps)})"

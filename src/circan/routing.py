@@ -11,23 +11,24 @@ layering from vertex 0 (``metrics.bfs_layering_fault``); the uniform load
 is then rho - (n - 1). For the edge-forwarding index only bounds are
 produced, from the distance vector.
 
-An explicit routing is validated in whole-array passes over its paths laid
-end to end (one vertex array plus one length per path): vertex range,
-length, repeats within a path, steps along edges, each ordered pair routed
-exactly once. The earliest faulty path is reported, with the message a
-path-by-path check would give. A valid routing is ``minimal`` when its
-path lengths sum to the graph's distance total (each length is at least
-its pair's distance, so the sums agree only when every path is shortest),
-and ``symmetric`` is one gather. Its load profile is one ``np.bincount``
-over the inner positions and one ``np.unique`` over the steps.
+An explicit routing is read from a routing fixture, one path per line, by
+its only reader, ``parse_routing_fixture``, and validated in whole-array
+passes over its paths laid end to end (one vertex array plus one length per
+path): vertex range, length, repeats within a path, steps along edges, each
+ordered pair routed exactly once. The earliest faulty path is reported,
+with the message a path-by-path check would give. A valid routing is
+``minimal`` when its path lengths sum to the graph's distance total (each
+length is at least its pair's distance, so the sums agree only when every
+path is shortest), and ``symmetric`` is one gather. Its load profile is
+one ``np.bincount`` over the inner positions and one ``np.unique`` over the
+steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -84,36 +85,8 @@ class Routing:
         self.minimal = minimal
         self.symmetric = symmetric
 
-    @classmethod
-    def from_paths(cls, g: GenericGraph, paths: Iterable[Iterable[int]]) -> "Routing":
-        """Validate a collection of paths as a routing of ``g``: the first
-        vertex outside 0..n-1 raises :class:`VertexRangeError`, then the
-        paths go through the array checks of the module docstring."""
-        paths = list(map(tuple, paths))
-        values = list(map(int, chain.from_iterable(paths)))
-        lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
-        vertices = _int64_array(values)
-        bad = _out_of_range(vertices, lengths, g.n)
-        if bad is not None:
-            pos, row = bad
-            raise VertexRangeError(
-                f"path {tuple(map(int, paths[row]))} has vertex {values[pos]} "
-                f"outside 0..{g.n - 1}"
-            )
-        return _validated(g, vertices, lengths)
-
     def __len__(self) -> int:
         return self.starts.size - 1
-
-
-def _out_of_range(
-    vertices: np.ndarray, lengths: np.ndarray, n: int
-) -> tuple[int, int] | None:
-    """(position, path index) of the first vertex outside 0..n-1, if any."""
-    pos = _first_true((vertices < 0) | (vertices >= n))
-    if pos == vertices.size:
-        return None
-    return pos, int(np.searchsorted(np.cumsum(lengths), pos, side="right"))
 
 
 def _validated(g: GenericGraph, vertices: np.ndarray, lengths: np.ndarray) -> Routing:
@@ -184,16 +157,16 @@ def parse_routing_fixture(text: str, g: GenericGraph) -> Routing:
 
     Every line is read before any path is checked: the earliest line with a
     non-integer or out-of-range vertex is reported first, then the paths go
-    through the same array validation as ``Routing.from_paths``.
+    through the array checks of the module docstring.
     """
     base = g.index_base
     lines, keep, rows = _content_rows(text)
     values, numeric = _ints_before_fault(rows)
     vertices = _int64_array(values) - base
     lengths = np.fromiter(map(len, rows[:numeric]), dtype=np.int64, count=numeric)
-    bad = _out_of_range(vertices, lengths, g.n)
-    if bad is not None:
-        pos, row = bad
+    pos = _first_true((vertices < 0) | (vertices >= g.n))
+    if pos < vertices.size:
+        row = int(np.searchsorted(np.cumsum(lengths), pos, side="right"))
         raise VertexRangeError(
             f"line {keep[row] + 1}: vertex {values[pos]} outside 0..{g.n - 1 + base}"
         )

@@ -15,45 +15,17 @@ apart.
 The exact spectral radius of a connected circulant's distance matrix is its
 (constant) row sum, the transmission of any vertex, which callers read as
 ``DistanceVector.transmission``: that integer is authoritative, the numeric
-spectrum is a cross-check oracle. Callers that need only the numeric radius
-read the half transform's maximum; only the full listing mirrors and sorts.
-The transform runs over the last axis, so a (k, n) stack takes one ``rfft``
-call, each row bit for bit its own (``spectral_radii``; see DECISIONS.md).
+spectrum is a cross-check oracle. ``circulant_spectrum`` lists all n
+eigenvalues, mirrored and sorted; ``spectral_radii`` reads only the half
+transform's maximum, of one vector or of each row of a (k, n) stack in one
+``rfft`` call, each row bit for bit its own (see DECISIONS.md).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .metrics import DistanceVector
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """All n eigenvalues of a circulant distance matrix, sorted descending."""
-
-    eigenvalues: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.eigenvalues, dtype=np.float64)
-        if arr.flags.writeable:
-            arr = arr.copy()
-            arr.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", arr)
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    @property
-    def radius(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def trace(self) -> float:
-        return float(self.eigenvalues.sum())
 
 
 def _half_spectra(d: np.ndarray) -> np.ndarray:
@@ -62,20 +34,19 @@ def _half_spectra(d: np.ndarray) -> np.ndarray:
     return np.fft.rfft(d.astype(np.float64)).real
 
 
-def circulant_spectrum(dv: DistanceVector) -> Spectrum:
-    """Numeric eigenvalues of the distance matrix with first row ``dv``."""
+def circulant_spectrum(dv: DistanceVector) -> np.ndarray:
+    """Numeric eigenvalues of the distance matrix with first row ``dv``:
+    a read-only float64 array of shape (n,), sorted descending, so its
+    first entry is the numeric radius."""
     half = _half_spectra(dv.d)
-    full = np.concatenate((half, half[1 : dv.n - len(half) + 1]))
-    return Spectrum(np.sort(full)[::-1])
+    eigenvalues = np.sort(np.concatenate((half, half[1 : dv.n - len(half) + 1])))[::-1]
+    eigenvalues.setflags(write=False)
+    return eigenvalues
 
 
-def spectral_radius_numeric(dv: DistanceVector) -> float:
-    """The largest numeric eigenvalue, the half transform's maximum: bit
-    for bit ``circulant_spectrum(dv).radius``, without mirroring or
-    sorting."""
-    return float(_half_spectra(dv.d).max())
-
-
-def spectral_radii(stack: np.ndarray) -> np.ndarray:
-    """``spectral_radius_numeric`` of each row of a (k, n) stack, bit for bit."""
-    return _half_spectra(stack).max(axis=-1)
+def spectral_radii(d: np.ndarray) -> np.ndarray:
+    """The largest numeric eigenvalue of each distance vector along the last
+    axis of ``d``, one vector (n,) or a stack (k, n): the half transform's
+    maximum, bit for bit the first entry of ``circulant_spectrum``, without
+    mirroring or sorting."""
+    return _half_spectra(d).max(axis=-1)

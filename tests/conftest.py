@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circan import CirculantSpec, GenericGraph, distance_vector
+from circan import CirculantSpec, GenericGraph, distance_vector, parse_routing_fixture
 from circan.errors import DisconnectedGraphError
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -89,6 +89,14 @@ def routing_paths(r) -> dict[tuple[int, int], tuple[int, ...]]:
     flat = r.vertices.tolist()
     bounds = r.starts.tolist()
     return {(flat[lo], flat[hi - 1]): tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:])}
+
+
+def routing_from_paths(g: GenericGraph, paths):
+    """``paths`` of 0-based vertices written as a routing fixture in ``g``'s
+    indexing, one path per line, and read back by ``parse_routing_fixture``."""
+    base = g.index_base
+    text = "\n".join(" ".join(str(v + base) for v in path) for path in paths)
+    return parse_routing_fixture(text, g)
 
 
 def distance_matrix(dv) -> np.ndarray:

@@ -191,8 +191,9 @@ class TestSpectrum:
 
 
 class TestNegativeJumpLists:
-    """argparse takes ``-1,3`` for an option; ``--jumps -1,3`` must still
-    read it as the jump list that ``--jumps=-1,3`` gives."""
+    """argparse takes ``-1,3`` for an option unless the parser's negative-number
+    rule matches it; ``--jumps -1,3`` must read it as the jump list that
+    ``--jumps=-1,3`` gives."""
 
     @pytest.mark.parametrize("command", ["analyze", "spectrum"])
     @pytest.mark.parametrize("jumps,plain", [("-1,3", "1,3"), ("-1", "1")])
@@ -212,8 +213,33 @@ class TestNegativeJumpLists:
         assert spaced == run(capsys, command, "--n", "8", "--jumps=-1,3", "--format", "json")
         assert spaced[0] == 0
 
+    @pytest.mark.parametrize("jumps", ["-1,x", "-1.5", "-1,3x"])
+    def test_malformed_list_is_bad_input_in_both_spellings(self, capsys, jumps):
+        # every token that starts with a minus and a digit is a value, so a
+        # malformed one is a bad jump list (3), not a missing argument (2)
+        assert main(["analyze", "--n", "8", "--jumps", jumps]) == 3
+        spaced = capsys.readouterr().err
+        assert main(["analyze", "--n", "8", f"--jumps={jumps}"]) == 3
+        assert capsys.readouterr().err == spaced == (
+            f"error: bad jump list {jumps!r}; expected comma-separated integers\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--n", "-1,3", "--jumps", "1"],
+        ["analyze", "--n", "8", "--jumps", "1", "-1,3"],
+        ["spectrum", "--m", "-1,3", "--h", "2"],
+    ])
+    def test_list_elsewhere_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("usage: circan ") and err.count("usage:") == 1
+        assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+
     def test_jobs_abbreviation_keeps_its_value(self, capsys):
-        # in verify, --j abbreviates --jobs, so -1 stays a jobs count
+        # in verify, --j abbreviates --jobs, so -1 stays a jobs count: verify
+        # keeps argparse's own negative-number rule
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--family", "c7", "--j", "-1"])
         assert exc.value.code == 2

@@ -19,6 +19,7 @@ from circan import (
     FamilyPoint,
     base_spec,
     c7_point,
+    complement_spec,
     distance_vector,
     domain_status,
     double_loop_gen_point,
@@ -237,7 +238,7 @@ class TestPredictedVectors:
         for a in (2, 3):
             point = c7_point(a)
             vec = predicted_distance_vector(point)
-            actual = distance_vector(base_spec(point).complement())
+            actual = distance_vector(complement_spec(base_spec(point)))
             assert vec.tolist() == actual.d.tolist()
 
     @pytest.mark.parametrize("point", [double_loop_half_point(4), double_loop_gen_point(10, 3),

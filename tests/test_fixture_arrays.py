@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from circan import (
     CirculantSpec,
-    Routing,
     build_circulant,
     load_profile,
     parse_graph_fixture,
@@ -30,7 +29,7 @@ from circan.errors import (
     VertexRangeError,
 )
 
-from conftest import all_pairs_distances, routing_paths
+from conftest import all_pairs_distances, routing_from_paths, routing_paths
 
 # ---------------------------------------------------------------------------
 # Reference implementations (scalar loops)
@@ -336,10 +335,11 @@ class TestRoutingOracle:
 
     @settings(max_examples=200, deadline=None)
     @given(routings(), st.data())
-    def test_from_paths_matches(self, case, data):
+    def test_in_range_path_faults_match(self, case, data):
         g, paths = case
         n = g.n
-        # in-range faults: drop, repeat or add a path, or append a vertex
+        # in-range faults on the paths before they are written as lines:
+        # drop, repeat or add a path, or append a vertex
         for _ in range(data.draw(st.integers(0, 2))):
             i = data.draw(st.integers(0, len(paths) - 1))
             kind = data.draw(st.sampled_from(["drop", "copy", "extend", "short"]))
@@ -353,9 +353,9 @@ class TestRoutingOracle:
                 paths[i] = paths[i][:1]
             if not paths:
                 break
-        as_lists = [list(p) for p in paths]
-        assert_same_routing(outcome(oracle_from_paths, g, paths),
-                            outcome(Routing.from_paths, g, iter(as_lists)))
+        text = _layout(data.draw, [" ".join(map(str, p)) for p in paths])
+        assert_same_routing(outcome(oracle_parse_routing, text, g),
+                            outcome(parse_routing_fixture, text, g))
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +437,12 @@ def test_routing_fault_table(fig1_text, r1_text, first, drop, cls):
 
 
 # ---------------------------------------------------------------------------
-# Out-of-range vertices in Routing.from_paths
+# An out-of-range vertex after in-range paths names its line
 
 
 @pytest.mark.parametrize("bad", [(1, -1), (0, 5), (2, 1, 10**30)])
-def test_from_paths_rejects_out_of_range_vertices(bad):
+def test_out_of_range_vertex_names_its_line(bad):
     k3 = build_circulant(CirculantSpec.of(3, [1]))
     paths = [(x, y) for x in range(3) for y in range(3) if x != y][:-1] + [bad]
-    with pytest.raises(VertexRangeError, match=r"outside 0\.\.2"):
-        Routing.from_paths(k3, paths)
+    with pytest.raises(VertexRangeError, match=rf"^line 6: vertex {bad[-1]} outside 0\.\.2$"):
+        routing_from_paths(k3, paths)

@@ -122,16 +122,17 @@ def _kernel_side(spec):
     """The side of the kernel ``spec`` runs on: "orbit" (one jump), "pull"
     (fewer than degree vertices left after level 1, the connection row) or
     "push"."""
-    if spec.degree <= 2:
+    degree = len(spec.offsets())
+    if degree <= 2:
         return "orbit"
-    return "pull" if spec.n - 1 - spec.degree < spec.degree else "push"
+    return "pull" if spec.n - 1 - degree < degree else "push"
 
 
 def _kernel_id(spec):
     """A short id: order, degree and, for a disconnected spec, the gcd of
     the order and the jumps."""
     g = math.gcd(spec.n, *spec.jumps)
-    return f"n{spec.n}-deg{spec.degree}" + (f"-g{g}" if g > 1 else "")
+    return f"n{spec.n}-deg{len(spec.offsets())}" + (f"-g{g}" if g > 1 else "")
 
 
 KERNEL_CASES = [

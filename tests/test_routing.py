@@ -30,7 +30,7 @@ from circan.errors import (
     NonElementaryPathError,
 )
 
-from conftest import rotation_parents, rotation_paths, routing_paths
+from conftest import rotation_parents, rotation_paths, routing_from_paths, routing_paths
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +79,7 @@ class TestRoutingFixture:
     def test_triangle_identity_routing(self):
         k3 = build_circulant(CirculantSpec.of(3, [1]))
         paths = [(x, y) for x in range(3) for y in range(3) if x != y]
-        routing = Routing.from_paths(k3, paths)
+        routing = routing_from_paths(k3, paths)
         assert routing.minimal and routing.symmetric
         assert load_profile(routing).max_vertex_load == 0
 
@@ -95,11 +95,11 @@ class TestRoutingFixture:
 
     def test_invalid_edge(self, fig1):
         with pytest.raises(InvalidEdgeError):
-            Routing.from_paths(fig1, [(0, 5)])  # vertices 1 and 6 are not adjacent
+            routing_from_paths(fig1, [(0, 5)])  # vertices 1 and 6 are not adjacent
 
     def test_non_elementary(self, fig1):
         with pytest.raises(NonElementaryPathError):
-            Routing.from_paths(fig1, [(0, 1, 0)])
+            routing_from_paths(fig1, [(0, 1, 0)])
 
 
 def rotation(spec: CirculantSpec) -> tuple[Routing, DistanceVector]:
@@ -107,7 +107,7 @@ def rotation(spec: CirculantSpec) -> tuple[Routing, DistanceVector]:
     as an explicit routing, with the distance vector it was built from."""
     dv = distance_vector(spec)
     paths = rotation_paths(rotation_parents(spec, dv))
-    return Routing.from_paths(build_circulant(spec), paths), dv
+    return routing_from_paths(build_circulant(spec), paths), dv
 
 
 class TestRotationRouting:
@@ -166,12 +166,12 @@ class TestRotationRouting:
         # 6 -> 1 is an edge one level too far: valid paths, not all shortest
         bad = parent.copy()
         bad[1] = 6
-        assert Routing.from_paths(g, rotation_paths(parent)).minimal
-        assert not Routing.from_paths(g, rotation_paths(bad)).minimal
+        assert routing_from_paths(g, rotation_paths(parent)).minimal
+        assert not routing_from_paths(g, rotation_paths(bad)).minimal
         # 2 -> 1 is no edge
         bad[1] = 2
         with pytest.raises(InvalidEdgeError):
-            Routing.from_paths(g, rotation_paths(bad))
+            routing_from_paths(g, rotation_paths(bad))
         # 1 -> 1 never reaches 0
         bad[1] = 1
         with pytest.raises(ValueError):
@@ -358,5 +358,5 @@ class TestForwardingValues:
                 continue
             lower, _upper = edge_forwarding_bounds(dv)
             paths = rotation_paths(rotation_parents(comp, dv))
-            profile = load_profile(Routing.from_paths(build_circulant(comp), paths))
+            profile = load_profile(routing_from_paths(build_circulant(comp), paths))
             assert profile.max_edge_load >= lower
