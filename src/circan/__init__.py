@@ -12,7 +12,6 @@ from .core import (
     build_circulant,
     complement_graph,
     complement_spec,
-    normalize_jumps,
     parse_graph_fixture,
 )
 from .errors import (

@@ -1,11 +1,14 @@
 """Construction of circulant graphs, complements, and generic graph fixtures.
 
-A circulant graph on n vertices is identified by its jump set: vertex v is
-adjacent to (v + j) mod n and (v - j) mod n for every jump j. Jump sets are
-kept in a canonical form (folded into 1..n//2, deduplicated, sorted), so two
-specs describe the same graph exactly when they compare equal. Each spec
-computes its connection row (row 0 of the adjacency) and its offsets at
-most once; the complement spec is that row flipped.
+A circulant graph on n vertices has vertex v adjacent to (v + j) mod n and
+(v - j) mod n for every jump j. A spec is the order n and the connection
+row, row 0 of the adjacency, as an n-bit int: bit v is set when v is
+adjacent to 0. The row is canonical, so two specs describe the same graph
+exactly when they compare equal. ``CirculantSpec.of`` is the one place that
+normalises raw jump values; the jump set (the row's bits in 1..n//2), the
+offsets and the boolean row are computed from the row when read, and
+nothing is cached. The complement spec is the row with every bit but bit 0
+flipped.
 
 Generic graphs are backed by a read-only boolean adjacency matrix; the
 class exposes degrees and the edge list on top of it. Edge-list fixtures
@@ -16,9 +19,7 @@ earliest bad line.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Iterable
 
@@ -34,100 +35,86 @@ from .errors import (
 )
 
 
-def normalize_jumps(n: int, raw: Iterable[int]) -> tuple[int, ...]:
-    """Canonicalize a multiset of raw jump values for order ``n``.
-
-    Each value is reduced mod n, zeros are dropped, s is identified with
-    n - s, and the result is deduplicated and sorted.
-    """
-    if n < 2:
-        raise InputError(f"graph order must be at least 2, got {n}")
-    folded = set()
-    for s in raw:
-        s = int(s) % n
-        if s == 0:
-            continue
-        folded.add(min(s, n - s))
-    if not folded:
-        raise EmptyJumpSetError(f"no nonzero jumps mod {n}")
-    return tuple(sorted(folded))
+# _REVERSED[b] is the byte b with its eight bits in reverse order.
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 @dataclass(frozen=True)
 class CirculantSpec:
-    """Canonical identity of a circulant graph: order plus normalized jump set."""
+    """A circulant graph: its order n and its connection row, row 0 of the
+    adjacency, as an n-bit int with bit v set when v is adjacent to 0.
+
+    The constructor takes a row as it is and only validates it: bit 0
+    clear, the row nonzero and below 2**n, and bit v equal to bit n - v.
+    ``of`` builds the row from raw jump values.
+    """
 
     n: int
-    jumps: tuple[int, ...]
+    row: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise InputError(f"graph order must be at least 2, got {self.n}")
-        if not self.jumps:
-            raise EmptyJumpSetError("jump set is empty")
-        object.__setattr__(self, "jumps", tuple(int(j) for j in self.jumps))
-        half = self.n // 2
-        prev = 0
-        for j in self.jumps:
-            if not prev < j <= half:
-                raise InputError(
-                    f"jump set {self.jumps} is not normalized for n={self.n}; "
-                    f"use CirculantSpec.of()"
-                )
-            prev = j
+        n, row = self.n, self.row
+        if not (isinstance(n, int) and isinstance(row, int)):
+            raise InputError("a spec's order and connection row must be ints")
+        if n < 2:
+            raise InputError(f"graph order must be at least 2, got {n}")
+        if not row:
+            raise EmptyJumpSetError("connection row is empty")
+        if row < 0 or row >> n or row & 1:
+            raise InputError(f"connection row for n={n} is not {n} bits with bit 0 clear")
+        # Reversing the bytes' order and each byte's bits takes bit v to
+        # bit 8 * size - 1 - v; the shifts land it on bit n - v.
+        size = (n + 7) // 8
+        mirror = int.from_bytes(row.to_bytes(size, "little").translate(_REVERSED), "big")
+        odd = (mirror << 1 >> 8 * size - n) ^ row
+        if odd:
+            v = (odd & -odd).bit_length() - 1
+            raise InputError(f"connection row for n={n} has bit {v} != bit {n - v}")
 
     @classmethod
     def of(cls, n: int, jumps: Iterable[int]) -> "CirculantSpec":
-        """Build a spec from arbitrary raw jump values, normalizing them."""
-        return cls(n, normalize_jumps(n, jumps))
+        """The spec with raw jump values ``jumps``: each j sets the bits of
+        j and -j mod n, and a jump of 0 mod n is dropped."""
+        if n < 2:
+            raise InputError(f"graph order must be at least 2, got {n}")
+        bits = bytearray((n + 7) // 8)
+        for j in jumps:
+            for v in (int(j) % n, -int(j) % n):
+                bits[v >> 3] |= 1 << (v & 7)
+        row = int.from_bytes(bits, "little") & -2
+        if not row:
+            raise EmptyJumpSetError(f"no nonzero jumps mod {n}")
+        return cls(n, row)
 
-    @cached_property
+    @property
     def connection_row(self) -> np.ndarray:
-        """Read-only row 0 of the adjacency: True at the offsets {j, n - j}."""
-        row = bytearray(self.n)
-        for j in self.jumps:
-            row[j] = row[self.n - j] = 1
-        return np.frombuffer(bytes(row), dtype=bool)  # read-only view of bytes
+        """Row 0 of the adjacency as a boolean array: True at the offsets."""
+        raw = np.frombuffer(self.row.to_bytes((self.n + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(raw, count=self.n, bitorder="little").view(bool)
 
-    @cached_property
-    def _offsets(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.connection_row).tolist())
+    @property
+    def jumps(self) -> tuple[int, ...]:
+        """The normalized jump set: the offsets in 1..n // 2."""
+        return tuple(np.flatnonzero(self.connection_row[: self.n // 2 + 1]).tolist())
 
     def offsets(self) -> tuple[int, ...]:
         """Sorted distinct offsets {j, n - j} as residues in 1..n-1."""
-        return self._offsets
+        return tuple(np.flatnonzero(self.connection_row).tolist())
 
     def __str__(self) -> str:
-        return f"C{self.n}({','.join(str(j) for j in self.jumps)})"
-
-    def __getstate__(self) -> dict:
-        # Pickle the identity only; the cached rows are rebuilt on demand.
-        return {"n": self.n, "jumps": self.jumps}
+        return f"C{self.n}({','.join(map(str, self.jumps))})"
 
 
 def complement_spec(spec: CirculantSpec) -> CirculantSpec:
-    """Complement jump set {1..n//2} minus spec.jumps: the flipped connection row.
+    """The complement: the connection row with every bit but bit 0 flipped.
 
     Raises :class:`EmptyComplementError` when the input is the complete graph.
     """
     n = spec.n
-    row = ~spec.connection_row
-    row[0] = False
-    offsets = tuple(np.flatnonzero(row).tolist())
-    if not offsets:
+    row = ((1 << n) - 2) ^ spec.row
+    if not row:
         raise EmptyComplementError(f"complement of {spec} has no edges")
-    row.setflags(write=False)
-    # The offsets up to n // 2 are sorted, distinct, in range and Python ints,
-    # so the spec skips __post_init__'s per-jump check; the flip is the
-    # complement's row, and its set bits are its offsets.
-    comp = object.__new__(CirculantSpec)
-    comp.__dict__.update(
-        n=n,
-        jumps=offsets[: bisect_right(offsets, n // 2)],
-        connection_row=row,
-        _offsets=offsets,
-    )
-    return comp
+    return CirculantSpec(n, row)
 
 
 class GenericGraph:

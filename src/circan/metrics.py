@@ -16,12 +16,13 @@ That BFS has two sides, chosen by the spec alone:
   whole vector is one ``arange`` and two scatters; when gcd(n, j) > 1 the
   vertices off the orbit stay unreached.
 * Every other spec runs level by level on n-bit Python ints, starting from
-  level 1, the connection row. A level pushes the frontier F through every
-  offset by rotation or, once fewer than degree vertices are unreached,
-  pulls each of them: v is reached when the row rotated by v meets F
-  (Beamer, Asanovic and Patterson's direction-optimizing BFS on the
-  connection row). The dense complements this package studies take a
-  handful of big-int operations.
+  level 1, the spec's connection row itself. A level pushes the frontier F
+  through every offset by rotation or, once fewer than degree vertices are
+  unreached, pulls each of them: v is reached when the row rotated by v
+  meets F (Beamer, Asanovic and Patterson's direction-optimizing BFS on
+  the connection row). The degree is the row's bit count, and the offsets
+  are read from the spec only when a level pushes; the dense complements
+  this package studies only pull, in a handful of big-int operations.
 
 The same level loop (``_levels``) drives ``bfs_layering_fault``, which
 certifies a claimed vector layer by layer. Every sum of c_d / d (the
@@ -183,16 +184,17 @@ def _circulant_bfs(spec: CirculantSpec) -> np.ndarray:
     """Hop counts from vertex 0 of ``spec``; -1 marks unreachable vertices."""
     n = spec.n
     dist = np.full(n, -1, dtype=np.int64)
-    if len(spec.offsets()) <= 2:
-        # One jump j: level t is {t j, -t j} mod n, up to half the orbit.
-        j = spec.jumps[0]
+    row = spec.row
+    if row.bit_count() <= 2:
+        # One jump j, the lowest bit: level t is {t j, -t j} mod n, up to half the orbit.
+        j = (row & -row).bit_length() - 1
         level = np.arange(n // math.gcd(n, j) // 2 + 1)
         ahead = level * j % n
         dist[-ahead % n] = level
         dist[ahead] = level
         return dist
     dist[0] = 0
-    dist[spec.connection_row] = 1
+    dist[_mask(row, n)] = 1
     for level, bits in enumerate(_levels(spec), start=2):
         dist[_mask(bits, n)] = level
     return dist
@@ -203,9 +205,11 @@ def _levels(spec: CirculantSpec) -> Iterator[int]:
     being the connection row. They end once every vertex is reached, or
     after an empty level when the rest is unreachable."""
     n = spec.n
-    offsets = spec.offsets()
-    row = frontier = _bitset(spec.connection_row)
+    row = frontier = spec.row
     unreached = ((1 << n) - 2) ^ row
+    # Only a level with at least degree vertices unreached pushes, and that
+    # count only falls: a dense complement never pushes nor lists offsets.
+    offsets = spec.offsets() if unreached.bit_count() >= row.bit_count() else ()
     while frontier and unreached:
         frontier = _next_level(n, row, offsets, frontier, unreached)
         unreached ^= frontier
@@ -214,8 +218,8 @@ def _levels(spec: CirculantSpec) -> Iterator[int]:
 
 def _next_level(n: int, row: int, offsets: tuple[int, ...], frontier: int, unreached: int) -> int:
     """The vertices of ``unreached`` adjacent to ``frontier``: n-bit sets of
-    the circulant with connection row ``row`` (as bits) and ``offsets``."""
-    if unreached.bit_count() < len(offsets):
+    the circulant with connection row ``row``, whose ``offsets`` a push reads."""
+    if unreached.bit_count() < row.bit_count():
         # Pull: v joins when its neighbours, the row rotated by v, meet the
         # frontier; the frontier is doubled so the rotation can wrap.
         wrapped = frontier | (frontier << n)
@@ -255,11 +259,11 @@ def bfs_layering_fault(spec: CirculantSpec, dv: DistanceVector) -> str | None:
     if dv.n != n:
         raise InvariantError(f"distance vector has order {dv.n}, spec has {n}")
     d = dv.d
-    row = spec.connection_row
-    wrong = (d == 1) != row
-    v = int(wrong.argmax())
-    if wrong[v]:
-        if row[v]:
+    row = spec.row
+    wrong = _bitset(d == 1) ^ row
+    if wrong:
+        v = (wrong & -wrong).bit_length() - 1
+        if row >> v & 1:
             return f"(a) vertex {v} is adjacent to 0 at d={d[v]}"
         return f"(a) vertex {v} at d=1 is not adjacent to 0"
     levels = _levels(spec)

@@ -28,15 +28,16 @@ order. ``predict`` runs only when a key is first met and hands over that
 point's predicted vector; every later point builds its own. The key leaves
 out the predicted vector's counts, which depend on (family, n, h) alone; a
 point whose own vector is wrong still fails its ``distance_vector`` field.
-The table keeps the checks, the predicted forwarding index and base
-diameter, and lives for one sweep (one worker chunk under ``jobs``).
+The table keeps the checks, the predicted rho, xi and base diameter, and
+lives for one sweep (one worker chunk under ``jobs``).
 
 A chunk takes consecutive points of one order n in blocks of at most
 ``_STACK_ENTRIES`` // n. Each point's BFS, count-table entry, witness and
 base diameter come first, its specs then dropped; one comparison of the
 block's stacked (k, n) computed and predicted vectors gives every
 ``distance_vector`` match, and one transform every numeric spectral radius,
-the half transform's maximum (``spectral.spectral_radii``).
+the half transform's maximum (``spectral.spectral_radii``), checked
+against the predicted rho.
 
 Out-of-domain parameters are still swept: they produce flagged records (the
 observed obstruction goes into the note) rather than assertions, so a sweep
@@ -142,6 +143,7 @@ class _Found(NamedTuple):
     checks: dict[str, FieldCheck]
     dv: DistanceVector | None = None
     predicted: np.ndarray | None = None
+    rho: int | None = None
 
 
 def verify_point(point: FamilyPoint, *, _found: _Found | None = None) -> VerificationRecord:
@@ -162,11 +164,11 @@ def _brute_force(points: Sequence[FamilyPoint], table: dict) -> list[_Found]:
         computed = np.array([f.dv.d for f in rows])
         matches = (computed == np.array([f.predicted for f in rows])).all(axis=1).tolist()
         for f, match, dft_max in zip(rows, matches, spectral_radii(computed).tolist()):
-            text, rho = _vector_repr(f.dv.d), f.dv.transmission
+            text = _vector_repr(f.dv.d)
             f.checks["distance_vector"] = FieldCheck(
                 match, text if match else _vector_repr(f.predicted), text)
             f.checks["spectral_max"] = FieldCheck(
-                _close_finite(dft_max, float(rho), SPECTRAL_TOL), str(rho), repr(dft_max))
+                _close_finite(dft_max, float(f.rho), SPECTRAL_TOL), str(f.rho), repr(dft_max))
     return found
 
 
@@ -191,8 +193,8 @@ def _point_checks(point: FamilyPoint, table: dict) -> _Found:
     else:
         pred = predict(point)
         predicted = pred.distance_vector
-        table[key] = (_count_checks(pred, dv), pred.xi, pred.base_diameter)
-    count_checks, xi, base_diameter = table[key]
+        table[key] = (_count_checks(pred, dv), pred.rho, pred.xi, pred.base_diameter)
+    count_checks, rho, xi, base_diameter = table[key]
     checks = dict(count_checks)
     # A certified BFS layering is the witness of the rotation routing, whose
     # every vertex carries rho - (n - 1).
@@ -203,7 +205,7 @@ def _point_checks(point: FamilyPoint, table: dict) -> _Found:
         base_diam = distance_vector(base).diameter
         checks["base_diameter"] = FieldCheck(
             base_diam == base_diameter, str(base_diameter), str(base_diam))
-    return _Found(status, "", checks, dv, predicted)
+    return _Found(status, "", checks, dv, predicted, rho)
 
 
 def _count_checks(pred: Prediction, dv: DistanceVector) -> dict[str, FieldCheck]:

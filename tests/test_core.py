@@ -1,4 +1,8 @@
+import ast
+import dataclasses
 import pickle
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +14,15 @@ from circan import (
     build_circulant,
     complement_graph,
     complement_spec,
-    normalize_jumps,
     parse_graph_fixture,
 )
+from circan import core
 from circan.errors import (
     DuplicateEdgeError,
     EmptyComplementError,
     EmptyJumpSetError,
     FixtureParseError,
+    InputError,
     VertexRangeError,
 )
 
@@ -26,22 +31,22 @@ from conftest import from_edges
 
 class TestNormalizeJumps:
     def test_already_normalized(self):
-        assert normalize_jumps(16, {1, 3}) == (1, 3)
+        assert CirculantSpec.of(16, {1, 3}).jumps == (1, 3)
 
     def test_folds_negatives(self):
         # 13 = -3 mod 16
-        assert normalize_jumps(16, {13, 1}) == (1, 3)
+        assert CirculantSpec.of(16, {13, 1}).jumps == (1, 3)
 
     def test_reduces_and_drops_zero(self):
-        assert normalize_jumps(8, {4, 12, 0}) == (4,)
+        assert CirculantSpec.of(8, {4, 12, 0}).jumps == (4,)
 
     def test_empty_after_reduction(self):
         with pytest.raises(EmptyJumpSetError):
-            normalize_jumps(8, {0, 8, 16})
+            CirculantSpec.of(8, {0, 8, 16})
 
     def test_rejects_tiny_order(self):
         with pytest.raises(ValueError):
-            normalize_jumps(1, {1})
+            CirculantSpec.of(1, {1})
 
     @given(
         n=st.integers(2, 200),
@@ -49,25 +54,82 @@ class TestNormalizeJumps:
     )
     def test_idempotent(self, n, raw):
         try:
-            once = normalize_jumps(n, raw)
+            once = CirculantSpec.of(n, raw)
         except EmptyJumpSetError:
             return
-        assert normalize_jumps(n, once) == once
+        assert CirculantSpec.of(n, once.jumps) == once
 
-    def test_spec_constructor_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            CirculantSpec(8, (1, 7))
 
-    @pytest.mark.parametrize(
-        "n, jumps",
-        [(8, (2, 1)), (8, (1, 1)), (8, (0, 1)), (8, (1, 5)), (9, (-1,)),
-         (16116, (*range(1, 8058), 8059))],
+def _symmetric_row(n, row):
+    """The definition: bit v equals bit n - v for every v in 1..n-1."""
+    return all((row >> v & 1) == (row >> (n - v) & 1) for v in range(1, n))
+
+
+class TestRowConstructor:
+    """``CirculantSpec(n, row)`` takes a connection row as it is and only
+    validates it; ``CirculantSpec.of`` is the one normaliser."""
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 16116])
+    def test_rejects_each_malformed_row(self, n):
+        row = CirculantSpec.of(n, [1]).row  # bits 1 and n - 1
+        assert CirculantSpec(n, row).row == row
+        malformed = {"bit 0 set": row | 1, "asymmetric": row | 4, "too wide": row | 1 << n,
+                     "negative": -row, "a float": 2.0, "a string": "6", "a jump tuple": (1,),
+                     "a numpy int": np.int64(6)}
+        for why, bad in malformed.items():
+            with pytest.raises(InputError):
+                CirculantSpec(n, bad)
+                pytest.fail(why)
+
+    def test_rejects_asymmetric_row_of_a_long_jump_list(self):
+        row = CirculantSpec.of(16116, range(1, 8058)).row ^ 1 << 8059
+        with pytest.raises(InputError):
+            CirculantSpec(16116, row)
+
+    def test_empty_row_is_an_empty_jump_set(self):
+        with pytest.raises(EmptyJumpSetError):
+            CirculantSpec(8, 0)
+
+    def test_rejects_tiny_or_non_int_order(self):
+        for n in (1, 0, -3, 8.0, np.int64(8)):
+            with pytest.raises(InputError):
+                CirculantSpec(n, 2)
+
+    @given(n=st.integers(2, 70), row=st.integers(-4, 1 << 72))
+    @settings(max_examples=300)
+    def test_accepts_exactly_the_rows_of_the_definition(self, n, row):
+        valid = 0 < row < 1 << n and not row & 1 and _symmetric_row(n, row)
+        try:
+            spec = CirculantSpec(n, row)
+        except InputError:
+            assert not valid
+        else:
+            assert valid and spec.row == row
+
+    @given(
+        n=st.integers(2, 300),
+        raw=st.lists(st.integers(-400, 400), min_size=1, max_size=6),
     )
-    def test_spec_constructor_rejects_each_unnormalized_form(self, n, jumps):
-        # complement_spec skips this check for its own jumps; every other
-        # constructor call keeps it
-        with pytest.raises(ValueError):
-            CirculantSpec(n, jumps)
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip(self, n, raw):
+        try:
+            spec = CirculantSpec.of(n, raw)
+        except EmptyJumpSetError:
+            return
+        assert spec.jumps == tuple(sorted({min(j % n, -j % n) for j in raw} - {0}))
+        assert CirculantSpec.of(n, spec.jumps) == spec
+        assert spec.offsets() == tuple(sorted({*spec.jumps, *(n - j for j in spec.jumps)}))
+        assert np.flatnonzero(spec.connection_row).tolist() == list(spec.offsets())
+        if spec.row.bit_count() == n - 1:
+            with pytest.raises(EmptyComplementError):
+                complement_spec(spec)
+        else:
+            assert complement_spec(complement_spec(spec)) == spec
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and hash(back) == hash(spec) and {spec: 1}[back] == 1
+        assert str(back) == str(spec) == f"C{n}({','.join(map(str, spec.jumps))})"
+        assert repr(back) == repr(spec)
+        assert eval(repr(spec), {"CirculantSpec": CirculantSpec}) == spec
 
 
 class TestBuildCirculant:
@@ -160,10 +222,10 @@ def _complement_by_set_difference(spec):
     rest = set(range(1, spec.n // 2 + 1)) - set(spec.jumps)
     if not rest:
         raise EmptyComplementError(str(spec))
-    return CirculantSpec(spec.n, tuple(sorted(rest)))
+    return CirculantSpec.of(spec.n, rest)
 
 
-class TestSpecCache:
+class TestSpecRow:
     @staticmethod
     def _jump_masks(half, rng):
         """Every jump set for half <= 12, else a seeded sample plus the
@@ -179,7 +241,7 @@ class TestSpecCache:
         for n in range(2, 41):
             half = n // 2
             for mask in self._jump_masks(half, rng):
-                spec = CirculantSpec(n, tuple(j for j in range(1, half + 1) if mask >> (j - 1) & 1))
+                spec = CirculantSpec.of(n, [j for j in range(1, half + 1) if mask >> (j - 1) & 1])
                 try:
                     want = _complement_by_set_difference(spec)
                 except EmptyComplementError:
@@ -187,44 +249,41 @@ class TestSpecCache:
                         complement_spec(spec)
                     continue
                 got = complement_spec(spec)
-                assert got == want, spec
-                # The complement's cached row is the flip, equal to a fresh build.
-                assert np.array_equal(got.connection_row,
-                                      CirculantSpec(n, want.jumps).connection_row)
-                assert not got.connection_row.flags.writeable
+                assert got == want and got.jumps == want.jumps, spec
 
-    @given(
-        n=st.integers(2, 300),
-        jumps=st.lists(st.integers(1, 400), min_size=1, max_size=6),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_offsets_computed_once(self, n, jumps):
+    def test_complement_holds_less_than_its_distance_vector(self):
+        # The complement of C_4093(1) is a 4093-bit row; its distance
+        # vector is 4093 int64 entries, 32,744 bytes.
+        base = CirculantSpec.of(4093, [1])
+        tracemalloc.start()
         try:
-            spec = CirculantSpec.of(n, jumps)
-        except EmptyJumpSetError:
-            return
-        offsets = spec.offsets()
-        assert spec.offsets() is offsets
-        assert offsets == tuple(sorted({j for j in spec.jumps} | {n - j for j in spec.jumps}))
-        assert np.flatnonzero(spec.connection_row).tolist() == list(offsets)
+            comp = complement_spec(base)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert comp.row.bit_count() == 4090
+        assert held < 4096
 
-    def test_filled_cache_keeps_identity(self):
-        filled = CirculantSpec.of(1000, [1, 7, 500])
-        filled.offsets(), filled.connection_row
-        comp = complement_spec(filled)
-        fresh = CirculantSpec.of(1000, [1, 7, 500])
-        assert filled == fresh and hash(filled) == hash(fresh)
-        assert str(filled) == str(fresh) == "C1000(1,7,500)"
-        assert repr(filled) == repr(fresh)
-        assert {fresh: "x"}[filled] == "x"
-        for spec in (filled, comp):
-            blob = pickle.dumps(spec)
-            # Only the identity is pickled, not the cached rows.
-            assert blob == pickle.dumps(CirculantSpec(spec.n, spec.jumps))
-            back = pickle.loads(blob)
-            assert back == spec and hash(back) == hash(spec) and str(back) == str(spec)
-            assert back.offsets() == spec.offsets()
-            assert not back.connection_row.flags.writeable
+    def test_spec_declares_only_its_order_and_row(self):
+        tree = ast.parse(Path(core.__file__).read_text())
+        (cls,) = [node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "CirculantSpec"]
+        assert [stmt.target.id for stmt in cls.body if isinstance(stmt, ast.AnnAssign)] == ["n", "row"]
+        assert [f.name for f in dataclasses.fields(CirculantSpec)] == ["n", "row"]
+
+    def test_core_keeps_no_cache_and_builds_no_spec_around_its_constructor(self):
+        tree = ast.parse(Path(core.__file__).read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.FunctionDef):
+                names.add(node.name)
+        assert not {"cached_property", "__getstate__", "__setstate__", "__new__"} & names
 
 
 class TestGraphFixture:

@@ -29,10 +29,11 @@ from circan import (
     verify_family,
     verify_point,
 )
-from circan import verifier
+from circan import families, verifier
 from circan.cli import _dumps_indent2
 from circan.errors import InputError
 from circan.families import SWEEPS
+from circan.indices import INDEX_FIELDS
 from circan.verifier import (
     FIELD_ORDER,
     FieldCheck,
@@ -133,6 +134,72 @@ class TestVerifyPoint:
         assert not rec.fields
         assert not rec.passed
         assert has_failures([rec])
+
+
+def _bumped(d):
+    """A copy of the vector ``d`` with d[1] and d[n - 1] one larger."""
+    d = d.copy()
+    d[[1, d.size - 1]] += 1
+    return d
+
+
+class TestFieldProvenance:
+    """Each field's predicted side is the stated ``Prediction`` attribute,
+    and its computed side reads the engine, not the prediction."""
+
+    # attribute, or "indices.<name>", -> the fields it feeds
+    FEEDS = {
+        "distance_vector": {"distance_vector"},
+        "degree": {"degree"},
+        "rho": {"rho", "spectral_max"},
+        "rs": {"rs"},
+        "xi": {"xi", "xi_witness"},
+        "pi_lower": {"pi_lower"},
+        "pi_upper": {"pi_upper"},
+        "base_diameter": {"base_diameter"},
+        **{f"indices.{name}": {name} for name in INDEX_FIELDS},
+    }
+    POINT = multiplicative_point(2, 4)
+
+    def test_every_field_has_one_stated_source(self):
+        fed = [field for fields in self.FEEDS.values() for field in fields]
+        assert sorted(fed) == sorted(FIELD_ORDER)
+        assert set(verify_point(self.POINT).fields) == set(FIELD_ORDER)
+
+    @pytest.mark.parametrize("source", sorted(FEEDS))
+    def test_a_wrong_prediction_fails_exactly_its_fields(self, monkeypatch, source):
+        real = families.predict
+
+        def wrong(point):
+            pred = real(point)
+            if source == "distance_vector":
+                return dataclasses.replace(pred, distance_vector=_bumped(pred.distance_vector))
+            if source.startswith("indices."):
+                name = source.removeprefix("indices.")
+                return dataclasses.replace(
+                    pred, indices={**pred.indices, name: pred.indices[name] + 1})
+            return dataclasses.replace(pred, **{source: getattr(pred, source) + 1})
+
+        monkeypatch.setattr(verifier, "predict", wrong)
+        rec = verify_point(self.POINT)
+        assert set(rec.mismatches()) == self.FEEDS[source]
+
+    def test_a_wrong_computed_vector_fails_spectral_max_too(self, monkeypatch):
+        comp = complement_spec(base_spec(self.POINT))
+        real = verifier.distance_vector
+
+        def wrong(spec):
+            dv = real(spec)
+            return DistanceVector(spec.n, _bumped(dv.d)) if spec == comp else dv
+
+        monkeypatch.setattr(verifier, "distance_vector", wrong)
+        rec = verify_point(self.POINT)
+        # only the degree, the edge-count indices and the base graph's
+        # diameter do not read d[1] and d[n - 1]
+        kept = {"degree", "t_ga", "t_ag", "rt_ga", "rt_ag", "base_diameter"}
+        assert set(rec.mismatches()) == set(FIELD_ORDER) - kept
+        assert rec.fields["spectral_max"].predicted == rec.fields["rho"].predicted == "22"
+        assert rec.fields["spectral_max"].computed == "24.0"
 
 
 class TestSweeps:
