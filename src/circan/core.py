@@ -86,16 +86,20 @@ class CirculantSpec:
             raise EmptyJumpSetError(f"no nonzero jumps mod {n}")
         return cls(n, row)
 
+    def _bits(self, count: int) -> np.ndarray:
+        """Bits 0..count - 1 of the row as a boolean array."""
+        raw = np.frombuffer(self.row.to_bytes((self.n + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(raw, count=count, bitorder="little").view(bool)
+
     @property
     def connection_row(self) -> np.ndarray:
         """Row 0 of the adjacency as a boolean array: True at the offsets."""
-        raw = np.frombuffer(self.row.to_bytes((self.n + 7) // 8, "little"), np.uint8)
-        return np.unpackbits(raw, count=self.n, bitorder="little").view(bool)
+        return self._bits(self.n)
 
     @property
     def jumps(self) -> tuple[int, ...]:
         """The normalized jump set: the offsets in 1..n // 2."""
-        return tuple(np.flatnonzero(self.connection_row[: self.n // 2 + 1]).tolist())
+        return tuple(np.flatnonzero(self._bits(self.n // 2 + 1)).tolist())
 
     def offsets(self) -> tuple[int, ...]:
         """Sorted distinct offsets {j, n - j} as residues in 1..n-1."""

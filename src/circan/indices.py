@@ -16,8 +16,8 @@ or the reciprocal transmission times L = lcm(1..diameter). Edges are
 grouped by the unordered pair of endpoint statistics (A, B), and one kernel
 serves both families. Both report functions only build the inputs of one
 assembly (``_report``); a circulant is one row and one edge group, so its
-report is O(diameter) integer work. ``metrics.reciprocal_numerators`` forms
-every sum of c_d / d: the reciprocal transmissions and the Harary sums.
+report is O(diameter) integer work. ``metrics.distance_sums`` forms every
+sum of d * c_d and of c_d / d: one call for the pairs, one for the rows.
 
 Pair-sum indices and both augmented-Zagreb variants are exact rationals;
 the AZ sums are accumulated over one denominator and reduced once. The
@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -50,7 +49,7 @@ from .errors import (
     DegenerateReciprocalTransmissionError,
     DegenerateTransmissionError,
 )
-from .metrics import DistanceVector, distance_counts, reciprocal_numerators
+from .metrics import DistanceVector, distance_counts, distance_sums
 
 PAIR_FIELDS = (
     "wiener",
@@ -106,20 +105,13 @@ def _pair_indices_from_stats(
     """The pair-sum indices from, per distance d, the number of unordered
     pairs, the sum of their degree sums and the sum of their degree
     products."""
-    dists = range(len(cnt))
-    wiener = sum(map(mul, dists, cnt))
-    sumsq = sum(map(mul, map(mul, dists, dists), cnt))
-    # the three Harary sums over one common denominator, each reduced once
-    denom, (harary, additive, multiplicative) = reciprocal_numerators([cnt, dsum, dprod])
-    return {
-        "wiener": Fraction(wiener),
-        "hyper_wiener": Fraction(wiener + sumsq, 2),
-        "harary": Fraction(harary, denom),
-        "schultz": Fraction(sum(map(mul, dists, dsum))),
-        "gutman": Fraction(sum(map(mul, dists, dprod))),
-        "harary_additive": Fraction(additive, denom),
-        "harary_multiplicative": Fraction(multiplicative, denom),
-    }
+    # the row d * cnt[d] gives the hyper-Wiener's sum of d**2 * cnt[d]
+    rows = [cnt, dsum, dprod, [d * c for d, c in enumerate(cnt)]]
+    (wiener, schultz, gutman, sumsq), denom, numerators = distance_sums(rows)
+    harary, additive, multiplicative = (Fraction(x, denom) for x in numerators[:3])
+    values = (Fraction(wiener), Fraction(wiener + sumsq, 2), harary, Fraction(schultz),
+              Fraction(gutman), additive, multiplicative)
+    return dict(zip(PAIR_FIELDS, values))
 
 
 def _edge_groups(
@@ -219,9 +211,8 @@ def _report(pair_stats: tuple[list[int], ...], rows: list[list[int]],
     :func:`_pair_indices_from_stats`, the distance-count rows (Python ints)
     and ``group_edges``, which maps one value per row to the edge count per
     unordered pair of endpoint values."""
-    sigma = [sum(map(mul, range(len(row)), row)) for row in rows]
+    sigma, denom, numerators = distance_sums(rows)
     t_fields, t_exact = _edge_indices("t", group_edges(sigma), 1)
-    denom, numerators = reciprocal_numerators(rows)
     rt_fields, rt_exact = _edge_indices("rt", group_edges(numerators), denom)
     pair = _pair_indices_from_stats(*pair_stats)
     return IndexReport(**pair, **t_fields, **rt_fields, _exact_parts=(t_exact, rt_exact))

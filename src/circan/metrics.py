@@ -25,9 +25,9 @@ That BFS has two sides, chosen by the spec alone:
   this package studies only pull, in a handful of big-int operations.
 
 The same level loop (``_levels``) drives ``bfs_layering_fault``, which
-certifies a claimed vector layer by layer. Every sum of c_d / d (the
-reciprocal transmissions, the Harary sums of ``indices``) is formed by
-``reciprocal_numerators``, exactly, over L = lcm(1..D).
+certifies a claimed vector layer by layer. ``distance_sums`` forms every
+sum of d * c_d and, exactly over L = lcm(1..D), of c_d / d over count rows;
+``DistanceVector`` keeps one eager transmission sum of its own counts.
 """
 
 from __future__ import annotations
@@ -44,14 +44,15 @@ from .core import CirculantSpec, GenericGraph
 from .errors import DisconnectedGraphError, InvariantError
 
 
-def reciprocal_numerators(rows: list[list[int]]) -> tuple[int, list[int]]:
-    """L = lcm(1..D) and, for each row c_0..c_D of values by distance (rows
-    of one length D + 1, holding Python ints), the sum of c_d * L / d over
-    d >= 1: the row's sum of c_d / d times L, exact."""
+def distance_sums(rows: list[list[int]]) -> tuple[list[int], int, list[int]]:
+    """For rows c_0..c_D of values by distance (one length D + 1, Python
+    ints): each row's sum of d * c_d, L = lcm(1..D), and each row's sum of
+    c_d * L / d over d >= 1, its sum of c_d / d times L, exact."""
     width = len(rows[0])
     denom = math.lcm(*range(1, width))
     weights = [denom // d for d in range(1, width)]
-    return denom, [sum(map(mul, row[1:], weights)) for row in rows]
+    sums = [sum(map(mul, row, range(width))) for row in rows]
+    return sums, denom, [sum(map(mul, row[1:], weights)) for row in rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +102,7 @@ class DistanceVector:
     @property
     def reciprocal_transmission(self) -> Fraction:
         """Exact sum of reciprocal distances from vertex 0."""
-        denom, (numerator,) = reciprocal_numerators([self._counts.tolist()])
+        _, denom, (numerator,) = distance_sums([self._counts.tolist()])
         return Fraction(numerator, denom)
 
     @property
@@ -298,9 +299,9 @@ def distance_vector(spec: CirculantSpec) -> DistanceVector:
 class MetricsSummary:
     """Distance summary of a connected graph.
 
-    ``degree``, ``transmission`` and ``reciprocal_transmission`` are the
-    common per-vertex values; they are None when the graph is not regular
-    (respectively not transmission-regular).
+    ``degree``, ``transmission`` and ``reciprocal_transmission`` are each
+    reported only when every vertex has that value, and are None otherwise;
+    the reciprocal transmission is read only on transmission-regular graphs.
     """
 
     n: int
@@ -312,22 +313,26 @@ class MetricsSummary:
     transmission_regular: bool
 
 
+def _common(values: list) -> object | None:
+    """The value every vertex has, or None when two vertices differ."""
+    return values[0] if len(set(values)) == 1 else None
+
+
 def metrics_summary(g: GenericGraph) -> MetricsSummary:
-    """Compute the distance summary from the distance counts, raising on
-    disconnected input."""
-    degrees = g.degrees()
-    degree = int(degrees[0]) if g.n and (degrees == degrees[0]).all() else None
+    """The summary from the distance counts C, raising on disconnected input:
+    degrees are C's column 1 (0 when n = 1), transmissions C @ d."""
     counts, _ = distance_counts(g)
-    sigmas = counts @ np.arange(counts.shape[1])
-    t_regular = bool((sigmas == sigmas[0]).all())
-    transmission = int(sigmas[0]) if t_regular else None
-    denom, (numerator,) = reciprocal_numerators([counts[0].tolist()])
+    transmission = _common((counts @ np.arange(counts.shape[1])).tolist())
+    reciprocal = None
+    if transmission is not None:
+        _, denom, numerators = distance_sums(np.unique(counts, axis=0).tolist())
+        reciprocal = _common([Fraction(x, denom) for x in numerators])
     return MetricsSummary(
         n=g.n,
         edge_count=g.edge_count,
-        degree=degree,
+        degree=_common(counts[:, 1:2].sum(axis=1).tolist()),
         transmission=transmission,
-        reciprocal_transmission=Fraction(numerator, denom) if t_regular else None,
+        reciprocal_transmission=reciprocal,
         diameter=counts.shape[1] - 1,
-        transmission_regular=t_regular,
+        transmission_regular=transmission is not None,
     )

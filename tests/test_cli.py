@@ -57,6 +57,26 @@ class TestAnalyze:
         assert doc["routing"]["forwarding_index_wrt_routing"] == 4
         assert doc["routing"]["minimal"] is True
 
+    def test_reciprocal_only_when_every_vertex_has_it(self, capsys):
+        # tr12 is transmission-regular (27), but its reciprocal
+        # transmissions are 71/12 at six vertices and 35/6 at the others
+        code, out = run(capsys, "analyze", "--fixture", str(FIXTURES / "tr12.graph"),
+                        "--format", "json")
+        assert code == 0
+        metrics = json.loads(out)["metrics"]
+        assert metrics["reciprocal_transmission"] is None
+        assert (metrics["degree"], metrics["transmission"]) == (3, 27)
+        assert metrics["transmission_regular"] is True
+
+    def test_one_vertex_fixture(self, tmp_path, capsys):
+        path = tmp_path / "one.graph"
+        path.write_text("1\n")
+        code, out = run(capsys, "analyze", "--fixture", str(path), "--format", "json")
+        assert code == 0
+        metrics = json.loads(out)["metrics"]
+        assert (metrics["degree"], metrics["transmission"]) == (0, 0)
+        assert metrics["reciprocal_transmission"] == "0"
+
     def test_large_disconnected_fixture_exits_2(self, tmp_path, capsys):
         # 3,000 vertices and one edge: a generic graph past the order at
         # which the all-pairs pass once switched kernels

@@ -21,7 +21,7 @@ from circan.errors import (
     DisconnectedGraphError,
 )
 from circan.indices import INDEX_FIELDS, PAIR_FIELDS, _edge_indices, _pair_indices_from_stats
-from circan.metrics import reciprocal_numerators
+from circan.metrics import distance_sums
 
 from conftest import all_pairs_distances, from_edges, has_property_star, random_connected_specs
 
@@ -183,7 +183,7 @@ def _naive_reciprocal(values):
 
 
 def _reciprocal_sum(counts):
-    denom, (numerator,) = reciprocal_numerators([counts])
+    _, denom, (numerator,) = distance_sums([counts])
     return Fraction(numerator, denom)
 
 
@@ -196,7 +196,7 @@ class TestCommonDenominatorSums:
     def test_reciprocal_sum(self, counts):
         # every row is summed over the one denominator lcm(1..diameter)
         rows = [counts, counts[::-1]]
-        denom, numerators = reciprocal_numerators(rows)
+        _, denom, numerators = distance_sums(rows)
         assert denom == math.lcm(*range(1, len(counts)))
         for row, numerator in zip(rows, numerators):
             got, want = Fraction(numerator, denom), _naive_reciprocal(row)

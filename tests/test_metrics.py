@@ -20,6 +20,7 @@ from circan import (
     distance_counts,
     distance_vector,
     metrics_summary,
+    parse_graph_fixture,
 )
 from circan import metrics
 from circan.errors import (
@@ -30,9 +31,11 @@ from circan.errors import (
 )
 
 from conftest import (
+    FIXTURES,
     all_pairs_distances,
     bfs_distances,
     distance_matrix,
+    from_edges,
     has_property_star,
 )
 
@@ -406,6 +409,75 @@ class TestMetricsSummary:
                 assert (sig == sig[0]).all()
 
 
+def _own_values(g):
+    """Each vertex's (degree, transmission, reciprocal transmission), by BFS."""
+    values = []
+    for v in range(g.n):
+        d = bfs_distances(g, v)
+        values.append((int((d == 1).sum()), int(d.sum()),
+                       sum((Fraction(1, int(x)) for x in d if x), Fraction(0))))
+    return values
+
+
+def _common_or_none(values):
+    return values[0] if len(set(values)) == 1 else None
+
+
+@st.composite
+def small_connected_graphs(draw):
+    """A random tree on at most 12 vertices plus random chords."""
+    n = draw(st.integers(1, 12))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {(min(u, v), max(u, v)) for u, v in draw(st.lists(pairs, max_size=2 * n)) if u != v}
+    return from_edges(n, sorted(edges))
+
+
+_FIXED_GRAPHS = {
+    "tr12": lambda: parse_graph_fixture((FIXTURES / "tr12.graph").read_text()),
+    "fig1": lambda: parse_graph_fixture((FIXTURES / "fig1.graph").read_text()),
+    "one": lambda: from_edges(1, []),
+    "c12": lambda: build_circulant(CirculantSpec.of(12, [1, 5])),
+    "c12-complement": lambda: _complement_graph_of(12, [1, 5]),
+    "c15": lambda: build_circulant(CirculantSpec.of(15, [2, 3])),
+}
+
+
+class TestSummaryReadsEveryVertex:
+    """A summary value is reported only when every vertex has it."""
+
+    def test_tr12_reciprocals_differ(self):
+        g = parse_graph_fixture((FIXTURES / "tr12.graph").read_text())
+        own = _own_values(g)
+        assert {t for _, t, _ in own} == {27}
+        split = {v for v, (_, _, r) in enumerate(own) if r == Fraction(71, 12)}
+        assert split == {0, 1, 4, 6, 8, 9}
+        assert all(r == Fraction(35, 6) for v, (_, _, r) in enumerate(own) if v not in split)
+        s = metrics_summary(g)
+        assert (s.degree, s.transmission, s.transmission_regular) == (3, 27, True)
+        assert s.reciprocal_transmission is None
+
+    @pytest.mark.parametrize("name", ["tr12", "fig1", "one", "c12", "c12-complement", "c15"])
+    def test_fixed_graphs(self, name):
+        self._check(_FIXED_GRAPHS[name]())
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_connected_graphs())
+    def test_random_graphs(self, g):
+        self._check(g)
+
+    @staticmethod
+    def _check(g):
+        degrees, sigmas, reciprocals = zip(*_own_values(g))
+        transmission = _common_or_none(sigmas)
+        want = (_common_or_none(degrees), transmission,
+                None if transmission is None else _common_or_none(reciprocals),
+                transmission is not None)
+        s = metrics_summary(g)
+        assert (s.degree, s.transmission, s.reciprocal_transmission,
+                s.transmission_regular) == want
+
+
 class TestDiameterAndConnectivity:
     def test_diameter_examples(self):
         for n, jumps, want in [(9, [1, 3], 2), (8, [1, 2, 4], 2), (4, [1, 2], 1)]:
@@ -526,12 +598,51 @@ class TestOneRoutePerDistanceFact:
 
     def test_one_function_forms_the_reciprocal_sums(self):
         trees = _trees()
-        gone = {"reciprocal_weights", "reciprocal_sum", "_reciprocal_numerators"}
+        gone = {"reciprocal_weights", "reciprocal_sum", "_reciprocal_numerators",
+                "reciprocal_numerators"}
         for name, tree in trees.items():
             assert not gone & _names(tree), name
-        # L = lcm(1..D) is formed once, inside reciprocal_numerators
-        owners = [(name, func.name) for name, tree in trees.items()
-                  for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
-                  for call in ast.walk(func)
-                  if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "lcm"]
-        assert owners == [("metrics.py", "reciprocal_numerators")]
+        # L = lcm(1..D) is formed once, inside distance_sums, and so is every
+        # sum(map(mul, ...)) over count rows but DistanceVector's eager one
+        assert _callers(trees, _calls_lcm) == {"metrics.distance_sums"}
+        assert _callers(trees, _is_mul_sum) == {
+            "metrics.distance_sums", "metrics.DistanceVector.__post_init__"}
+        assert not [node for node in ast.walk(trees["indices.py"])
+                    if isinstance(node, ast.ImportFrom) and node.module == "operator"]
+
+    def test_summary_reads_degrees_from_the_counts(self):
+        summary, = [func for func in ast.walk(_trees()["metrics.py"])
+                    if isinstance(func, ast.FunctionDef) and func.name == "metrics_summary"]
+        assert "degrees" not in _names(summary)
+
+
+def _calls_lcm(call: ast.Call) -> bool:
+    return getattr(call.func, "attr", None) == "lcm"
+
+
+def _is_mul_sum(call: ast.Call) -> bool:
+    """``sum(map(mul, ...))``, the form of a Python-int distance sum."""
+    inner = call.args[0] if getattr(call.func, "id", None) == "sum" and call.args else None
+    return (isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == "map"
+            and bool(inner.args) and getattr(inner.args[0], "id", None) == "mul")
+
+
+def _callers(trees: dict[str, ast.Module], match) -> set[str]:
+    """``module.[Class.]function`` of every function in ``trees`` holding a
+    call that ``match`` accepts."""
+    found = set()
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                name = f"{prefix}.{child.name}"
+                if isinstance(child, ast.FunctionDef) and any(
+                        isinstance(call, ast.Call) and match(call) for call in ast.walk(child)):
+                    found.add(name)
+                visit(child, name)
+            else:
+                visit(child, prefix)
+
+    for module, tree in trees.items():
+        visit(tree, module.removesuffix(".py"))
+    return found

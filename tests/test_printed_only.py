@@ -38,7 +38,7 @@ from circan.indices import (
     _edge_groups,
     _sum_fractions,
 )
-from circan.metrics import reciprocal_numerators
+from circan.metrics import distance_sums
 
 from conftest import FIXTURES, from_edges, random_connected_specs
 
@@ -84,7 +84,7 @@ def _eager_parts(g):
     edges = g.edges()
     sigma = counts @ np.arange(counts.shape[1])
     trans = _eager_edge_indices("t", _edge_groups(sigma.tolist(), edges), 1)
-    denom, numerators = reciprocal_numerators(counts.tolist())
+    _, denom, numerators = distance_sums(counts.tolist())
     recip = _eager_edge_indices("rt", _edge_groups(numerators, edges), denom)
     return trans, recip
 
@@ -134,7 +134,7 @@ class TestDeferredExact:
         edge_total = spec.n * dv.degree // 2
         sigma = dv.transmission
         trans = _eager_edge_indices("t", {(sigma, sigma): edge_total}, 1)
-        denom, (rs,) = reciprocal_numerators([dv.distance_counts().tolist()])
+        _, denom, (rs,) = distance_sums([dv.distance_counts().tolist()])
         recip = _eager_edge_indices("rt", {(rs, rs): edge_total}, denom)
         want = {**trans["exact"], **recip["exact"]}
         assert report.exact == want and repr(report.exact) == repr(want)
