@@ -17,7 +17,8 @@ grouped by the unordered pair of endpoint statistics (A, B), and one kernel
 serves both families. Both report functions only build the inputs of one
 assembly (``_report``); a circulant is one row and one edge group, so its
 report is O(diameter) integer work. ``metrics.distance_sums`` forms every
-sum of d * c_d and of c_d / d: one call for the pairs, one for the rows.
+sum of d * c_d and of c_d / d, in one call per report over the pair rows,
+the hyper-Wiener row and the count rows.
 
 Pair-sum indices and both augmented-Zagreb variants are exact rationals;
 the AZ sums are accumulated over one denominator and reduced once. The
@@ -97,21 +98,6 @@ class IndexReport:
         transmission-regular graph."""
         trans, recip = self._exact_parts
         return {**_exact_edge_values(*trans), **_exact_edge_values(*recip)}
-
-
-def _pair_indices_from_stats(
-    cnt: list[int], dsum: list[int], dprod: list[int]
-) -> dict[str, Fraction]:
-    """The pair-sum indices from, per distance d, the number of unordered
-    pairs, the sum of their degree sums and the sum of their degree
-    products."""
-    # the row d * cnt[d] gives the hyper-Wiener's sum of d**2 * cnt[d]
-    rows = [cnt, dsum, dprod, [d * c for d, c in enumerate(cnt)]]
-    (wiener, schultz, gutman, sumsq), denom, numerators = distance_sums(rows)
-    harary, additive, multiplicative = (Fraction(x, denom) for x in numerators[:3])
-    values = (Fraction(wiener), Fraction(wiener + sumsq, 2), harary, Fraction(schultz),
-              Fraction(gutman), additive, multiplicative)
-    return dict(zip(PAIR_FIELDS, values))
 
 
 def _edge_groups(
@@ -207,15 +193,23 @@ def _exact_edge_values(
 
 def _report(pair_stats: tuple[list[int], ...], rows: list[list[int]],
             group_edges: Callable[[list[int]], dict]) -> IndexReport:
-    """All seventeen indices from the arguments of
-    :func:`_pair_indices_from_stats`, the distance-count rows (Python ints)
-    and ``group_edges``, which maps one value per row to the edge count per
-    unordered pair of endpoint values."""
-    sigma, denom, numerators = distance_sums(rows)
-    t_fields, t_exact = _edge_indices("t", group_edges(sigma), 1)
-    rt_fields, rt_exact = _edge_indices("rt", group_edges(numerators), denom)
-    pair = _pair_indices_from_stats(*pair_stats)
-    return IndexReport(**pair, **t_fields, **rt_fields, _exact_parts=(t_exact, rt_exact))
+    """All seventeen indices from ``pair_stats``, per distance d the number
+    of unordered pairs, the sum of their degree sums and the sum of their
+    degree products; the distance-count rows (Python ints); and
+    ``group_edges``, which maps one value per row to the edge count per
+    unordered pair of endpoint values. One ``distance_sums`` call sums them
+    all, with the row d * cnt[d] for the hyper-Wiener's sum of d**2 * cnt[d]."""
+    cnt = pair_stats[0]
+    sums, denom, numerators = distance_sums(
+        [*pair_stats, [d * c for d, c in enumerate(cnt)], *rows])
+    wiener, schultz, gutman, sumsq = sums[:4]
+    harary, additive, multiplicative = (Fraction(x, denom) for x in numerators[:3])
+    pair = (Fraction(wiener), Fraction(wiener + sumsq, 2), harary, Fraction(schultz),
+            Fraction(gutman), additive, multiplicative)
+    t_fields, t_exact = _edge_indices("t", group_edges(sums[4:]), 1)
+    rt_fields, rt_exact = _edge_indices("rt", group_edges(numerators[4:]), denom)
+    return IndexReport(**dict(zip(PAIR_FIELDS, pair)), **t_fields, **rt_fields,
+                       _exact_parts=(t_exact, rt_exact))
 
 
 def full_report(g: GenericGraph) -> IndexReport:

@@ -27,7 +27,8 @@ That BFS has two sides, chosen by the spec alone:
 The same level loop (``_levels``) drives ``bfs_layering_fault``, which
 certifies a claimed vector layer by layer. ``distance_sums`` forms every
 sum of d * c_d and, exactly over L = lcm(1..D), of c_d / d over count rows;
-``DistanceVector`` keeps one eager transmission sum of its own counts.
+a ``DistanceVector`` sums its own counts only when its transmission is
+first read, so a vector read only for its diameter never sums.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Iterator
 
@@ -60,13 +62,13 @@ class DistanceVector:
     """Distances from vertex 0 of a connected circulant graph.
 
     This is the first row of the (circulant) distance matrix. Its distance
-    counts and transmission are computed once, on construction; the
-    degree, diameter and reciprocal transmission read the counts.
+    counts are computed once, on construction; the degree and diameter read
+    them, and the transmission and reciprocal transmission are summed from
+    them once, when first read.
     """
 
     n: int
     d: np.ndarray
-    transmission: int = field(init=False, repr=False)
     _counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -91,15 +93,18 @@ class DistanceVector:
         counts.setflags(write=False)
         object.__setattr__(self, "d", arr)
         object.__setattr__(self, "_counts", counts)
-        # sum of distances from vertex 0 to all others, from the few counts
-        object.__setattr__(self, "transmission", sum(map(mul, counts.tolist(), range(counts.size))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DistanceVector):
             return NotImplemented
         return self.n == other.n and np.array_equal(self.d, other.d)
 
-    @property
+    @cached_property
+    def transmission(self) -> int:
+        """Sum of distances from vertex 0 to all others, from the few counts."""
+        return sum(map(mul, self._counts.tolist(), range(self._counts.size)))
+
+    @cached_property
     def reciprocal_transmission(self) -> Fraction:
         """Exact sum of reciprocal distances from vertex 0."""
         _, denom, (numerator,) = distance_sums([self._counts.tolist()])

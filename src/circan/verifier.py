@@ -5,17 +5,19 @@ from ``families``. For every point the verifier rebuilds the complement,
 runs BFS, recomputes every predicted quantity from scratch (spectral radius
 both as the exact transmission and as the numeric DFT maximum, forwarding
 values, all seventeen indices), and records per-field agreement. Each field
-is compared by the type of its prediction: integer and ``Fraction`` values
-must match the computed exact value (a computed float never matches one),
-the four square-root-valued indices are compared at ``FLOAT_TOL`` (1e-9)
-relative and the numeric spectrum at ``SPECTRAL_TOL`` (1e-6) relative, and
-a NaN or infinite value on either side never matches; no option changes
-these module constants. The ``xi_witness`` field certifies the computed
-vector as the complement's BFS layering
-(``metrics.bfs_layering_fault``), the BFS tree of the rotation-invariant
-shortest-path routing, whose uniform vertex load rho - (n - 1) it compares
-with the predicted forwarding index; a refused layering fails the field and
-names the condition that failed.
+is compared by the type of its prediction. Every integer and ``Fraction``
+prediction, the scalar fields, the base diameter, the witness load and the
+exact indices alike, is decided by one rule (``_exact_check``): it matches
+only an equal computed ``int`` or ``Fraction``, so a computed float never
+matches one. The four square-root-valued indices are compared at
+``FLOAT_TOL`` (1e-9) relative and the numeric spectrum at ``SPECTRAL_TOL``
+(1e-6) relative, and a NaN or infinite value on either side never matches
+(``_close_finite``); no option changes these module constants. The
+``xi_witness`` field certifies the computed vector as the complement's BFS
+layering (``metrics.bfs_layering_fault``), the BFS tree of the
+rotation-invariant shortest-path routing, whose uniform vertex load
+rho - (n - 1) it compares with the predicted forwarding index; a refused
+layering fails the field and names the condition that failed.
 
 Most fields are count-determined: ``degree``, ``rho``, ``rs``, ``xi``,
 ``pi_lower``, ``pi_upper`` and the seventeen indices. Their computed side
@@ -200,48 +202,46 @@ def _point_checks(point: FamilyPoint, table: dict) -> _Found:
     # every vertex carries rho - (n - 1).
     fault, load = bfs_layering_fault(comp, dv), vertex_forwarding_index(dv)
     witness = f"min={load},max={load}" if fault is None else f"not the BFS layering: {fault}"
-    checks["xi_witness"] = FieldCheck(fault is None and load == xi, str(xi), witness)
+    check = _exact_check(xi, load)
+    checks["xi_witness"] = FieldCheck(fault is None and check.match, check.predicted, witness)
     if base_diameter is not None:
-        base_diam = distance_vector(base).diameter
-        checks["base_diameter"] = FieldCheck(
-            base_diam == base_diameter, str(base_diameter), str(base_diam))
+        checks["base_diameter"] = _exact_check(base_diameter, distance_vector(base).diameter)
     return _Found(status, "", checks, dv, predicted, rho)
 
 
 def _count_checks(pred: Prediction, dv: DistanceVector) -> dict[str, FieldCheck]:
     """The fields whose computed side reads only n and the distance counts.
 
-    An index predicted as a ``Fraction`` is compared exactly with the
-    computed exact value, and fails when the report has none; one predicted
-    as a ``float`` is compared at ``FLOAT_TOL`` relative."""
+    A value predicted as a ``float`` is compared at ``FLOAT_TOL`` relative,
+    every other one by :func:`_exact_check`. An index's computed side is
+    the report's exact value, or its float when it has none, which fails an
+    exact prediction."""
     pi_lower, pi_upper = edge_forwarding_bounds(dv)
-    fields = {
-        name: _exact_check(want == got, want, got)
-        for name, want, got in (
-            ("degree", pred.degree, dv.degree),
-            ("rho", pred.rho, dv.transmission),
-            ("rs", pred.rs, dv.reciprocal_transmission),
-            ("xi", pred.xi, vertex_forwarding_index(dv)),
-            ("pi_lower", pred.pi_lower, pi_lower),
-            ("pi_upper", pred.pi_upper, pi_upper),
-        )
+    report = report_from_distance_vector(dv)
+    computed = {
+        "degree": dv.degree,
+        "rho": dv.transmission,
+        "rs": dv.reciprocal_transmission,
+        "xi": vertex_forwarding_index(dv),
+        "pi_lower": pi_lower,
+        "pi_upper": pi_upper,
+        **{name: getattr(report, name) for name in INDEX_FIELDS},
+        **report.exact,
+    }
+    predicted = {"degree": pred.degree, "rho": pred.rho, "rs": pred.rs, "xi": pred.xi,
+                 "pi_lower": pred.pi_lower, "pi_upper": pred.pi_upper, **pred.indices}
+    return {
+        name: FieldCheck(_close_finite(got, want, FLOAT_TOL), repr(want), repr(got))
+        if isinstance(want, float) else _exact_check(want, got)
+        for name, want in predicted.items() for got in (computed[name],)
     }
 
-    computed = report_from_distance_vector(dv)
-    for name in INDEX_FIELDS:
-        want = pred.indices[name]
-        if isinstance(want, Fraction):
-            got = computed.exact.get(name, getattr(computed, name))
-            fields[name] = _exact_check(isinstance(got, Fraction) and got == want, want, got)
-        else:
-            got = getattr(computed, name)
-            fields[name] = FieldCheck(_close_finite(got, want, FLOAT_TOL), repr(want), repr(got))
-    return fields
 
-
-def _exact_check(match: bool, want, got) -> FieldCheck:
-    """The check of an exact prediction; a matching value of the
-    prediction's own type is formatted once for both texts."""
+def _exact_check(want, got) -> FieldCheck:
+    """The check of an exact prediction: it matches only a computed ``int``
+    or ``Fraction`` equal to it, so a computed float never does. A match of
+    the prediction's own type is formatted once for both texts."""
+    match = type(got) in (int, Fraction) and got == want
     if match and type(want) is type(got):
         text = str(want)
         return FieldCheck(True, text, text)

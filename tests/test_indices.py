@@ -20,7 +20,7 @@ from circan.errors import (
     DegenerateTransmissionError,
     DisconnectedGraphError,
 )
-from circan.indices import INDEX_FIELDS, PAIR_FIELDS, _edge_indices, _pair_indices_from_stats
+from circan.indices import INDEX_FIELDS, PAIR_FIELDS, _edge_indices, _report
 from circan.metrics import distance_sums
 
 from conftest import all_pairs_distances, from_edges, has_property_star, random_connected_specs
@@ -182,11 +182,6 @@ def _naive_reciprocal(values):
     return total
 
 
-def _reciprocal_sum(counts):
-    _, denom, (numerator,) = distance_sums([counts])
-    return Fraction(numerator, denom)
-
-
 class TestCommonDenominatorSums:
     """Reciprocal sums over lcm(1..diameter), reduced once, equal the
     term-by-term Fraction sums (and so print the same)."""
@@ -206,7 +201,9 @@ class TestCommonDenominatorSums:
     @given(st.lists(st.tuples(*[st.integers(0, 10**12)] * 3), min_size=1, max_size=60))
     def test_pair_stats(self, rows):
         cnt, dsum, dprod = (list(col) for col in zip(*rows))
-        pair = _pair_indices_from_stats(cnt, dsum, dprod)
+        # no count rows and so no edges: the report's pair indices alone
+        report = _report((cnt, dsum, dprod), [], lambda values: {})
+        pair = {name: getattr(report, name) for name in PAIR_FIELDS}
         for name, values in (("harary", cnt), ("harary_additive", dsum),
                              ("harary_multiplicative", dprod)):
             got, want = pair[name], _naive_reciprocal(values)
@@ -240,18 +237,28 @@ class TestDegenerateInputs:
 # values over integer statistics with one common denominator.
 
 
-def _oracle_pair_stats(dist, deg):
-    n = dist.shape[0]
-    maxd = int(dist.max()) if n > 1 else 0
-    cnt = np.zeros(maxd + 1, dtype=np.int64)
-    dsum = np.zeros(maxd + 1, dtype=np.int64)
-    dprod = np.zeros(maxd + 1, dtype=np.int64)
-    for i in range(n - 1):
-        row = dist[i, i + 1 :]
-        cnt += np.bincount(row, minlength=maxd + 1)
-        np.add.at(dsum, row, deg[i] + deg[i + 1 :])
-        np.add.at(dprod, row, deg[i] * deg[i + 1 :])
-    return cnt.tolist(), dsum.tolist(), dprod.tolist()
+def _oracle_pair_indices(dist, deg):
+    """The seven pair indices as sums over the unordered pairs {i, j} of the
+    all-pairs matrix: of d, (d + d**2) / 2 and 1 / d, and of deg_i + deg_j
+    and deg_i * deg_j times d and over d, the reciprocal sums per distance."""
+    i, j = np.triu_indices(dist.shape[0], 1)
+    d = dist[i, j]
+    s, p = deg[i] + deg[j], deg[i] * deg[j]
+    values = {
+        "wiener": Fraction(int(d.sum())),
+        "hyper_wiener": Fraction(int((d + d * d).sum()), 2),
+        "schultz": Fraction(int((s * d).sum())),
+        "gutman": Fraction(int((p * d).sum())),
+        "harary": Fraction(0),
+        "harary_additive": Fraction(0),
+        "harary_multiplicative": Fraction(0),
+    }
+    for x in np.unique(d).tolist():
+        at = d == x
+        values["harary"] += Fraction(int(at.sum()), x)
+        values["harary_additive"] += Fraction(int(s[at].sum()), x)
+        values["harary_multiplicative"] += Fraction(int(p[at].sum()), x)
+    return values
 
 
 def _oracle_groups(values, edges):
@@ -323,13 +330,12 @@ def _oracle_reciprocal(groups):
 def _oracle_report(g):
     dist = all_pairs_distances(g)
     assert (dist >= 0).all()
-    pair = _pair_indices_from_stats(*_oracle_pair_stats(dist, g.degrees()))
+    values = _oracle_pair_indices(dist, g.degrees())
     edges = g.edges()
     sigma = [int(x) for x in dist.sum(axis=1)]
-    rs = [_reciprocal_sum(np.bincount(row).tolist()) for row in dist]
+    rs = [_naive_reciprocal(np.bincount(row).tolist()) for row in dist]
     t_floats, t_exact = _oracle_transmission(_oracle_groups(sigma, edges))
     rt_floats, rt_exact = _oracle_reciprocal(_oracle_groups(rs, edges))
-    values = dict(pair)
     values.update(t_floats)
     values.update(rt_floats)
     return values, {**t_exact, **rt_exact}

@@ -177,7 +177,8 @@ def kernel_specs(draw):
 
 
 class TestDistanceVectorCounts:
-    """The counts and transmission a DistanceVector stores on construction."""
+    """The counts a DistanceVector stores on construction, and the sums it
+    reads from them."""
 
     @given(spec=kernel_specs())
     @example(spec=CirculantSpec.of(2, [1]))
@@ -603,12 +604,42 @@ class TestOneRoutePerDistanceFact:
         for name, tree in trees.items():
             assert not gone & _names(tree), name
         # L = lcm(1..D) is formed once, inside distance_sums, and so is every
-        # sum(map(mul, ...)) over count rows but DistanceVector's eager one
+        # sum(map(mul, ...)) over count rows but a DistanceVector's own
+        # transmission, summed on first read
         assert _callers(trees, _calls_lcm) == {"metrics.distance_sums"}
         assert _callers(trees, _is_mul_sum) == {
-            "metrics.distance_sums", "metrics.DistanceVector.__post_init__"}
+            "metrics.distance_sums", "metrics.DistanceVector.transmission"}
         assert not [node for node in ast.walk(trees["indices.py"])
                     if isinstance(node, ast.ImportFrom) and node.module == "operator"]
+
+    def test_one_sum_pass_per_report_and_none_on_construction(self):
+        trees = _trees()
+        indices = {"indices.py": trees["indices.py"]}
+        assert _callers(indices, _calls_distance_sums) == {"indices._report"}
+        assert sum(isinstance(call, ast.Call) and _calls_distance_sums(call)
+                   for call in ast.walk(trees["indices.py"])) == 1
+        post_init, = [func for func in ast.walk(trees["metrics.py"])
+                      if isinstance(func, ast.FunctionDef) and func.name == "__post_init__"]
+        assert not {"sum", "fsum", "distance_sums", "dot", "transmission",
+                    "reciprocal_transmission"} & _names(post_init)
+        assert not [node for node in ast.walk(post_init)
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)]
+
+    def test_verifier_compares_values_by_two_rules(self):
+        # Every == or != of the verifier sits in _exact_check, but for the
+        # one elementwise comparison of a block's stacked computed vectors
+        # with the predicted ones; every tolerance comparison sits in
+        # _close_finite.
+        tree = _trees()["verifier.py"]
+        equalities = [node for node in ast.walk(tree)
+                      if isinstance(node, ast.Compare) and _is_equality(node)]
+        assert len(equalities) == 2
+        assert _callers({"verifier.py": tree}, _is_equality, ast.Compare) == {
+            "verifier._exact_check", "verifier._brute_force"}
+        stacked, = [node for node in equalities if getattr(node.left, "id", None) == "computed"]
+        assert _callers({"verifier.py": tree}, lambda node: node is stacked, ast.Compare) == {
+            "verifier._brute_force"}
+        assert _callers({"verifier.py": tree}, _calls_isclose) == {"verifier._close_finite"}
 
     def test_summary_reads_degrees_from_the_counts(self):
         summary, = [func for func in ast.walk(_trees()["metrics.py"])
@@ -620,6 +651,18 @@ def _calls_lcm(call: ast.Call) -> bool:
     return getattr(call.func, "attr", None) == "lcm"
 
 
+def _calls_isclose(call: ast.Call) -> bool:
+    return getattr(call.func, "attr", None) == "isclose"
+
+
+def _calls_distance_sums(call: ast.Call) -> bool:
+    return getattr(call.func, "id", None) == "distance_sums"
+
+
+def _is_equality(node: ast.Compare) -> bool:
+    return any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+
+
 def _is_mul_sum(call: ast.Call) -> bool:
     """``sum(map(mul, ...))``, the form of a Python-int distance sum."""
     inner = call.args[0] if getattr(call.func, "id", None) == "sum" and call.args else None
@@ -627,9 +670,9 @@ def _is_mul_sum(call: ast.Call) -> bool:
             and bool(inner.args) and getattr(inner.args[0], "id", None) == "mul")
 
 
-def _callers(trees: dict[str, ast.Module], match) -> set[str]:
+def _callers(trees: dict[str, ast.Module], match, kind: type = ast.Call) -> set[str]:
     """``module.[Class.]function`` of every function in ``trees`` holding a
-    call that ``match`` accepts."""
+    node of ``kind`` (a call by default) that ``match`` accepts."""
     found = set()
 
     def visit(node: ast.AST, prefix: str) -> None:
@@ -637,7 +680,7 @@ def _callers(trees: dict[str, ast.Module], match) -> set[str]:
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 name = f"{prefix}.{child.name}"
                 if isinstance(child, ast.FunctionDef) and any(
-                        isinstance(call, ast.Call) and match(call) for call in ast.walk(child)):
+                        isinstance(inner, kind) and match(inner) for inner in ast.walk(child)):
                     found.add(name)
                 visit(child, name)
             else:

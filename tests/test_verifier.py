@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -202,6 +203,116 @@ class TestFieldProvenance:
         assert rec.fields["spectral_max"].computed == "24.0"
 
 
+def _floated(monkeypatch, point, source):
+    """Patch ``source``, as the verifier binds it, so that the value it
+    gives for ``point`` reads as a float. A ``DistanceVector`` attribute is
+    floated on the vector of the complement (the base for ``diameter``),
+    and the routing bounds and the report then read a plain copy of it."""
+    real = {name: getattr(verifier, name) for name in (
+        "distance_vector", "vertex_forwarding_index", "edge_forwarding_bounds",
+        "report_from_distance_vector")}
+    if source in ("degree", "transmission", "reciprocal_transmission", "diameter"):
+        floated = type("Floated", (DistanceVector,), {
+            source: property(lambda dv: float(getattr(DistanceVector(dv.n, dv.d), source)))})
+        base = base_spec(point)
+        target = base if source == "diameter" else complement_spec(base)
+        monkeypatch.setattr(verifier, "distance_vector", lambda spec: floated(
+            spec.n, real["distance_vector"](spec).d) if spec == target
+            else real["distance_vector"](spec))
+        for name in ("vertex_forwarding_index", "edge_forwarding_bounds",
+                     "report_from_distance_vector"):
+            monkeypatch.setattr(verifier, name,
+                                lambda dv, name=name: real[name](DistanceVector(dv.n, dv.d)))
+    elif source == "vertex_forwarding_index":
+        monkeypatch.setattr(verifier, source, lambda dv: float(real[source](dv)))
+    elif source in ("pi_lower", "pi_upper"):
+        side = source == "pi_upper"
+        monkeypatch.setattr(verifier, "edge_forwarding_bounds", lambda dv: tuple(
+            float(v) if i == side else v
+            for i, v in enumerate(real["edge_forwarding_bounds"](dv))))
+    else:
+        name = source.removeprefix("indices.")
+
+        def report(dv):
+            got = real["report_from_distance_vector"](dv)
+            exact = dict(got.exact)
+            if name in exact:
+                exact[name] = float(exact[name])
+            else:
+                got = dataclasses.replace(got, **{name: float(getattr(got, name))})
+            got.__dict__["exact"] = exact  # the cached value, read before any build
+            return got
+
+        monkeypatch.setattr(verifier, "report_from_distance_vector", report)
+
+
+# a computed source the verifier reads -> the exact fields it feeds; an
+# index "indices.<name>" feeds only its own field
+FLOAT_FEEDS = {
+    "degree": {"degree"},
+    "transmission": {"rho"},
+    "reciprocal_transmission": {"rs"},
+    "vertex_forwarding_index": {"xi", "xi_witness"},
+    "pi_lower": {"pi_lower"},
+    "pi_upper": {"pi_upper"},
+    "diameter": {"base_diameter"},
+}
+
+
+def _exact_sources(point):
+    """Every source of an exact field of ``point``."""
+    pred = predict(point)
+    scalars = [s for s in FLOAT_FEEDS if s != "diameter" or pred.base_diameter is not None]
+    return scalars + [f"indices.{name}" for name, value in pred.indices.items()
+                      if isinstance(value, Fraction)]
+
+
+def _fed(source):
+    return FLOAT_FEEDS.get(source, {source.removeprefix("indices.")})
+
+
+def _case_id(value):
+    """A point as "<family>-<n>", and a source as it is."""
+    return f"{value.family.value}-{value.n}" if hasattr(value, "family") else value
+
+
+class TestExactFieldsFailClosed:
+    """A computed float equal to an exact prediction fails its field: each
+    engine source, as the verifier binds it, returns float(value) in turn,
+    and exactly the fields it feeds fail."""
+
+    POINTS = (multiplicative_point(2, 4), double_loop_gen_point(20, 3))
+    CASES = [(point, source) for point in POINTS for source in _exact_sources(point)]
+
+    def test_cases_cover_every_exact_field(self):
+        assert len(self.CASES) == 7 + 13 + 6 + 13
+        for point in self.POINTS:
+            rec = verify_point(point)
+            assert rec.passed
+            exact = {name for name, check in rec.fields.items()
+                     if name not in ("distance_vector", "spectral_max")
+                     and not isinstance(predict(point).indices.get(name, 0), float)}
+            fed = set().union(*map(_fed, _exact_sources(point)))
+            assert fed == exact, point
+
+    @pytest.mark.parametrize("point, source", CASES, ids=_case_id)
+    def test_a_float_computed_value_fails_exactly_its_fields(self, monkeypatch, point, source):
+        _floated(monkeypatch, point, source)
+        rec = verify_point(point)
+        assert set(rec.mismatches()) == _fed(source)
+        assert not rec.passed
+
+    def test_the_float_texts(self, monkeypatch):
+        _floated(monkeypatch, self.POINTS[0], "vertex_forwarding_index")
+        rec = verify_point(self.POINTS[0])
+        assert rec.fields["xi"].computed == "7.0" and rec.fields["xi"].predicted == "7"
+        assert rec.fields["xi_witness"].computed == "min=7.0,max=7.0"
+        monkeypatch.undo()
+        _floated(monkeypatch, self.POINTS[1], "pi_upper")
+        check = verify_point(self.POINTS[1]).fields["pi_upper"]
+        assert (check.match, check.predicted, check.computed) == (False, "14", "14.0")
+
+
 class TestSweeps:
     def test_half_sweep_flags_small_k(self):
         recs = verify_sweep(double_loop_half_points(2, 12))
@@ -376,6 +487,49 @@ class TestCountTable:
                   + c7_points() + multiplicative_points(256))
         recs = verify_sweep(points)
         assert built == [r.point for r in recs if r.domain_status is DomainStatus.IN_DOMAIN]
+
+    def test_three_sums_per_key_and_none_for_a_base_vector(self, monkeypatch):
+        from circan import indices, metrics
+
+        sums, summed, bases, last_base = [0], [], [], [None]
+        real_sums, real_transmission = metrics.distance_sums, metrics.DistanceVector.transmission
+        real_base, real_bfs = verifier.base_spec, verifier.distance_vector
+
+        def counted_sums(rows):
+            sums[0] += 1
+            return real_sums(rows)
+
+        def counted_transmission(dv):
+            summed.append(dv)
+            return real_transmission.func(dv)
+
+        def counted_base(point):
+            last_base[0] = real_base(point)
+            return last_base[0]
+
+        def counted_bfs(spec):
+            dv = real_bfs(spec)
+            if spec is last_base[0]:
+                bases.append(dv)
+            return dv
+
+        transmission = functools.cached_property(counted_transmission)
+        transmission.__set_name__(metrics.DistanceVector, "transmission")
+        monkeypatch.setattr(metrics.DistanceVector, "transmission", transmission)
+        monkeypatch.setattr(metrics, "distance_sums", counted_sums)
+        monkeypatch.setattr(indices, "distance_sums", counted_sums)
+        monkeypatch.setattr(verifier, "base_spec", counted_base)
+        monkeypatch.setattr(verifier, "distance_vector", counted_bfs)
+        recs = verify_sweep(multiplicative_points(256))
+        in_domain = [r for r in recs if r.domain_status is DomainStatus.IN_DOMAIN]
+        keys = {(r.point.family, r.point.n, r.point.h) for r in in_domain}
+        # per key one sum for rs, one for the index report and one for
+        # predict's consistency check
+        assert sums[0] == 3 * len(keys)
+        # each in-domain point, here one per key, reads a base vector's
+        # diameter and never its sums
+        assert len(bases) == len(in_domain) == len(keys)
+        assert summed and {id(dv) for dv in summed}.isdisjoint(map(id, bases))
 
     def test_base_diameter_only_for_multiplicative_families(self):
         recs = verify_sweep(double_loop_gen_points(8, 16) + double_loop_half_points(2, 12)
