@@ -342,9 +342,9 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         "graph": {"n": spec.n, "jumps": list(spec.jumps), "degree": dv.degree,
                   "edge_count": spec.n * dv.degree // 2},
         "metrics": {
-            "transmission": dv.transmission,
+            "transmission": report.transmission,
             "reciprocal_transmission": _fraction_str("reciprocal_transmission",
-                                                     dv.reciprocal_transmission),
+                                                     report.reciprocal_transmission),
             "diameter": dv.diameter,
             # first row of the circulant distance matrix; row i is this
             # vector rotated by i (the read-only array, written by the
@@ -352,7 +352,7 @@ def cmd_analyze(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             "distance_vector": dv.d,
         },
         "spectrum": {
-            "rho": dv.transmission,
+            "rho": report.transmission,
             "radius_float": float(spectral_radii(dv.d)),
         },
         "forwarding": {

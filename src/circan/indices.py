@@ -68,8 +68,8 @@ INDEX_FIELDS = PAIR_FIELDS + TRANSMISSION_FIELDS + RECIPROCAL_FIELDS
 
 @dataclass(frozen=True)
 class IndexReport:
-    """All seventeen index values plus the provably-exact subset, built when
-    ``exact`` is first read."""
+    """All seventeen index values, the provably-exact subset, built when
+    ``exact`` is first read, and a circulant's (one count row's) sums."""
 
     wiener: Fraction
     hyper_wiener: Fraction
@@ -91,6 +91,8 @@ class IndexReport:
     # the arguments of _exact_edge_values for the t and rt kinds, as
     # _edge_indices returned them
     _exact_parts: tuple[tuple, tuple] = field(compare=False, repr=False)
+    transmission: int | None = field(default=None, compare=False, repr=False)
+    reciprocal_transmission: Fraction | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def exact(self) -> dict[str, Fraction]:
@@ -208,8 +210,11 @@ def _report(pair_stats: tuple[list[int], ...], rows: list[list[int]],
             Fraction(gutman), additive, multiplicative)
     t_fields, t_exact = _edge_indices("t", group_edges(sums[4:]), 1)
     rt_fields, rt_exact = _edge_indices("rt", group_edges(numerators[4:]), denom)
+    one_row = {}
+    if len(rows) == 1:
+        one_row = {"transmission": sums[4], "reciprocal_transmission": Fraction(numerators[4], denom)}
     return IndexReport(**dict(zip(PAIR_FIELDS, pair)), **t_fields, **rt_fields,
-                       _exact_parts=(t_exact, rt_exact))
+                       _exact_parts=(t_exact, rt_exact), **one_row)
 
 
 def full_report(g: GenericGraph) -> IndexReport:

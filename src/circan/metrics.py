@@ -23,12 +23,18 @@ That BFS has two sides, chosen by the spec alone:
   the connection row). The degree is the row's bit count, and the offsets
   are read from the spec only when a level pushes; the dense complements
   this package studies only pull, in a handful of big-int operations.
+  Level L is ORed into bit plane b for each bit b of L, so a diameter-D
+  spec keeps floor(log2 D) + 1 planes; ``distance_stack`` unpacks those of
+  k specs of one order at once into a (k, n) array (``distance_vector`` is
+  its one-row case), and ``eccentricity`` counts levels with no array.
 
-The same level loop (``_levels``) drives ``bfs_layering_fault``, which
-certifies a claimed vector layer by layer. ``distance_sums`` forms every
-sum of d * c_d and, exactly over L = lcm(1..D), of c_d / d over count rows;
-a ``DistanceVector`` sums its own counts only when its transmission is
-first read, so a vector read only for its diameter never sums.
+The same level loop (``_levels``) drives ``layering_faults``, which
+certifies each row of a claimed stack against its spec's levels, run again
+from the spec (``bfs_layering_fault`` is its one-row case).
+``distance_sums`` forms every sum of d * c_d and, exactly over
+L = lcm(1..D), of c_d / d over count rows; a ``DistanceVector`` sums its
+own counts only when its transmission is first read, so a vector read
+only for its diameter never sums.
 """
 
 from __future__ import annotations
@@ -36,9 +42,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
-from typing import Iterator
+from functools import cached_property, reduce
+from operator import mul, or_
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -62,9 +68,9 @@ class DistanceVector:
     """Distances from vertex 0 of a connected circulant graph.
 
     This is the first row of the (circulant) distance matrix. Its distance
-    counts are computed once, on construction; the degree and diameter read
-    them, and the transmission and reciprocal transmission are summed from
-    them once, when first read.
+    counts are computed once, on construction, by :func:`stack_counts`; the
+    degree and diameter read them, and the transmission and reciprocal
+    transmission are summed from them once, when first read.
     """
 
     n: int
@@ -73,26 +79,19 @@ class DistanceVector:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.d, dtype=np.int64)
-        if arr.shape != (self.n,):
-            raise InvariantError(f"expected {self.n} entries, got shape {arr.shape}")
-        if arr[0] != 0:
-            raise InvariantError("distance to vertex 0 must be 0")
-        rest = arr[1:]
-        # As unsigned a negative entry is >= n too; the counts are max + 1 long.
-        too_far = arr.view(np.uint64).max() >= self.n
-        counts = None if too_far else np.bincount(arr)
-        if rest.min() < 1 if too_far else counts[0] != 1:
-            raise InvariantError("all distances from vertex 0 must be positive")
-        if rest.tobytes() != rest[::-1].tobytes():
-            raise InvariantError("circulant distance vector must satisfy d[v] == d[n-v]")
-        if too_far:
-            raise InvariantError("every distance from vertex 0 must be below n")
+        (counts,) = stack_counts(self.n, arr[np.newaxis])
         if arr.flags.writeable:
             arr = arr.copy()
             arr.setflags(write=False)
-        counts.setflags(write=False)
-        object.__setattr__(self, "d", arr)
-        object.__setattr__(self, "_counts", counts)
+        self.__dict__.update(d=arr, _counts=counts)
+
+    @classmethod
+    def of_checked_row(cls, row: np.ndarray, counts: np.ndarray) -> DistanceVector:
+        """The vector of a read-only stack row :func:`stack_counts` checked,
+        with the counts it gave for that row, checked no second time."""
+        dv = object.__new__(cls)
+        dv.__dict__.update(n=row.size, d=row, _counts=counts)
+        return dv
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DistanceVector):
@@ -123,6 +122,28 @@ class DistanceVector:
         """counts[d] = number of vertices at distance d from vertex 0
         (read-only)."""
         return self._counts
+
+
+def stack_counts(n: int, stack: np.ndarray) -> list[np.ndarray]:
+    """Each row's read-only distance counts, once every row of the int64
+    ``stack`` has n entries, 0 at vertex 0 only, d[v] == d[n - v] and all
+    below n; else :class:`InvariantError` names the first one some row breaks."""
+    if stack.shape[1:] != (n,):
+        raise InvariantError(f"expected {n} entries, got shape {stack.shape[1:]}")
+    if np.count_nonzero(stack[:, 0]):
+        raise InvariantError("distance to vertex 0 must be 0")
+    rest = stack[:, 1:]
+    # As unsigned a negative entry is >= n too.
+    too_far = stack.view(np.uint64).max() >= n
+    if rest.min() < 1 if too_far else np.count_nonzero(rest) < rest.size:
+        raise InvariantError("all distances from vertex 0 must be positive")
+    if rest.tobytes() != rest[:, ::-1].tobytes():
+        raise InvariantError("circulant distance vector must satisfy d[v] == d[n-v]")
+    if too_far:
+        raise InvariantError("every distance from vertex 0 must be below n")
+    for row in (counts := [np.bincount(stack[i]) for i in range(len(stack))]):
+        row.setflags(write=False)
+    return counts
 
 
 def distance_counts(g: GenericGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -175,35 +196,55 @@ def _column(n: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return column
 
 
-def _bitset(mask: np.ndarray) -> int:
-    """Python int with bit v set exactly where ``mask[v]`` is True."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+_PLANE_WEIGHTS = np.array([-1] + [1 << b for b in range(62)])
+_PLANE_WEIGHTS.setflags(write=False)
 
 
-def _mask(bits: int, n: int) -> np.ndarray:
-    """Inverse of :func:`_bitset`: the length-n boolean mask of ``bits``."""
-    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
-
-
-def _circulant_bfs(spec: CirculantSpec) -> np.ndarray:
-    """Hop counts from vertex 0 of ``spec``; -1 marks unreachable vertices."""
-    n = spec.n
-    dist = np.full(n, -1, dtype=np.int64)
-    row = spec.row
-    if row.bit_count() <= 2:
-        # One jump j, the lowest bit: level t is {t j, -t j} mod n, up to half the orbit.
-        j = (row & -row).bit_length() - 1
+def distance_stack(specs: Sequence[CirculantSpec]) -> np.ndarray:
+    """Hop counts from vertex 0 of specs of one order n, a read-only (k, n)
+    int64 array. A one-jump row is its orbit; every other spec's levels are
+    ORed, as they come, into planes 1.. of their hop counts' bits, and plane
+    0, weighted -1, holds the vertices that no level holds (unreached)."""
+    n = specs[0].n
+    planes, orbits = [], []
+    for i, spec in enumerate(specs):
+        row = spec.row
+        bits = [row]
+        if row.bit_count() <= 2:
+            orbits.append((i, (row & -row).bit_length() - 1))
+        else:
+            for depth, level in enumerate(_levels(spec), start=2):
+                bits += [0] * (depth.bit_length() - len(bits))
+                for b in range(depth.bit_length()):
+                    if depth >> b & 1:
+                        bits[b] |= level
+        planes.append([((1 << n) - 2) ^ reduce(or_, bits), *bits])
+    depth = max(map(len, planes))
+    width = (n + 7) // 8
+    raw = b"".join([plane.to_bytes(width, "little")
+                    for bits in planes for plane in bits + [0] * (depth - len(bits))])
+    flat = np.frombuffer(raw, np.uint8).reshape(len(specs), depth, width)
+    stack = _PLANE_WEIGHTS[:depth] @ np.unpackbits(flat, axis=2, count=n, bitorder="little")
+    for i, j in orbits:  # level t is {t j, -t j} mod n, up to half the orbit
         level = np.arange(n // math.gcd(n, j) // 2 + 1)
         ahead = level * j % n
-        dist[-ahead % n] = level
-        dist[ahead] = level
-        return dist
-    dist[0] = 0
-    dist[_mask(row, n)] = 1
-    for level, bits in enumerate(_levels(spec), start=2):
-        dist[_mask(bits, n)] = level
-    return dist
+        stack[i, -ahead % n] = level
+        stack[i, ahead] = level
+    stack.setflags(write=False)
+    return stack
+
+
+def eccentricity(spec: CirculantSpec) -> int:
+    """Largest distance from vertex 0 of ``spec`` from its orbit or level
+    count, with no array; :class:`DisconnectedGraphError` if disconnected."""
+    n, row = spec.n, spec.row
+    if row.bit_count() <= 2:
+        depth, level = n // 2, math.gcd(n, (row & -row).bit_length() - 1) == 1
+    else:  # the last level and its depth
+        depth, level = max(enumerate(_levels(spec), start=2), default=(1, row))
+    if not level:
+        raise DisconnectedGraphError(f"{spec} is disconnected")
+    return depth
 
 
 def _levels(spec: CirculantSpec) -> Iterator[int]:
@@ -245,59 +286,64 @@ def _next_level(n: int, row: int, offsets: tuple[int, ...], frontier: int, unrea
     return (reach | (reach >> n)) & unreached
 
 
+def layering_faults(specs: Sequence[CirculantSpec], stack: np.ndarray,
+                    counts: list[np.ndarray]) -> list[str | None]:
+    """Certify each row of a (k, n) ``stack``, whose ``counts``
+    :func:`stack_counts` gave, as the BFS layering of its spec from vertex
+    0: None for a row that is one, else the first of these conditions that
+    fails, naming a vertex: (a) d == 1 exactly on the connection row, (b)
+    every vertex at d >= 2 has a neighbour at d - 1, (c) no edge joins
+    levels more than one apart. By (b) d(v) is at least the distance and by
+    (c) at most; by rotation the root's layering fixes every pair. After
+    (a), each claimed layer d == L, packed across the
+    stack once, is compared with level L of the spec's own BFS (``_levels``,
+    run again): while the layers before agree, a vertex of layer L missing
+    from level L fails (b), one of level L beyond layer L fails (c), up to
+    the row's largest entry."""
+    width = (stack.shape[1] + 7) // 8
+    layers = np.packbits(stack == 1, axis=1, bitorder="little").tobytes()
+    faults, live = [None] * len(specs), []
+    for i, spec in enumerate(specs):
+        row = spec.row
+        if wrong := int.from_bytes(layers[i * width : (i + 1) * width], "little") ^ row:
+            v = (wrong & -wrong).bit_length() - 1
+            faults[i] = (f"(a) vertex {v} is adjacent to 0 at d={stack[i, v]}" if row >> v & 1
+                         else f"(a) vertex {v} at d=1 is not adjacent to 0")
+        elif (top := len(counts[i]) - 1) > 1:
+            live.append((i, _levels(spec), top))
+    for level in range(2, max(map(len, counts))):
+        layers = np.packbits(stack == level, axis=1, bitorder="little").tobytes()
+        rest = []
+        for i, levels, top in live:
+            layer = int.from_bytes(layers[i * width : (i + 1) * width], "little")
+            reached = next(levels, 0)
+            if missing := layer & ~reached:
+                v = (missing & -missing).bit_length() - 1
+                faults[i] = f"(b) vertex {v} at d={level} has no neighbour at d={level - 1}"
+            elif skip := reached ^ layer:
+                v = (skip & -skip).bit_length() - 1
+                faults[i] = f"(c) vertex {v} at d={stack[i, v]} has a neighbour at d={level - 1}"
+            elif top > level:
+                rest.append((i, levels, top))
+        live = rest
+    return faults
+
+
 def bfs_layering_fault(spec: CirculantSpec, dv: DistanceVector) -> str | None:
-    """Certify ``dv`` as the BFS layering of ``spec`` from vertex 0: None
-    when it is one, else the first condition that fails, naming a vertex.
-
-    The conditions are (a) d == 1 exactly on the connection row, (b) every
-    vertex at d >= 2 has a neighbour at d - 1 and (c) no edge joins levels
-    more than one apart. By (b) a walk of length d(v) reaches 0, so d(v) is
-    at least the distance; by (c) d grows by at most one along each step of
-    a shortest path, so d(v) is at most the distance. By rotation the
-    root's layering fixes every pair.
-
-    After (a), each claimed layer d == L is compared with the BFS's level L
-    (``_levels``). While the layers before it agree with the levels, level
-    L is the set of vertices at d >= L adjacent to layer L - 1: a vertex of
-    layer L left out of it fails (b), one of it beyond layer L fails (c).
-    """
-    n = spec.n
-    if dv.n != n:
-        raise InvariantError(f"distance vector has order {dv.n}, spec has {n}")
-    d = dv.d
-    row = spec.row
-    wrong = _bitset(d == 1) ^ row
-    if wrong:
-        v = (wrong & -wrong).bit_length() - 1
-        if row >> v & 1:
-            return f"(a) vertex {v} is adjacent to 0 at d={d[v]}"
-        return f"(a) vertex {v} at d=1 is not adjacent to 0"
-    levels = _levels(spec)
-    for level in range(2, dv.diameter + 1):
-        layer = _bitset(d == level)
-        reached = next(levels, 0)
-        missing = layer & ~reached
-        if missing:
-            v = (missing & -missing).bit_length() - 1
-            return f"(b) vertex {v} at d={level} has no neighbour at d={level - 1}"
-        if reached != layer:
-            skip = reached ^ layer
-            v = (skip & -skip).bit_length() - 1
-            return f"(c) vertex {v} at d={d[v]} has a neighbour at d={level - 1}"
-    return None
+    """:func:`layering_faults` of ``dv`` as the BFS layering of ``spec``."""
+    if dv.n != spec.n:
+        raise InvariantError(f"distance vector has order {dv.n}, spec has {spec.n}")
+    return layering_faults([spec], dv.d[np.newaxis], [dv.distance_counts()])[0]
 
 
 def distance_vector(spec: CirculantSpec) -> DistanceVector:
-    """BFS distances from vertex 0 of the circulant graph ``spec``.
-
-    Raises :class:`DisconnectedGraphError` when gcd-type obstructions leave
-    part of the vertex set unreachable.
-    """
-    dist = _circulant_bfs(spec)
-    if dist.min() < 0:
+    """BFS distances from vertex 0 of the circulant graph ``spec``, the
+    one-row :func:`distance_stack`. Raises :class:`DisconnectedGraphError`
+    when gcd-type obstructions leave part of the vertex set unreachable."""
+    stack = distance_stack([spec])
+    if stack.min() < 0:
         raise DisconnectedGraphError(f"{spec} is disconnected")
-    dist.setflags(write=False)  # a fresh array: DistanceVector keeps it, uncopied
-    return DistanceVector(spec.n, dist)
+    return DistanceVector(spec.n, stack[0])  # read-only: kept uncopied
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ matches one. The four square-root-valued indices are compared at
 (1e-6) relative, and a NaN or infinite value on either side never matches
 (``_close_finite``); no option changes these module constants. The
 ``xi_witness`` field certifies the computed vector as the complement's BFS
-layering (``metrics.bfs_layering_fault``), the BFS tree of the
+layering (``metrics.layering_faults``), the BFS tree of the
 rotation-invariant shortest-path routing, whose uniform vertex load
 rho - (n - 1) it compares with the predicted forwarding index; a refused
 layering fails the field and names the condition that failed.
@@ -30,16 +30,19 @@ order. ``predict`` runs only when a key is first met and hands over that
 point's predicted vector; every later point builds its own. The key leaves
 out the predicted vector's counts, which depend on (family, n, h) alone; a
 point whose own vector is wrong still fails its ``distance_vector`` field.
-The table keeps the checks, the predicted rho, xi and base diameter, and
-lives for one sweep (one worker chunk under ``jobs``).
+``rho`` and ``rs`` read the index report's sums. The table keeps each key's
+fields in ``FIELD_ORDER``, its predicted rho and base diameter, and lives
+for one sweep (one worker chunk under ``jobs``).
 
 A chunk takes consecutive points of one order n in blocks of at most
-``_STACK_ENTRIES`` // n. Each point's BFS, count-table entry, witness and
-base diameter come first, its specs then dropped; one comparison of the
-block's stacked (k, n) computed and predicted vectors gives every
-``distance_vector`` match, and one transform every numeric spectral radius,
-the half transform's maximum (``spectral.spectral_radii``), checked
-against the predicted rho.
+``_STACK_ENTRIES`` // n and runs each stage once per block, in order: the
+specs; one (k, n) stack of hop counts (``metrics.distance_stack``); one
+check of its in-domain rows (``metrics.stack_counts``), giving their count
+keys; the count table, a new key's ``predict`` and checks on its one
+``DistanceVector``, and the base diameters (``metrics.eccentricity``); one
+certificate pass (``metrics.layering_faults``); one comparison of the
+stacked computed and predicted vectors, and one transform whose half
+maximum (``spectral.spectral_radii``) is checked against the predicted rho.
 
 Out-of-domain parameters are still swept: they produce flagged records (the
 observed obstruction goes into the note) rather than assertions, so a sweep
@@ -49,8 +52,6 @@ An in-domain point that cannot be checked fails.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -58,12 +59,12 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import complement_spec
-from .errors import DisconnectedGraphError, EmptyComplementError, InputError
+from .errors import EmptyComplementError, InputError
 from .families import (
     DomainStatus,
     Family,
@@ -76,7 +77,7 @@ from .families import (
     predicted_distance_vector,
 )
 from .indices import INDEX_FIELDS, report_from_distance_vector
-from .metrics import DistanceVector, bfs_layering_fault, distance_vector
+from .metrics import DistanceVector, distance_stack, eccentricity, layering_faults, stack_counts
 from .routing import edge_forwarding_bounds, vertex_forwarding_index
 from .spectral import spectral_radii
 
@@ -131,97 +132,94 @@ def _close_finite(a: float, b: float, tol: float) -> bool:
 def _vector_repr(d: np.ndarray) -> str:
     if d.shape[0] <= 64:
         return str(d.tolist())
-    far = {}
-    for v in np.flatnonzero(d > 1):
-        far.setdefault(int(d[v]), []).append(int(v))
-    body = ";".join(f"d{dist}@{pos}" for dist, pos in sorted(far.items()))
+    far = (d > 1).nonzero()[0]
+    groups = {}
+    for v, dist in zip(far.tolist(), d[far].tolist()):
+        groups.setdefault(dist, []).append(v)
+    body = ";".join(f"d{dist}@{pos}" for dist, pos in sorted(groups.items()))
     return f"n={d.shape[0]};ones=rest;{body}"
 
 
-class _Found(NamedTuple):
-    """One point's status, note and checks, and the vectors its block stacks."""
-    status: DomainStatus
-    note: str
-    checks: dict[str, FieldCheck]
-    dv: DistanceVector | None = None
-    predicted: np.ndarray | None = None
-    rho: int | None = None
-
-
-def verify_point(point: FamilyPoint, *, _found: _Found | None = None) -> VerificationRecord:
+def verify_point(point: FamilyPoint, *, _found: tuple | None = None) -> VerificationRecord:
     """Compare every closed form for one parameter point against brute force;
     ``_found`` is its ``_brute_force`` result in the calling chunk."""
-    if _found is None:
-        (_found,) = _brute_force([point], {})
-    fields = {name: _found.checks[name] for name in FIELD_ORDER if name in _found.checks}
-    return VerificationRecord(point, _found.status, _found.note, fields)
+    return VerificationRecord(point, *(_found or _brute_force([point], {})[0]))
 
 
-def _brute_force(points: Sequence[FamilyPoint], table: dict) -> list[_Found]:
-    """Each point's result, for points of one order: every point's own checks
-    first, then one stacked vector comparison and one stacked transform."""
-    found = [_point_checks(point, table) for point in points]
-    rows = [f for f in found if f.dv is not None]
-    if rows:
-        computed = np.array([f.dv.d for f in rows])
-        matches = (computed == np.array([f.predicted for f in rows])).all(axis=1).tolist()
-        for f, match, dft_max in zip(rows, matches, spectral_radii(computed).tolist()):
-            text = _vector_repr(f.dv.d)
-            f.checks["distance_vector"] = FieldCheck(
-                match, text if match else _vector_repr(f.predicted), text)
-            f.checks["spectral_max"] = FieldCheck(
-                _close_finite(dft_max, float(f.rho), SPECTRAL_TOL), str(f.rho), repr(dft_max))
+def _brute_force(points: Sequence[FamilyPoint], table: dict) -> list[tuple]:
+    """Each point's status, note and checks, for points of one order, by
+    the block stages of the module docstring."""
+    found, block, comps = [], [], []  # block: the points with a complement
+    for point in points:
+        status, reason = domain_status(point)
+        base = base_spec(point)
+        try:
+            comps.append(complement_spec(base))
+        except EmptyComplementError:
+            found.append((status, _domain_note(status, reason, "complement is edgeless"), {}))
+            continue
+        block.append((len(found), point, status, reason, base))
+        found.append(None)
+    if not block:
+        return found
+    stack = distance_stack(comps)
+    rows = []
+    for j, low in enumerate(stack.min(axis=1).tolist() if stack.min() < 0 else [0] * len(stack)):
+        i, _, status, reason, _ = block[j]
+        if low >= 0 and status is DomainStatus.IN_DOMAIN:
+            rows.append(j)
+            continue
+        observed = "disconnected" if low < 0 else "connected; formulas not asserted"
+        found[i] = (status, _domain_note(status, reason, f"complement is {observed}"), {})
+    if not rows:
+        return found
+    computed = stack[rows] if len(rows) < len(stack) else stack
+    computed.setflags(write=False)
+    predicted, each = [], []
+    for j, row, row_counts in zip(rows, computed, counts := stack_counts(stack.shape[1], computed)):
+        i, point, status, _, base = block[j]
+        key = (point.family, point.n, point.h, row_counts.tobytes())
+        if key in table:
+            predicted.append(predicted_distance_vector(point))
+        else:
+            pred = predict(point)
+            predicted.append(pred.distance_vector)
+            dv = DistanceVector.of_checked_row(row, row_counts)
+            table[key] = (_count_checks(pred, dv), pred.rho, pred.base_diameter)
+        layout, rho, base_diameter = table[key]
+        checks = dict(layout)
+        if base_diameter is not None:
+            checks["base_diameter"] = _exact_check(base_diameter, eccentricity(base))
+        found[i] = (status, "", checks)
+        each.append((checks, rho))
+    faults = layering_faults([comps[j] for j in rows], computed, counts)
+    matches = (computed == np.array(predicted)).all(axis=1).tolist()
+    radii = spectral_radii(computed).tolist()
+    for (checks, rho), row, want, match, dft_max, fault in zip(
+            each, computed, predicted, matches, radii, faults):
+        text = _vector_repr(row)
+        checks["distance_vector"] = FieldCheck(match, text if match else _vector_repr(want), text)
+        checks["spectral_max"] = FieldCheck(
+            _close_finite(dft_max, float(rho), SPECTRAL_TOL), str(rho), repr(dft_max))
+        if fault is not None:
+            checks["xi_witness"] = FieldCheck(
+                False, checks["xi_witness"].predicted, f"not the BFS layering: {fault}")
     return found
 
 
-def _point_checks(point: FamilyPoint, table: dict) -> _Found:
-    """A point's result before the stacked checks, its specs dropped on
-    return; the first in-domain point of a key enters the key's checks."""
-    status, reason = domain_status(point)
-    base = base_spec(point)
-    try:
-        comp = complement_spec(base)
-        dv = distance_vector(comp)
-    except EmptyComplementError:
-        return _Found(status, _domain_note(status, reason, "complement is edgeless"), {})
-    except DisconnectedGraphError:
-        return _Found(status, _domain_note(status, reason, "complement is disconnected"), {})
-    if status is not DomainStatus.IN_DOMAIN:
-        observed = "complement is connected; formulas not asserted"
-        return _Found(status, _domain_note(status, reason, observed), {})
-    key = (point.family, point.n, point.h, dv.distance_counts().tobytes())
-    if key in table:
-        predicted = predicted_distance_vector(point)
-    else:
-        pred = predict(point)
-        predicted = pred.distance_vector
-        table[key] = (_count_checks(pred, dv), pred.rho, pred.xi, pred.base_diameter)
-    count_checks, rho, xi, base_diameter = table[key]
-    checks = dict(count_checks)
-    # A certified BFS layering is the witness of the rotation routing, whose
-    # every vertex carries rho - (n - 1).
-    fault, load = bfs_layering_fault(comp, dv), vertex_forwarding_index(dv)
-    witness = f"min={load},max={load}" if fault is None else f"not the BFS layering: {fault}"
-    check = _exact_check(xi, load)
-    checks["xi_witness"] = FieldCheck(fault is None and check.match, check.predicted, witness)
-    if base_diameter is not None:
-        checks["base_diameter"] = _exact_check(base_diameter, distance_vector(base).diameter)
-    return _Found(status, "", checks, dv, predicted, rho)
-
-
-def _count_checks(pred: Prediction, dv: DistanceVector) -> dict[str, FieldCheck]:
-    """The fields whose computed side reads only n and the distance counts.
-
-    A value predicted as a ``float`` is compared at ``FLOAT_TOL`` relative,
-    every other one by :func:`_exact_check`. An index's computed side is
-    the report's exact value, or its float when it has none, which fails an
-    exact prediction."""
+def _count_checks(pred: Prediction, dv: DistanceVector) -> dict[str, FieldCheck | None]:
+    """A key's fields in ``FIELD_ORDER``, those each point fills left None:
+    the ones whose computed side reads only n and the distance counts, and
+    the witness check of a certified layering. A ``float`` prediction is
+    compared at ``FLOAT_TOL`` relative, every other one by
+    :func:`_exact_check`; an index's computed side is the report's exact
+    value, or its float when it has none, which fails an exact prediction."""
     pi_lower, pi_upper = edge_forwarding_bounds(dv)
     report = report_from_distance_vector(dv)
     computed = {
         "degree": dv.degree,
-        "rho": dv.transmission,
-        "rs": dv.reciprocal_transmission,
+        "rho": report.transmission,
+        "rs": report.reciprocal_transmission,
         "xi": vertex_forwarding_index(dv),
         "pi_lower": pi_lower,
         "pi_upper": pi_upper,
@@ -230,18 +228,26 @@ def _count_checks(pred: Prediction, dv: DistanceVector) -> dict[str, FieldCheck]
     }
     predicted = {"degree": pred.degree, "rho": pred.rho, "rs": pred.rs, "xi": pred.xi,
                  "pi_lower": pred.pi_lower, "pi_upper": pred.pi_upper, **pred.indices}
-    return {
+    checks = dict.fromkeys(FIELD_ORDER) | {
         name: FieldCheck(_close_finite(got, want, FLOAT_TOL), repr(want), repr(got))
         if isinstance(want, float) else _exact_check(want, got)
         for name, want in predicted.items() for got in (computed[name],)
     }
+    # a certified layering's rotation routing loads every vertex with xi's computed side
+    xi, load = checks["xi"], checks["xi"].computed
+    checks["xi_witness"] = FieldCheck(xi.match, xi.predicted, f"min={load},max={load}")
+    if pred.base_diameter is None:
+        del checks["base_diameter"]
+    return checks
 
 
 def _exact_check(want, got) -> FieldCheck:
     """The check of an exact prediction: it matches only a computed ``int``
-    or ``Fraction`` equal to it, so a computed float never does. A match of
-    the prediction's own type is formatted once for both texts."""
-    match = type(got) in (int, Fraction) and got == want
+    or ``Fraction`` equal to it, so a computed float never does. Both sides
+    are compared as ratios in lowest terms, without ``Fraction.__eq__``'s
+    numeric-tower dispatch. A match of the prediction's own type is
+    formatted once for both texts."""
+    match = type(got) in (int, Fraction) and got.as_integer_ratio() == want.as_integer_ratio()
     if match and type(want) is type(got):
         text = str(want)
         return FieldCheck(True, text, text)
@@ -352,29 +358,34 @@ def _record_json(rec: VerificationRecord) -> str:
     )
 
 
+_CSV_HEADER = ",".join(["family", "n", "a", "m", "h", "status", "note", "passed"] + [
+    f"{field}_{part}" for field in FIELD_ORDER for part in ("match", "predicted", "computed")])
+
+
+def _csv_text(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field: quoted if it holds , " or LF."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def records_to_csv(records: Sequence[VerificationRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["family", "n", "a", "m", "h", "status", "note", "passed"]
-    for field in FIELD_ORDER:
-        header += [f"{field}_match", f"{field}_predicted", f"{field}_computed"]
-    writer.writerow(header)
+    """``csv.writer(buf, lineterminator="\n")`` rows, byte for byte: a header,
+    then per record its point, status, note, passed and each field's match,
+    predicted and computed; each shared ``FieldCheck`` is rendered once."""
+    rendered: dict[int, str] = {}
+    lines = [_CSV_HEADER]
     for rec in records:
-        row = [
-            rec.point.family.value,
-            rec.point.n,
-            "" if rec.point.a is None else rec.point.a,
-            "" if rec.point.m is None else rec.point.m,
-            "" if rec.point.h is None else rec.point.h,
-            rec.domain_status.value,
-            rec.note,
-            rec.passed,
-        ]
-        for field in FIELD_ORDER:
-            check = rec.fields.get(field)
+        p = rec.point
+        point = ",".join("" if v is None else str(v) for v in (p.a, p.m, p.h))
+        cells = [f"\n{p.family.value},{p.n},{point},{rec.domain_status.value},"
+                 f"{_csv_text(rec.note)},{rec.passed}"]
+        for check in map(rec.fields.get, FIELD_ORDER):
             if check is None:
-                row += ["", "", ""]
-            else:
-                row += [check.match, check.predicted, check.computed]
-        writer.writerow(row)
-    return buf.getvalue()
+                text = ",,,"
+            elif (text := rendered.get(id(check))) is None:
+                text = rendered[id(check)] = (
+                    f",{check.match},{_csv_text(check.predicted)},{_csv_text(check.computed)}")
+            cells.append(text)
+        lines.append("".join(cells))
+    return "".join(lines) + "\n"

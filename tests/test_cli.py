@@ -466,7 +466,8 @@ def _wrong_rho(monkeypatch):
 def _non_palindromic_bfs(monkeypatch):
     import circan.metrics as metrics_module
 
-    monkeypatch.setattr(metrics_module, "_circulant_bfs", lambda spec: np.arange(spec.n))
+    monkeypatch.setattr(metrics_module, "distance_stack",
+                        lambda specs: np.arange(specs[0].n)[np.newaxis])
 
 
 EXIT_CASES = [

@@ -275,13 +275,76 @@ class TestDistanceVectorInvariants:
         with pytest.raises(InvariantError, match=_FAULTS[fault][1]):
             DistanceVector(9, _broken(fault))
 
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    @pytest.mark.parametrize("fault", _PRECEDENCE[1:])
+    def test_a_fault_in_one_row_of_a_stack_raises_the_one_row_text(self, fault, row):
+        # a stack's rows share their length, so every invariant but the
+        # shape can break in one row alone
+        stack = np.array([_VALID] * 3, dtype=np.int64)
+        stack[row] = _broken(fault)
+        with pytest.raises(InvariantError) as info:
+            metrics.stack_counts(9, stack)
+        assert type(info.value) is InvariantError and str(info.value) == _FAULTS[fault][1]
+
+    def test_a_stack_of_another_width_raises_the_shape_text(self):
+        with pytest.raises(InvariantError) as info:
+            metrics.stack_counts(9, np.array([_broken("shape")] * 3))
+        assert str(info.value) == _FAULTS["shape"][1]
+
+    def test_a_stack_gives_each_rows_read_only_counts(self):
+        rows = [_VALID, (0, 1, 1, 1, 1, 1, 1, 1, 1), (0, 1, 2, 3, 4, 4, 3, 2, 1)]
+        counts = metrics.stack_counts(9, np.array(rows, dtype=np.int64))
+        assert [c.tolist() for c in counts] == [np.bincount(r).tolist() for r in rows]
+        assert [c.tolist() for c in counts] == [
+            DistanceVector(9, np.array(r)).distance_counts().tolist() for r in rows]
+        assert not any(c.flags.writeable for c in counts)
+
+
+@st.composite
+def same_order_specs(draw):
+    """One to four circulants of one order 2..300, each a sparse jump set or
+    its complement; disconnected ones among them."""
+    n = draw(st.integers(2, 300))
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        jumps = draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=6, unique=True))
+        spec = CirculantSpec.of(n, jumps)
+        if draw(st.booleans()) and spec.row != (1 << n) - 2:
+            spec = complement_spec(spec)
+        specs.append(spec)
+    return specs
+
 
 class TestCirculantBfsKernel:
+    @given(specs=same_order_specs())
+    @settings(max_examples=150, deadline=None)
+    def test_a_stack_is_its_rows_and_eccentricity_their_maxima(self, specs):
+        stack = metrics.distance_stack(specs)
+        assert stack.shape == (len(specs), specs[0].n) and not stack.flags.writeable
+        for spec, row in zip(specs, stack):
+            want = bfs_distances(build_circulant(spec), 0)
+            assert np.array_equal(row, want), spec
+            if (want < 0).any():
+                with pytest.raises(DisconnectedGraphError):
+                    metrics.eccentricity(spec)
+            else:
+                assert metrics.eccentricity(spec) == want.max()
+
+    @pytest.mark.parametrize("spec, side", KERNEL_CASES,
+                             ids=[_kernel_id(spec) for spec, _ in KERNEL_CASES])
+    def test_eccentricity_on_each_side(self, spec, side):
+        want = _queue_bfs_oracle(spec.n, spec.offsets())
+        if (want < 0).any():
+            with pytest.raises(DisconnectedGraphError):
+                metrics.eccentricity(spec)
+        else:
+            assert metrics.eccentricity(spec) == want.max()
+
     @given(spec=kernel_specs())
     @settings(max_examples=250, deadline=None)
     def test_matches_generic_bfs(self, spec):
         want = bfs_distances(build_circulant(spec), 0)
-        got = metrics._circulant_bfs(spec)
+        got = metrics.distance_stack([spec])[0]
         assert got.dtype == np.int64
         assert np.array_equal(got, want), spec
         if (want < 0).any():
@@ -295,7 +358,7 @@ class TestCirculantBfsKernel:
     def test_matches_queue_oracle_on_each_side(self, spec, side):
         assert _kernel_side(spec) == side
         want = _queue_bfs_oracle(spec.n, spec.offsets())
-        assert np.array_equal(metrics._circulant_bfs(spec), want)
+        assert np.array_equal(metrics.distance_stack([spec])[0], want)
         if (want < 0).any():
             with pytest.raises(DisconnectedGraphError):
                 distance_vector(spec)
@@ -641,10 +704,56 @@ class TestOneRoutePerDistanceFact:
             "verifier._brute_force"}
         assert _callers({"verifier.py": tree}, _calls_isclose) == {"verifier._close_finite"}
 
+    def test_one_function_turns_levels_into_hop_counts(self):
+        trees = _trees()
+        # the BFS levels become an array in distance_stack alone; the
+        # certificate and the eccentricity step them without one
+        metrics_tree = {"metrics.py": trees["metrics.py"]}
+        assert _callers(metrics_tree, _calls_named("unpackbits")) == {"metrics.distance_stack"}
+        assert _callers(trees, _calls_named("_levels")) == {
+            "metrics.distance_stack", "metrics.eccentricity", "metrics.layering_faults"}
+        assert _callers(trees, _calls_named("distance_stack")) == {
+            "metrics.distance_vector", "verifier._brute_force"}
+        assert not {"_circulant_bfs", "_mask", "_bitset"} & set().union(*map(_names, trees.values()))
+
+    def test_vectors_and_blocks_share_one_validator_and_one_certificate(self):
+        trees = _trees()
+        assert _callers(trees, _calls_named("stack_counts")) == {
+            "metrics.DistanceVector.__post_init__", "verifier._brute_force"}
+        # every invariant text of a distance vector is raised in stack_counts alone
+        texts = ("distance to vertex 0 must be 0", "distances from vertex 0 must be positive",
+                 "d[v] == d[n-v]", "from vertex 0 must be below n")
+        assert _callers(trees, lambda node: isinstance(node.value, str) and any(
+            text in node.value for text in texts), ast.Constant) == {"metrics.stack_counts"}
+        assert _callers(trees, _calls_named("layering_faults")) == {
+            "metrics.bfs_layering_fault", "verifier._brute_force"}
+        assert _callers(trees, lambda node: "(a) vertex" in str(node.value), ast.Constant) == {
+            "metrics.layering_faults"}
+
+    def test_verifier_builds_a_vector_only_for_a_new_key_and_imports_no_csv(self):
+        tree = _trees()["verifier.py"]
+        builds = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and "DistanceVector" in _names(node.func)]
+        assert len(builds) == 1
+        # the one build sits in the branch of a key not yet in the table
+        new_key, = [node for node in ast.walk(tree) if isinstance(node, ast.If)
+                    and isinstance(node.test, ast.Compare)
+                    and isinstance(node.test.ops[0], ast.In)
+                    and getattr(node.test.comparators[0], "id", None) == "table"]
+        assert any(node is builds[0] for stmt in new_key.orelse for node in ast.walk(stmt))
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert not {"csv", "io"} & imported
+
     def test_summary_reads_degrees_from_the_counts(self):
         summary, = [func for func in ast.walk(_trees()["metrics.py"])
                     if isinstance(func, ast.FunctionDef) and func.name == "metrics_summary"]
         assert "degrees" not in _names(summary)
+
+
+def _calls_named(name: str):
+    """A match of calls to ``name``, as a plain or an attribute call."""
+    return lambda call: name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
 
 
 def _calls_lcm(call: ast.Call) -> bool:

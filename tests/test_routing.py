@@ -255,14 +255,15 @@ def _claimed_frontier_fault(spec: CirculantSpec, dv: DistanceVector) -> str | No
 
 
 @st.composite
-def claimed_layerings(draw) -> tuple[CirculantSpec, DistanceVector]:
-    """A circulant of order 4..300 with one to five jumps, and its BFS
-    vector with zero to two palindromic changes. When it is disconnected,
-    the vertices the BFS misses sit one or two levels past the others."""
-    n = draw(st.integers(4, 300))
+def claimed_layerings(draw, n=None) -> tuple[CirculantSpec, DistanceVector]:
+    """A circulant of order ``n`` (drawn from 4..300 when None) with one to
+    five jumps, and its BFS vector with zero to two palindromic changes. When
+    it is disconnected, the vertices the BFS misses sit one or two levels
+    past the others."""
+    n = draw(st.integers(4, 300)) if n is None else n
     jumps = draw(st.lists(st.integers(1, n // 2), min_size=1, max_size=5, unique=True))
     spec = CirculantSpec.of(n, jumps)
-    d = metrics._circulant_bfs(spec)
+    d = metrics.distance_stack([spec])[0].copy()
     top = int(d.max()) + 2
     d[d < 0] = draw(st.integers(top - 1, top))
     top = min(n - 1, top)
@@ -280,6 +281,18 @@ class TestBfsCertificate:
     def test_equals_the_claimed_frontier_oracle(self, case):
         spec, dv = case
         assert bfs_layering_fault(spec, dv) == _claimed_frontier_fault(spec, dv)
+
+    @given(st.integers(4, 120).flatmap(
+        lambda n: st.lists(claimed_layerings(n), min_size=1, max_size=4)))
+    @settings(max_examples=150, deadline=None)
+    def test_a_stacked_pass_equals_each_row_alone(self, cases):
+        # rows of one order, each with its own spec, certified in one pass
+        specs = [spec for spec, _ in cases]
+        stack = np.array([dv.d for _, dv in cases])
+        counts = metrics.stack_counts(specs[0].n, stack)
+        faults = metrics.layering_faults(specs, stack, counts)
+        assert faults == [bfs_layering_fault(spec, dv) for spec, dv in cases]
+        assert faults == [_claimed_frontier_fault(spec, dv) for spec, dv in cases]
 
     def fault(self, d: list[int]) -> str | None:
         return bfs_layering_fault(self.C12, DistanceVector(12, np.array(d)))

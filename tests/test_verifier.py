@@ -20,6 +20,7 @@ from circan import (
     base_spec,
     c7_points,
     complement_spec,
+    distance_vector,
     domain_status,
     double_loop_gen_point,
     double_loop_gen_points,
@@ -75,13 +76,11 @@ class TestVerifyPoint:
         # the connection row skips level 2
         point = multiplicative_point(2, 4)
         comp = complement_spec(base_spec(point))
-        true = verifier.distance_vector(comp)
+        true = distance_vector(comp)
         v = int(np.flatnonzero(true.d == 2)[0])
         d = true.d.copy()
         d[[v, point.n - v]] = 3
-        real = verifier.distance_vector
-        monkeypatch.setattr(verifier, "distance_vector",
-                            lambda spec: DistanceVector(spec.n, d) if spec == comp else real(spec))
+        _replace_rows(monkeypatch, {comp: d})
         rec = verify_point(point)
         witness = rec.fields["xi_witness"]
         assert not witness.match
@@ -144,6 +143,21 @@ def _bumped(d):
     return d
 
 
+def _replace_rows(monkeypatch, rows):
+    """Patch the block's stack builder, as the verifier binds it, so that
+    the row of each spec in ``rows`` is the vector given for it."""
+    real = verifier.distance_stack
+
+    def stack(specs):
+        out = real(specs).copy()
+        for i, spec in enumerate(specs):
+            if spec in rows:
+                out[i] = rows[spec]
+        return out
+
+    monkeypatch.setattr(verifier, "distance_stack", stack)
+
+
 class TestFieldProvenance:
     """Each field's predicted side is the stated ``Prediction`` attribute,
     and its computed side reads the engine, not the prediction."""
@@ -187,13 +201,7 @@ class TestFieldProvenance:
 
     def test_a_wrong_computed_vector_fails_spectral_max_too(self, monkeypatch):
         comp = complement_spec(base_spec(self.POINT))
-        real = verifier.distance_vector
-
-        def wrong(spec):
-            dv = real(spec)
-            return DistanceVector(spec.n, _bumped(dv.d)) if spec == comp else dv
-
-        monkeypatch.setattr(verifier, "distance_vector", wrong)
+        _replace_rows(monkeypatch, {comp: _bumped(distance_vector(comp).d)})
         rec = verify_point(self.POINT)
         # only the degree, the edge-count indices and the base graph's
         # diameter do not read d[1] and d[n - 1]
@@ -205,24 +213,29 @@ class TestFieldProvenance:
 
 def _floated(monkeypatch, point, source):
     """Patch ``source``, as the verifier binds it, so that the value it
-    gives for ``point`` reads as a float. A ``DistanceVector`` attribute is
-    floated on the vector of the complement (the base for ``diameter``),
-    and the routing bounds and the report then read a plain copy of it."""
+    gives for ``point`` reads as a float. The degree is floated on the
+    complement's vector, which the routing bounds and the report then read
+    as a plain copy; the transmission and reciprocal transmission on the
+    index report, and the diameter on the base's eccentricity."""
     real = {name: getattr(verifier, name) for name in (
-        "distance_vector", "vertex_forwarding_index", "edge_forwarding_bounds",
+        "eccentricity", "vertex_forwarding_index", "edge_forwarding_bounds",
         "report_from_distance_vector")}
-    if source in ("degree", "transmission", "reciprocal_transmission", "diameter"):
+    if source == "degree":
         floated = type("Floated", (DistanceVector,), {
             source: property(lambda dv: float(getattr(DistanceVector(dv.n, dv.d), source)))})
-        base = base_spec(point)
-        target = base if source == "diameter" else complement_spec(base)
-        monkeypatch.setattr(verifier, "distance_vector", lambda spec: floated(
-            spec.n, real["distance_vector"](spec).d) if spec == target
-            else real["distance_vector"](spec))
+        monkeypatch.setattr(verifier, "DistanceVector", floated)
         for name in ("vertex_forwarding_index", "edge_forwarding_bounds",
                      "report_from_distance_vector"):
             monkeypatch.setattr(verifier, name,
                                 lambda dv, name=name: real[name](DistanceVector(dv.n, dv.d)))
+    elif source in ("transmission", "reciprocal_transmission"):
+        monkeypatch.setattr(verifier, "report_from_distance_vector", lambda dv: dataclasses.replace(
+            real["report_from_distance_vector"](dv),
+            **{source: float(getattr(real["report_from_distance_vector"](dv), source))}))
+    elif source == "diameter":
+        base = base_spec(point)
+        monkeypatch.setattr(verifier, "eccentricity", lambda spec: float(
+            real["eccentricity"](spec)) if spec == base else real["eccentricity"](spec))
     elif source == "vertex_forwarding_index":
         monkeypatch.setattr(verifier, source, lambda dv: float(real[source](dv)))
     elif source in ("pi_lower", "pi_upper"):
@@ -431,11 +444,7 @@ class TestSweeps:
         # witness fails instead of raising
         point = double_loop_gen_point(10, 2)
         bad = DistanceVector(10, np.array([0, 1, 2, 4, 4, 5, 4, 4, 2, 1]))
-        real = verifier.distance_vector
-        monkeypatch.setattr(
-            verifier, "distance_vector",
-            lambda spec: bad if spec == complement_spec(base_spec(point)) else real(spec),
-        )
+        _replace_rows(monkeypatch, {complement_spec(base_spec(point)): bad.d})
         rec = verify_point(point)
         witness = rec.fields["xi_witness"]
         assert not witness.match and not rec.passed
@@ -488,12 +497,14 @@ class TestCountTable:
         recs = verify_sweep(points)
         assert built == [r.point for r in recs if r.domain_status is DomainStatus.IN_DOMAIN]
 
-    def test_three_sums_per_key_and_none_for_a_base_vector(self, monkeypatch):
+    def test_two_sums_per_key_and_no_base_vector(self, monkeypatch):
         from circan import indices, metrics
 
-        sums, summed, bases, last_base = [0], [], [], [None]
+        sums, summed, bases, built = [0], [], [], []
         real_sums, real_transmission = metrics.distance_sums, metrics.DistanceVector.transmission
-        real_base, real_bfs = verifier.base_spec, verifier.distance_vector
+        real_base, real_eccentricity = verifier.base_spec, verifier.eccentricity
+        real_post_init, real_of_row = (metrics.DistanceVector.__post_init__,
+                                       metrics.DistanceVector.of_checked_row.__func__)
 
         def counted_sums(rows):
             sums[0] += 1
@@ -504,32 +515,42 @@ class TestCountTable:
             return real_transmission.func(dv)
 
         def counted_base(point):
-            last_base[0] = real_base(point)
-            return last_base[0]
+            bases.append(real_base(point))
+            return bases[-1]
 
-        def counted_bfs(spec):
-            dv = real_bfs(spec)
-            if spec is last_base[0]:
-                bases.append(dv)
-            return dv
+        def counted_eccentricity(spec):
+            assert spec is bases[-1]
+            return real_eccentricity(spec)
+
+        def counted_post_init(dv):
+            built.append(dv)
+            real_post_init(dv)
+
+        def counted_of_row(cls, row, counts):
+            built.append(real_of_row(cls, row, counts))
+            return built[-1]
 
         transmission = functools.cached_property(counted_transmission)
         transmission.__set_name__(metrics.DistanceVector, "transmission")
         monkeypatch.setattr(metrics.DistanceVector, "transmission", transmission)
+        monkeypatch.setattr(metrics.DistanceVector, "__post_init__", counted_post_init)
+        monkeypatch.setattr(metrics.DistanceVector, "of_checked_row", classmethod(counted_of_row))
         monkeypatch.setattr(metrics, "distance_sums", counted_sums)
         monkeypatch.setattr(indices, "distance_sums", counted_sums)
         monkeypatch.setattr(verifier, "base_spec", counted_base)
-        monkeypatch.setattr(verifier, "distance_vector", counted_bfs)
+        monkeypatch.setattr(verifier, "eccentricity", counted_eccentricity)
         recs = verify_sweep(multiplicative_points(256))
         in_domain = [r for r in recs if r.domain_status is DomainStatus.IN_DOMAIN]
         keys = {(r.point.family, r.point.n, r.point.h) for r in in_domain}
-        # per key one sum for rs, one for the index report and one for
-        # predict's consistency check
-        assert sums[0] == 3 * len(keys)
-        # each in-domain point, here one per key, reads a base vector's
-        # diameter and never its sums
-        assert len(bases) == len(in_domain) == len(keys)
-        assert summed and {id(dv) for dv in summed}.isdisjoint(map(id, bases))
+        # per key one sum for the index report, which gives rho and rs too,
+        # and one for predict's consistency check
+        assert sums[0] == 2 * len(keys)
+        # each in-domain point, here one per key, reads its base's
+        # eccentricity; the only vectors are each key's computed one and
+        # predict's, and each is summed
+        assert len(in_domain) == len(keys)
+        assert len(built) == 2 * len(keys)
+        assert {id(dv) for dv in summed} == {id(dv) for dv in built}
 
     def test_base_diameter_only_for_multiplicative_families(self):
         recs = verify_sweep(double_loop_gen_points(8, 16) + double_loop_half_points(2, 12)
@@ -570,13 +591,13 @@ class TestCountTable:
         by_point = dict(zip(points, swept))
         assert verify_sweep(shuffled) == [by_point[p] for p in shuffled]
 
-    def test_sweep_stacks_each_order_and_builds_one_vector_per_point(self, monkeypatch):
+    def test_sweep_stacks_each_order_and_builds_one_vector_per_key(self, monkeypatch):
         from circan import metrics
 
         transforms, calls, events = [], [], []
         built = [0]
         real_radii, real_point = verifier.spectral_radii, verifier.verify_point
-        real_bfs, real_post_init = verifier.distance_vector, metrics.DistanceVector.__post_init__
+        real_stack, real_post_init = verifier.distance_stack, metrics.DistanceVector.__post_init__
 
         def counted_radii(stack):
             transforms.append(stack.shape)
@@ -587,9 +608,9 @@ class TestCountTable:
             events.append(point.n)
             return real_point(point, **kwargs)
 
-        def counted_bfs(spec):
-            events.append(spec.n)
-            return real_bfs(spec)
+        def counted_stack(specs):
+            events.append(specs[0].n)
+            return real_stack(specs)
 
         def counted_post_init(dv):
             built[0] += 1
@@ -597,7 +618,7 @@ class TestCountTable:
 
         monkeypatch.setattr(verifier, "spectral_radii", counted_radii)
         monkeypatch.setattr(verifier, "verify_point", counted_point)
-        monkeypatch.setattr(verifier, "distance_vector", counted_bfs)
+        monkeypatch.setattr(verifier, "distance_stack", counted_stack)
         monkeypatch.setattr(metrics.DistanceVector, "__post_init__", counted_post_init)
         points = (double_loop_gen_points(5, 30) + double_loop_half_points(2, 30) + c7_points()
                   + multiplicative_points(256))
@@ -618,15 +639,37 @@ class TestCountTable:
         # all that order's in-domain points (5..7 are out of domain)
         assert [n for _, n in transforms[:23]] == list(range(8, 31))
         assert max(k for k, _ in transforms) == 13  # a = 2..14 at n = 29 and 30
-        # one computed vector per point with a connected complement (out of
-        # domain ones too), one predicted vector per count-table key and one
-        # base vector per in-domain multiplicative point
+        # one checked vector per count-table key, predict's: a block checks
+        # its stack's rows at once, a key's computed vector is not checked
+        # again, and a base's diameter builds no vector
         in_domain = [r for r in recs if r.domain_status is DomainStatus.IN_DOMAIN]
-        connected = [r for r in recs if not r.note.endswith(("edgeless", "disconnected"))]
         keys = {(r.point.family, r.point.n, r.point.h) for r in in_domain}
         bases = [r for r in in_domain if "base_diameter" in r.fields]
         assert len(keys) < len(in_domain) and bases
-        assert built[0] == len(connected) + len(keys) + len(bases)
+        assert built[0] == len(keys)
+
+    @pytest.mark.parametrize("entries", [verifier._STACK_ENTRIES, 100])
+    def test_a_block_gives_the_records_of_its_points_alone(self, monkeypatch, entries):
+        # n = 8 holds the known exception (8, 3), a disconnected complement,
+        # beside (8, 2); out-of-domain rows sit in blocks of in-domain ones
+        monkeypatch.setattr(verifier, "_STACK_ENTRIES", entries)
+        blocks = []
+        real = verifier.distance_stack
+        monkeypatch.setattr(verifier, "distance_stack",
+                            lambda specs: blocks.append(len(specs)) or real(specs))
+        points = (double_loop_gen_points(5, 30) + double_loop_half_points(2, 40)
+                  + c7_points() + multiplicative_points(128))
+        swept = verify_sweep(points)
+        # (5, 2) has an edgeless complement; then (6, 2), (7, 2..3), (8, 2..3)
+        assert blocks[:3] == [1, 2, 2]
+        assert [(r.point.n, r.point.a) for r in swept[4:6]] == [(8, 2), (8, 3)]
+        assert swept[4].domain_status is DomainStatus.IN_DOMAIN and swept[4].passed
+        assert swept[5].domain_status is DomainStatus.KNOWN_EXCEPTION
+        assert max(blocks) > 1
+        alone = [verify_point(p) for p in points]
+        assert swept == alone
+        assert records_to_json(swept) == records_to_json(alone)
+        assert records_to_csv(swept) == records_to_csv(alone)
 
     def test_a_long_run_is_stacked_in_blocks(self, monkeypatch):
         points = double_loop_gen_points(8, 30)
@@ -685,7 +728,42 @@ class TestCountTable:
         assert verify_point(double_loop_gen_point(20, 3)).passed
 
 
+def _csv_reference(records):
+    """The records through ``csv.writer(lineterminator="\n")``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["family", "n", "a", "m", "h", "status", "note", "passed"]
+                    + [f"{f}_{part}" for f in FIELD_ORDER for part in ("match", "predicted", "computed")])
+    for rec in records:
+        row = [rec.point.family.value, rec.point.n, rec.point.a, rec.point.m, rec.point.h,
+               rec.domain_status.value, rec.note, rec.passed]
+        for name in FIELD_ORDER:
+            check = rec.fields.get(name)
+            row += ["", "", ""] if check is None else [check.match, check.predicted, check.computed]
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+_CSV_TEXTS = ("", ",", '"', "\r", "\n", "\r\n", 'a,"b"', "x\ny,z", ' "', "[0, 1, 2]")
+
+
 class TestSerialization:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(_CSV_TEXTS), st.text()), min_size=3, max_size=3))
+    @example(["", "", ""])
+    @example([",", '"', "\r\n"])
+    def test_csv_matches_the_csv_module(self, texts):
+        # the notes and texts hold commas, quotes, CR, LF or nothing; the two
+        # records of one count key share their FieldCheck objects
+        note, predicted, computed = texts
+        recs = verify_sweep(double_loop_gen_points(9, 10) + double_loop_half_points(2, 4))
+        odd = FieldCheck(False, predicted, computed)
+        recs[0] = dataclasses.replace(recs[0], note=note,
+                                      fields={**recs[0].fields, "rs": odd, "degree": odd})
+        recs[1] = dataclasses.replace(recs[1], fields={**recs[1].fields, "rs": odd})
+        assert records_to_csv(recs) == _csv_reference(recs)
+        assert records_to_csv([]) == _csv_reference([])
+
     def test_json_round_trip_and_determinism(self):
         recs = verify_sweep(double_loop_half_points(2, 10))
         text = records_to_json(recs)
